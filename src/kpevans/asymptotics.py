@@ -29,7 +29,7 @@ import numpy as np
 
 from . import conserved
 from .errors import FitIllConditioned, HighFreqInconclusive, StructureViolation
-from .evans import evans
+from .evans import _base_coefficients, evans
 from .model import WaveParams, _poly_derivative, eval_V, polyval_ascending
 from .quadrature import gauss_legendre
 from .wave import DEFAULT_ODE_TOL, DEFAULT_QUAD_TOL, WaveProfile
@@ -129,26 +129,23 @@ def _coefficient_functions(profile: WaveProfile):
     Vectorized over x; returns (A1, A2, A1_x, A1_xx, A2_x).
     """
     par = profile.params
+    base = _base_coefficients(par)
     f = par.nonlinearity.f_coeffs
-    d1 = _poly_derivative(f, 1)
-    d2 = _poly_derivative(f, 2)
-    d3 = _poly_derivative(f, 3)
-    d4 = _poly_derivative(f, 4)
+    d2, d3, d4 = (_poly_derivative(f, j) for j in (2, 3, 4))
 
     def fields(x):
         u = profile.u(x)
         ux = profile.ux(x)
+        # row 4 of H: b41 = A1_x / 2, b42 = A1, b43 = A2
+        b41, A1, A2 = base(u, ux)
         uxx = -eval_V(par, u, 1)
         uxxx = -eval_V(par, u, 2) * ux
         f2 = polyval_ascending(d2, u)
         f3 = polyval_ascending(d3, u)
         f4 = polyval_ascending(d4, u)
-        A1 = -2.0 * f2 * ux
-        A2 = par.c - polyval_ascending(d1, u)
-        A1x = -2.0 * (f3 * ux * ux + f2 * uxx)
         A1xx = -2.0 * (f4 * ux ** 3 + 3.0 * f3 * ux * uxx + f2 * uxxx)
         A2x = -f2 * ux
-        return A1, A2, A1x, A1xx, A2x
+        return A1, A2, 2.0 * b41, A1xx, A2x
 
     return fields
 
@@ -269,8 +266,13 @@ def verify_block_reduction(profile: WaveProfile, mu: float, k: float,
     # averaging cancellations over one original period: both integrands are
     # exact x-derivatives of periodic quantities, so the integrals vanish
     T = profile.period
+
+    def a1_a1x(x):
+        A1, _, A1x, _, _ = fields(x)
+        return A1 * A1x
+
     avg_A1x = gauss_legendre(lambda x: fields(x)[2], 0.0, T, 2048)
-    avg_A1A1x = gauss_legendre(lambda x: fields(x)[0] * fields(x)[2], 0.0, T, 2048)
+    avg_A1A1x = gauss_legendre(a1_a1x, 0.0, T, 2048)
 
     upper_left_bound = 10.0 * eps * (supA2 + s * supA1 + k * k * eps)
     e44_bound = 10.0 * eps ** 2.5 * (1.0 + k * k * supA1 + supA1x)

@@ -16,7 +16,6 @@ import argparse
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -176,7 +175,7 @@ def _mu_grid_from_spec(spec: dict):
     raise ConfigError(f"unknown mu_grid kind {kind!r}")
 
 
-def cmd_scan(cfg: ProblemConfig, out: Path, threads: int = 1) -> int:
+def cmd_scan(cfg: ProblemConfig, out: Path) -> int:
     if not cfg.scan:
         raise ConfigError("scan command requires a 'scan' block in the config")
     ode_tol = cfg.tol("ode_tol", wave.DEFAULT_ODE_TOL)
@@ -184,31 +183,18 @@ def cmd_scan(cfg: ProblemConfig, out: Path, threads: int = 1) -> int:
     profile = _build_profile(cfg)
     consolidated = {}
 
-    jobs = []
     if "mu_grid" in cfg.scan:
         mu_grid = _mu_grid_from_spec(cfg.scan["mu_grid"])
         lam = float(cfg.scan.get("lambda", 1.0))
+        scans_json = []
         for k in cfg.scan.get("k", [0.1]):
-            jobs.append(("evans", float(k), mu_grid, lam))
-
-    def run_evans(job):
-        _, k, mu_grid, lam = job
-        return evans_scan(profile, mu_grid, k, lam, ode_tol=ode_tol,
-                          refine_tol=refine_tol)
-
-    evans_jobs = [j for j in jobs if j[0] == "evans"]
-    if threads > 1 and len(evans_jobs) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            reports = list(pool.map(run_evans, evans_jobs))
-    else:
-        reports = [run_evans(j) for j in evans_jobs]
-    scans_json = []
-    for job, rep in zip(evans_jobs, reports):
-        tag = f"evans_scan_k{job[1]:g}".replace(".", "p").replace("-", "m")
-        rep.write_csv(out / f"{tag}.csv")
-        scans_json.append(rep.to_json_dict())
-    if scans_json:
-        consolidated["evans_scans"] = scans_json
+            rep = evans_scan(profile, mu_grid, float(k), lam, ode_tol=ode_tol,
+                             refine_tol=refine_tol)
+            tag = f"evans_scan_k{float(k):g}".replace(".", "p").replace("-", "m")
+            rep.write_csv(out / f"{tag}.csv")
+            scans_json.append(rep.to_json_dict())
+        if scans_json:
+            consolidated["evans_scans"] = scans_json
 
     if "high_freq" in cfg.scan:
         hf = cfg.scan["high_freq"]
@@ -365,8 +351,6 @@ def _parser() -> argparse.ArgumentParser:
         sp = sub.add_parser(name, help=help_txt)
         sp.add_argument("--config", required=True, help="problem JSON path")
         sp.add_argument("--out", default=".", help="output directory")
-        if name == "scan":
-            sp.add_argument("--threads", type=int, default=1)
         if name == "verify":
             sp.add_argument("--tol-scale", type=float, default=1.0,
                             help="multiply all verification tolerances")
@@ -384,7 +368,7 @@ def main(argv=None) -> int:
         if args.command == "invariants":
             return cmd_invariants(cfg, out)
         if args.command == "scan":
-            return cmd_scan(cfg, out, threads=args.threads)
+            return cmd_scan(cfg, out)
         if args.command == "index":
             return cmd_index(cfg, out)
         if args.command == "verify":

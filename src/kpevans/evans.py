@@ -10,9 +10,18 @@ Y' = H(x; mu, k) Y with the companion matrix
          [-sigma k^2 - f'''(u) u_x^2 - f''(u) u_xx,  -2 f''(u) u_x - mu,
           -f'(u) + c,  0]].
 
+mu and sigma k^2 enter only additively, so one vectorized function,
+_base_coefficients, gives the rest of row 4 to coefficient_matrix and to the
+monodromy engine alike.
+
 H is trace free, so the fundamental matrix has constant determinant; the
 monodromy M(mu, k) = Phi(T) is stored as a normalized matrix plus a real
-log of the factored-out scale.  The Evans function is
+log of the factored-out scale.  It is a product of classical RK4 step
+propagators aligned with the profile's quintic-Hermite grid (m substeps per
+grid interval, so H is polynomial inside every step), built and multiplied
+as numpy stacks.  The map with 2m substeps is returned with the Richardson
+estimate err_est of its error, and m doubles until err_est meets the bound
+that ode_tol sets (see monodromy).  The Evans function is
 
     D(mu, k, lambda) = det(M(mu, k) - lambda I),
 
@@ -22,54 +31,48 @@ when the scale bookkeeping is large.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NonRealEvans, ScaleOverflow
-from .integrate import integrate
-from .model import _poly_derivative
+from .errors import IntegrationFailure, NonRealEvans, ScaleOverflow
+from .model import _poly_derivative, polyval_ascending
 from .wave import DEFAULT_ODE_TOL, WaveProfile
 
 _LOG_MAX = 690.0  # exp() overflow guard for float64
 
 
-def _horner(desc, u: float) -> float:
-    r = 0.0
-    for c in desc:
-        r = r * u + c
-    return r
+def _base_coefficients(params):
+    """Vectorized (u, u_x) -> (b41, b42, b43), the mu- and k-free part of H.
 
+    Row 4 of H is (b41 - sigma k^2, b42 - mu, b43, 0); u_xx comes from the
+    profile ODE, u_xx = -V'(u).  The one source of these formulas, shared
+    by coefficient_matrix and the monodromy engine.
+    """
+    f = params.nonlinearity.f_coeffs
+    d1, d2, d3 = (_poly_derivative(f, j) for j in (1, 2, 3))
+    vp = params.V_coeffs(1)
+    c = params.c
 
-def _poly_rows(profile: WaveProfile):
-    """Descending coefficient tuples for f', f'', f''' and V'."""
-    par = profile.params
+    def base(u, ux):
+        f2 = polyval_ascending(d2, u)
+        uxx = -polyval_ascending(vp, u)
+        b41 = -polyval_ascending(d3, u) * ux * ux - f2 * uxx
+        return b41, -2.0 * f2 * ux, c - polyval_ascending(d1, u)
 
-    def desc(asc):
-        a = np.trim_zeros(np.asarray(asc, dtype=float), trim="b")
-        return tuple(a[::-1]) if len(a) else (0.0,)
-
-    f = par.nonlinearity.f_coeffs
-    return (desc(_poly_derivative(f, 1)), desc(_poly_derivative(f, 2)),
-            desc(_poly_derivative(f, 3)), desc(par.V_coeffs(1)))
+    return base
 
 
 def coefficient_matrix(profile: WaveProfile, mu, k: float, x: float) -> np.ndarray:
     """H(x; mu, k) with u, u_x from the interpolant and u_xx = -V'(u)."""
-    fp, fpp, fppp, vp = _poly_rows(profile)
     u, ux = profile._interp.value_and_derivative_scalar(float(x))
-    uxx = -_horner(vp, u)
-    sigma = profile.params.sigma
-    c = profile.params.c
-    h41 = -sigma * k * k - _horner(fppp, u) * ux * ux - _horner(fpp, u) * uxx
-    h42 = -2.0 * _horner(fpp, u) * ux - mu
-    h43 = c - _horner(fp, u)
+    b41, b42, b43 = _base_coefficients(profile.params)(u, ux)
     dtype = complex if isinstance(mu, complex) else float
     H = np.zeros((4, 4), dtype=dtype)
     H[0, 1] = H[1, 2] = H[2, 3] = 1.0
-    H[3, 0], H[3, 1], H[3, 2] = h41, h42, h43
+    H[3, 0] = b41 - profile.params.sigma * k * k
+    H[3, 1], H[3, 2] = b42 - mu, b43
     return H
 
 
@@ -90,6 +93,10 @@ class Monodromy:
     faithfully even when the full monodromy's eigenvalues span hundreds of
     orders of magnitude and a direct 4x4 determinant would drown in
     roundoff.
+
+    err_est is the Richardson estimate of the map's error relative to its
+    largest entry, and steps the number of RK4 steps it took (see
+    monodromy).
     """
 
     matrix: np.ndarray
@@ -97,6 +104,8 @@ class Monodromy:
     log_det: complex
     mu: complex
     k: float
+    err_est: float
+    steps: int
 
     def full(self) -> np.ndarray:
         if abs(self.log_scale) > _LOG_MAX:
@@ -158,61 +167,131 @@ def det_with_noise(A: np.ndarray):
     return (complex(det) if complex_in else float(det)), noise
 
 
+_CHUNK = 256           # RK4 steps per propagator stack
+_MAX_STEPS = 1 << 16   # step budget of one period map
+_TOL_FACTOR = 1e3      # err_est <= _TOL_FACTOR * ode_tol * (1 + |mu|)
+_EYE = np.eye(4)
+_SHIFT = np.eye(4, k=1)
+
+
+def _ordered_product(P: np.ndarray) -> np.ndarray:
+    """P[-1] @ ... @ P[1] @ P[0] for a stack of matrices, by pairwise products."""
+    while len(P) > 1:
+        n2 = len(P) - len(P) % 2
+        Q = P[1:n2:2] @ P[0:n2:2]
+        P = np.concatenate([Q, P[n2:]]) if n2 < len(P) else Q
+    return P[0]
+
+
+def _rk4_product(A: np.ndarray, h: float) -> np.ndarray:
+    """Product of the classical RK4 propagators of Y' = A(x) Y.
+
+    A holds the coefficient matrices at every half step, A[2j], A[2j + 1]
+    and A[2j + 2] being step j's start, midpoint and end; h is the step.
+    """
+    A0, Ah, A1 = A[0:-1:2], A[1::2], A[2::2]
+    k2 = Ah + (0.5 * h) * (Ah @ A0)
+    k3 = Ah + (0.5 * h) * (Ah @ k2)
+    k4 = A1 + h * (A1 @ k3)
+    return _ordered_product(_EYE + (h / 6.0) * (A0 + 2.0 * (k2 + k3) + k4))
+
+
+def _segment_maps(profile: WaveProfile, lo: int, hi: int, mu, sigma_k2: float,
+                  m: int, dtype):
+    """Maps over grid intervals [lo, hi) with m and with 2m RK4 substeps each.
+
+    Both come from one sampling of H at the quarter steps of the coarse map,
+    which are the half steps of the fine one.
+    """
+    ip = profile._interp
+    base = _base_coefficients(profile.params)
+    h = ip.h / (2 * m)                  # fine step
+    x_lo = ip.x0 + lo * ip.h
+    coarse = fine = np.eye(4, dtype=dtype)
+    for s0 in range(0, (hi - lo) * 2 * m, _CHUNK):
+        s1 = min(s0 + _CHUNK, (hi - lo) * 2 * m)
+        x = x_lo + np.arange(2 * s0, 2 * s1 + 1) * (0.5 * h)
+        b41, b42, b43 = base(ip.value(x), ip.derivative(x))
+        A = np.empty((len(x), 4, 4), dtype=dtype)
+        A[:] = _SHIFT
+        A[:, 3, 0] = b41 - sigma_k2
+        A[:, 3, 1] = b42 - mu
+        A[:, 3, 2] = b43
+        fine = _rk4_product(A, h) @ fine
+        coarse = _rk4_product(A[::2], 2.0 * h) @ coarse
+    return coarse, fine
+
+
 def monodromy(profile: WaveProfile, mu, k: float,
               ode_tol: float = DEFAULT_ODE_TOL) -> Monodromy:
-    """Integrate Y' = H Y over one period with segmented rescaling.
+    """Period map of Y' = H Y by RK4 steps aligned with the profile grid.
 
-    [0, T] is split into ceil(|mu|^{1/3} T / 5) segments; each segment map
-    is normalized by its max entry with the log accumulated, which keeps
-    every factor well conditioned for |mu| into the hundreds.  The local
-    tolerance tightens as ode_tol / (1 + |mu|), floored at 1e-14.
+    The profile interpolant is one quintic per grid interval, so H is
+    polynomial inside each of the m classical RK4 substeps an interval
+    gets.  The per-step 4x4 propagators are built as numpy stacks, at
+    most _CHUNK steps at a time, and multiplied pairwise.  [0, T] is split
+    at grid nodes into ceil(|mu|^{1/3} T / 5) segments; after each segment
+    the running product is normalized by its max entry with the log
+    accumulated, which keeps every factor well conditioned for |mu| into the
+    hundreds, and log_det sums the logs of the segment determinants.
+
+    Error certificate: the map is computed with m and with 2m substeps, and
+    the 2m map is returned with the Richardson estimate of its error
+    relative to its largest entry,
+
+        err_est = max |M_2m - M_m| / (15 max |M_2m|).
+
+    m starts from a step-size model in ode_tol and |mu| and doubles until
+
+        err_est <= 1e3 * ode_tol * (1 + |mu|);
+
+    if the budget of 2^16 steps per map runs out first, IntegrationFailure
+    is raised, so an uncertified map is never returned.  steps counts every
+    RK4 step taken, both maps of each attempt included.
     """
     mu_c = complex(mu)
     real_mode = mu_c.imag == 0.0
     mu_val = mu_c.real if real_mode else mu_c
     dtype = float if real_mode else complex
-
-    fp, fpp, fppp, vp = _poly_rows(profile)
-    interp = profile._interp
     sigma_k2 = profile.params.sigma * k * k
-    c = profile.params.c
-
-    def rhs(x, Y):
-        u, ux = interp.value_and_derivative_scalar(x)
-        uxx = -_horner(vp, u)
-        h41 = -sigma_k2 - _horner(fppp, u) * ux * ux - _horner(fpp, u) * uxx
-        h42 = -2.0 * _horner(fpp, u) * ux - mu_val
-        h43 = c - _horner(fp, u)
-        out = np.empty_like(Y)
-        out[0] = Y[1]
-        out[1] = Y[2]
-        out[2] = Y[3]
-        out[3] = h41 * Y[0] + h42 * Y[1] + h43 * Y[2]
-        return out
-
-    T = profile.period
-    nseg = max(1, math.ceil(abs(mu_c) ** (1.0 / 3.0) * T / 5.0))
-    edges = np.linspace(0.0, T, nseg + 1)
-    tol = max(ode_tol / (1.0 + abs(mu_c)), 1e-14)
-
-    P = np.eye(4, dtype=dtype)
-    log_scale = 0.0
-    log_det = 0.0 + 0.0j
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        seg, _ = integrate(rhs, lo, hi, np.eye(4, dtype=dtype), rtol=tol, atol=tol)
-        m = float(np.max(np.abs(seg)))
-        if not np.isfinite(m) or m == 0.0:
-            raise ScaleOverflow(f"segment map degenerate on [{lo:.3g}, {hi:.3g}]")
-        # segment determinant (theoretically 1) while it is well conditioned
-        log_det += complex(np.log(complex(det_complete_pivot(seg))))
-        seg = seg / m
-        log_scale += math.log(m)
-        P = seg @ P
-        m2 = float(np.max(np.abs(P)))
-        P = P / m2
-        log_scale += math.log(m2)
-    return Monodromy(matrix=P, log_scale=log_scale, log_det=log_det,
-                     mu=mu_c, k=k)
+    n = profile._interp.n
+    nseg = min(n, max(1, math.ceil(abs(mu_c) ** (1.0 / 3.0) * profile.period / 5.0)))
+    edges = [round(i * n / nseg) for i in range(nseg + 1)]
+    bound = _TOL_FACTOR * ode_tol * (1.0 + abs(mu_c))
+    # first m from the model err_est ~ (1 + |mu|)^{3/2} (h / 2m)^4: RK4's
+    # fourth power in the step, a growth in |mu| fitted to the canonical
+    # waves; the doubling below corrects a poor guess, so it only sets cost
+    target = bound / (1.0 + abs(mu_c)) ** 1.5
+    m = max(1, math.ceil(0.5 * profile._interp.h / target ** 0.25))
+    steps = 0
+    while True:
+        if 2 * m * n > _MAX_STEPS:
+            raise IntegrationFailure(
+                f"RK4 step budget {_MAX_STEPS} exhausted before the Richardson "
+                f"estimate met {bound:.3g} (mu={mu_c:.6g}, k={k:.6g})")
+        P = Pc = np.eye(4, dtype=dtype)
+        log_scale = log_scale_c = 0.0
+        log_det = 0.0 + 0.0j
+        for lo, hi in zip(edges[:-1], edges[1:]):
+            seg_c, seg = _segment_maps(profile, lo, hi, mu_val, sigma_k2, m, dtype)
+            P, Pc = seg @ P, seg_c @ Pc
+            s, sc = float(np.max(np.abs(P))), float(np.max(np.abs(Pc)))
+            if not np.isfinite(s) or s == 0.0:
+                raise ScaleOverflow(f"segment map degenerate on grid intervals "
+                                    f"[{lo}, {hi})")
+            # segment determinant (theoretically 1) while it is well conditioned
+            log_det += complex(np.log(complex(det_complete_pivot(seg))))
+            P, Pc = P / s, Pc / sc
+            log_scale += math.log(s)
+            log_scale_c += math.log(sc)
+        steps += 3 * m * n
+        drift = log_scale_c - log_scale
+        err_est = math.inf if abs(drift) > _LOG_MAX else \
+            float(np.max(np.abs(P - math.exp(drift) * Pc))) / 15.0
+        if err_est <= bound:
+            return Monodromy(matrix=P, log_scale=log_scale, log_det=log_det,
+                             mu=mu_c, k=k, err_est=err_est, steps=steps)
+        m *= 2
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,9 @@
 """Adaptive embedded Runge-Kutta integration (Dormand-Prince 5(4)).
 
-One integrator serves every ODE in the package: scalar profile equations,
-stacked variational systems, and complex 4x4 monodromy propagation.  The
-state is an arbitrary numpy array (real or complex); steps are clipped to
-requested checkpoints so recorded values carry no interpolation error.
+One integrator serves the profile equation, the stacked variational
+systems and the tracking flows.  The state is an arbitrary numpy array (real
+or complex); steps are clipped to requested checkpoints so recorded values
+carry no interpolation error.
 """
 
 from __future__ import annotations

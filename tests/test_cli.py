@@ -144,11 +144,20 @@ def test_verify_tightened_tolerances_fail(tmp_path):
     assert any(row["pass"] for row in report["checks"])
 
 
-def test_scan_threads_deterministic(tmp_path):
+def test_scan_rerun_byte_identical(tmp_path):
     scan = {"mu_grid": {"kind": "geometric", "start": 0.01, "stop": 1.0, "n": 6},
-            "k": [0.1, 0.2]}
+            "k": [0.1, 0.2], "high_freq": {"k": 0.5, "mu_list": [25.0, 50.0, 100.0]},
+            "low_freq": {}}
     cfg = write_config(tmp_path, scan=scan, samples_per_period=256)
     out1, out2 = tmp_path / "s1", tmp_path / "s2"
-    assert run(["scan", "--config", cfg, "--out", str(out1), "--threads", "2"]) == 0
+    assert run(["scan", "--config", cfg, "--out", str(out1)]) == 0
     assert run(["scan", "--config", cfg, "--out", str(out2)]) == 0
-    assert (out1 / "scan.json").read_bytes() == (out2 / "scan.json").read_bytes()
+    names = sorted(p.name for p in out1.iterdir())
+    assert names == sorted(p.name for p in out2.iterdir())
+    assert names == ["evans_scan_k0p1.csv", "evans_scan_k0p2.csv", "high_freq.csv",
+                     "low_freq.csv", "scan.json"]
+    for name in names:
+        data = (out1 / name).read_bytes()
+        assert data == (out2 / name).read_bytes(), name
+        # the monodromy's work and error figures stay out of the data files
+        assert b"err_est" not in data and b"steps" not in data

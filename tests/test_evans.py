@@ -1,5 +1,8 @@
 """Monodromy and periodic Evans function."""
 
+import sys
+import time
+
 import numpy as np
 import pytest
 
@@ -160,3 +163,70 @@ def test_scan_rejects_complex_floquet_multiplier(kdv_profile):
     from kpevans.errors import NonRealEvans
     with pytest.raises(NonRealEvans):
         kp.evans_scan(kdv_profile, [0.5, 1.0], 0.1, lam=1.0 + 1e-3j)
+
+
+# ----------------------------------------------------------------------
+# the grid-aligned RK4 engine against an independent DP5 oracle
+# ----------------------------------------------------------------------
+
+ENGINE_MUS = [0.0, 1.7, -30.0, 60.0, 200.0, 3.0 + 4.0j]
+
+
+@pytest.mark.parametrize("wave", ["kdv_profile", "dnoidal_profile",
+                                  "cnoidal_mkdv_profile"])
+@pytest.mark.parametrize("mu", ENGINE_MUS)
+def test_engine_against_dp5_oracle(request, wave, mu):
+    profile = request.getfixturevalue(wave)
+    k, ode_tol = 0.3, 1e-12
+    dtype = complex if isinstance(mu, complex) else float
+
+    def rhs(x, Y):
+        return kp.coefficient_matrix(profile, mu, k, x) @ Y
+
+    oracle, _ = integrate(rhs, 0.0, profile.period, np.eye(4, dtype=dtype),
+                          rtol=1e-12, atol=1e-12)
+    mono = kp.monodromy(profile, mu, k, ode_tol=ode_tol)
+    assert mono.steps > 0 and mono.matrix.dtype == dtype
+    # the documented certificate, and the estimate tracks the true error
+    assert mono.err_est <= 1e3 * ode_tol * (1.0 + abs(mu))
+    observed = np.max(np.abs(mono.full() - oracle)) / np.max(np.abs(oracle))
+    assert observed <= 10.0 * mono.err_est
+
+
+def test_engine_unreachable_tolerance_fails_fast(kdv_profile):
+    from kpevans.errors import IntegrationFailure
+    t0 = time.perf_counter()
+    with pytest.raises(IntegrationFailure):
+        kp.monodromy(kdv_profile, 1.7, 0.3, ode_tol=1e-30)
+    assert time.perf_counter() - t0 < 2.0
+
+
+def test_single_coefficient_source(kdv_profile, monkeypatch):
+    """coefficient_matrix and monodromy both take row 4 of H from one place.
+
+    Adding -sigma k^2 to b41 in _base_coefficients must reproduce k exactly
+    as both consumers see it, so the k-shift test above guards the engine.
+    """
+    ev = sys.modules["kpevans.evans"]
+    assert not hasattr(ev, "integrate")
+    assert not hasattr(ev, "_horner") and not hasattr(ev, "_poly_rows")
+    mu, k, x = 0.7, 0.5, 1.3
+    H_k = kp.coefficient_matrix(kdv_profile, mu, k, x)
+    mono_k = kp.monodromy(kdv_profile, mu, k)
+    shift = -kdv_profile.params.sigma * k * k
+    base_of = ev._base_coefficients
+
+    def shifted(params):
+        base = base_of(params)
+
+        def fields(u, ux):
+            b41, b42, b43 = base(u, ux)
+            return b41 + shift, b42, b43
+        return fields
+
+    monkeypatch.setattr(ev, "_base_coefficients", shifted)
+    H_0 = kp.coefficient_matrix(kdv_profile, mu, 0.0, x)
+    mono_0 = kp.monodromy(kdv_profile, mu, 0.0)
+    assert np.array_equal(H_0, H_k)
+    assert np.max(np.abs(mono_0.full() - mono_k.full())) \
+        <= 1e-12 * np.max(np.abs(mono_k.full()))
