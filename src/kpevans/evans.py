@@ -37,6 +37,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import IntegrationFailure, NonRealEvans, ScaleOverflow
+from .integrate import _rk4_steps
 from .model import _poly_derivative, polyval_ascending
 from .wave import DEFAULT_ODE_TOL, WaveProfile
 
@@ -170,7 +171,6 @@ def det_with_noise(A: np.ndarray):
 _CHUNK = 256           # RK4 steps per propagator stack
 _MAX_STEPS = 1 << 16   # step budget of one period map
 _TOL_FACTOR = 1e3      # err_est <= _TOL_FACTOR * ode_tol * (1 + |mu|)
-_EYE = np.eye(4)
 _SHIFT = np.eye(4, k=1)
 
 
@@ -181,19 +181,6 @@ def _ordered_product(P: np.ndarray) -> np.ndarray:
         Q = P[1:n2:2] @ P[0:n2:2]
         P = np.concatenate([Q, P[n2:]]) if n2 < len(P) else Q
     return P[0]
-
-
-def _rk4_product(A: np.ndarray, h: float) -> np.ndarray:
-    """Product of the classical RK4 propagators of Y' = A(x) Y.
-
-    A holds the coefficient matrices at every half step, A[2j], A[2j + 1]
-    and A[2j + 2] being step j's start, midpoint and end; h is the step.
-    """
-    A0, Ah, A1 = A[0:-1:2], A[1::2], A[2::2]
-    k2 = Ah + (0.5 * h) * (Ah @ A0)
-    k3 = Ah + (0.5 * h) * (Ah @ k2)
-    k4 = A1 + h * (A1 @ k3)
-    return _ordered_product(_EYE + (h / 6.0) * (A0 + 2.0 * (k2 + k3) + k4))
 
 
 def _segment_maps(profile: WaveProfile, lo: int, hi: int, mu, sigma_k2: float,
@@ -217,8 +204,8 @@ def _segment_maps(profile: WaveProfile, lo: int, hi: int, mu, sigma_k2: float,
         A[:, 3, 0] = b41 - sigma_k2
         A[:, 3, 1] = b42 - mu
         A[:, 3, 2] = b43
-        fine = _rk4_product(A, h) @ fine
-        coarse = _rk4_product(A[::2], 2.0 * h) @ coarse
+        fine = _ordered_product(_rk4_steps(A, h)) @ fine
+        coarse = _ordered_product(_rk4_steps(A[::2], 2.0 * h)) @ coarse
     return coarse, fine
 
 
@@ -347,22 +334,6 @@ def evans(profile: WaveProfile, mu, k: float, lam=1.0,
     mant = float(mant.real) if real_case else complex(mant)
     return EvansValue(mantissa=mant, log_factor=4.0 * ls, noise=noise,
                       point=SpectralPoint(complex(mu), k, lam_c))
-
-
-def char_poly_coeffs(mono: Monodromy):
-    """(a, b, c) with det(M - lam I) = lam^4 + a lam^3 + b lam^2 + c lam + det M.
-
-    Newton's identities on the full (unscaled) monodromy; intended for the
-    moderate-mu regime where the scale is representable.
-    """
-    M = mono.full()
-    p1 = np.trace(M)
-    p2 = np.trace(M @ M)
-    p3 = np.trace(M @ M @ M)
-    e1 = p1
-    e2 = (p1 * p1 - p2) / 2.0
-    e3 = (p1 ** 3 - 3.0 * p1 * p2 + 2.0 * p3) / 6.0
-    return -e1, e2, -e3
 
 
 # ----------------------------------------------------------------------

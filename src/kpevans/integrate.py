@@ -1,9 +1,12 @@
-"""Adaptive embedded Runge-Kutta integration (Dormand-Prince 5(4)).
+"""Runge-Kutta integration: adaptive Dormand-Prince 5(4) and RK4 step maps.
 
-One integrator serves the profile equation, the stacked variational
-systems and the tracking flows.  The state is an arbitrary numpy array (real
-or complex); steps are clipped to requested checkpoints so recorded values
-carry no interpolation error.
+The adaptive integrator serves the profile equation, the stacked
+variational systems and tracking.period_map.  Its state is an arbitrary
+numpy array (real or complex); steps are clipped to requested checkpoints so
+recorded values carry no interpolation error.
+
+_rk4_steps gives the classical RK4 step propagators of a linear flow as one
+numpy stack; the monodromy and conjugator engines build on it.
 """
 
 from __future__ import annotations
@@ -122,3 +125,17 @@ def integrate(f, x0: float, x1: float, y0, rtol: float = 1e-12, atol: float = 1e
         recorded.append(y.copy())  # checkpoints at (or within fuzz of) x1
         icp += 1
     return y, recorded
+
+
+def _rk4_steps(A: np.ndarray, h: float) -> np.ndarray:
+    """Classical RK4 step propagators of the linear flow Y' = A(x) Y.
+
+    A holds the coefficient matrices at every half step, A[2j], A[2j + 1]
+    and A[2j + 2] being step j's start, midpoint and end; h is the step.
+    Returns the stack of the n = (len(A) - 1) / 2 one-step maps.
+    """
+    A0, Ah, A1 = A[0:-1:2], A[1::2], A[2::2]
+    k2 = Ah + (0.5 * h) * (Ah @ A0)
+    k3 = Ah + (0.5 * h) * (Ah @ k2)
+    k4 = A1 + h * (A1 @ k3)
+    return np.eye(A.shape[-1]) + (h / 6.0) * (A0 + 2.0 * (k2 + k3) + k4)

@@ -189,9 +189,6 @@ class WMatrix:
     def det_on_grid(self) -> np.ndarray:
         return np.linalg.det(self.values)
 
-    def at_index(self, i: int) -> np.ndarray:
-        return self.values[i]
-
 
 def build_W(profile: WaveProfile, basis: KernelBasis) -> WMatrix:
     """Assemble W on the grid; derivatives of order 2, 3 from the ODEs."""
@@ -323,37 +320,3 @@ def kernel_residuals(basis: KernelBasis) -> dict:
         L = -d2 - (V2 * basis.phi)[3:-3]
         out["phi"] = float(np.max(np.abs(L - xc)) / (1.0 + np.max(np.abs(basis.phi))))
     return out
-
-
-def cross_identity_residual(basis: KernelBasis) -> float:
-    """Residual of u_a u_Exx - u_axx u_E = -u_E, the derivative of the
-    (u_a, u_E) cross-Wronskian, with finite-difference second derivatives."""
-    _, d2uE = second_derivative_fd(basis.grid, basis.uE)
-    _, d2ua = second_derivative_fd(basis.grid, basis.ua)
-    core = slice(3, -3)
-    resid = basis.ua[core] * d2uE - d2ua * basis.uE[core] + basis.uE[core]
-    return float(np.max(np.abs(resid)))
-
-
-def write_debug_csv(basis: KernelBasis, path) -> None:
-    """Dump (x, u_x, u_a, u_E, phi) plus the kernel residual curves."""
-    V2 = eval_V(basis.profile.params, basis.u, 2)
-    cols = {"x": basis.grid, "ux": basis.ux, "ua": basis.ua,
-            "uE": basis.uE, "phi": basis.phi}
-    resid = {}
-    for name, target in (("ux", 0.0), ("uE", 0.0), ("ua", -1.0)):
-        xc, d2 = second_derivative_fd(basis.grid, getattr(basis, name))
-        r = np.full(len(basis.grid), np.nan)
-        r[3:-3] = -d2 - (V2 * getattr(basis, name))[3:-3] - target
-        resid[f"res_{name}"] = r
-    if basis.phi is not None:
-        xc, d2 = second_derivative_fd(basis.grid, basis.phi)
-        r = np.full(len(basis.grid), np.nan)
-        r[3:-3] = -d2 - (V2 * basis.phi)[3:-3] - xc
-        resid["res_phi"] = r
-    cols.update(resid)
-    names = list(cols)
-    with open(path, "w", newline="\n") as fh:
-        fh.write(",".join(names) + "\n")
-        for i in range(len(basis.grid)):
-            fh.write(",".join(f"{cols[n][i]:.17e}" for n in names) + "\n")

@@ -13,19 +13,30 @@ where Phi solves Phi' = M2 Phi - Phi M1 + delta*Theta - Phi N Phi.  The
 half-line Duhamel fixed point is realized here as a sequence of linear
 periodic Sylvester boundary-value problems: each iterate integrates the
 linear flow over one period and closes it with the unique periodic initial
-condition (I - P) vec(Phi(0)) = vec(q(T)), P being the period map of the
-homogeneous Sylvester flow.  Uniqueness (and hence periodicity of the
-fixed point) is exactly the invertibility of I - P.
+condition.  Uniqueness (and hence periodicity of the fixed point) is exactly
+the invertibility of the cyclic shooting matrix.
+
+The linear flow is integrated by classical RK4 with 2m steps per interval
+of the conjugator's uniform grid.  Its homogeneous part is the same in
+every sweep, so the blocks are sampled once at the half steps, and the step
+propagators, the per-segment prefix maps and the inverse of the shooting
+matrix are built once per solve; a sweep evaluates the forcing at every
+node by one inverse FFT of the previous iterate and runs one affine
+recurrence.  The converged sweep is repeated with m steps per interval, and
+the Richardson estimate of the difference certifies the discretization (see
+solve_conjugator).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NoContraction, PeriodMapSingular, ResidualExceeded
-from .integrate import integrate
+from .errors import (IntegrationFailure, NoContraction, PeriodMapSingular,
+                     ResidualExceeded)
+from .integrate import _rk4_steps, integrate
 
 
 class TrigInterp:
@@ -39,15 +50,21 @@ class TrigInterp:
         self.period = period
         self.n = len(samples)
         self.coeffs = np.fft.fft(np.asarray(samples, dtype=complex), axis=0) / self.n
+        self.modes = np.rint(np.fft.fftfreq(self.n) * self.n).astype(int)
         self.freqs = 2.0 * np.pi / period * np.fft.fftfreq(self.n, d=1.0 / self.n)
 
     def __call__(self, x: float):
         phases = np.exp(1j * self.freqs * x)
         return np.tensordot(phases, self.coeffs, axes=(0, 0))
 
-    def derivative(self, x: float):
-        phases = 1j * self.freqs * np.exp(1j * self.freqs * x)
-        return np.tensordot(phases, self.coeffs, axes=(0, 0))
+    def on_grid(self, n: int, derivative: bool = False) -> np.ndarray:
+        """Values (or derivatives) at x_j = j * period / n, j < n, by one inverse FFT."""
+        c = self.coeffs
+        if derivative:
+            c = c * (1j * self.freqs).reshape((-1,) + (1,) * (c.ndim - 1))
+        spectrum = np.zeros((n,) + c.shape[1:], dtype=complex)
+        np.add.at(spectrum, self.modes % n, c)
+        return np.fft.ifft(spectrum, axis=0) * n
 
 
 @dataclass(eq=False)
@@ -63,6 +80,7 @@ class BlockSystem:
     Theta: callable
     delta: callable
     eta: callable
+    table: TrigInterp = None     # from_tables: full matrices, sampled by FFT
 
     def full_matrix(self, x) -> np.ndarray:
         top = np.hstack([np.atleast_2d(self.M1(x)), np.atleast_2d(self.N(x))])
@@ -76,16 +94,12 @@ class BlockSystem:
         Reported, not assumed: the periodic-BVP solver only needs I - P
         invertible, so a negative margin is diagnostic rather than fatal.
         """
-        margin = np.inf
-        raw = np.inf
-        for x in np.linspace(0.0, self.period, n_check, endpoint=False):
-            m1 = np.atleast_2d(self.M1(x))
-            m2 = np.atleast_2d(self.M2(x))
-            lo = np.min(np.linalg.eigvalsh(0.5 * (m1 + m1.conj().T)))
-            hi = np.max(np.linalg.eigvalsh(0.5 * (m2 + m2.conj().T)))
-            raw = min(raw, lo - hi)
-            margin = min(margin, lo - hi - float(np.real(self.eta(x))))
-        return margin, raw
+        M1, M2, _, _ = _sample_blocks(self, n_check)
+        gap = (np.min(_hermitian_spectrum(M1[:-1]), axis=-1)
+               - np.max(_hermitian_spectrum(M2[:-1]), axis=-1))
+        eta = np.array([np.real(self.eta(x))
+                        for x in np.arange(n_check) * (self.period / n_check)])
+        return float(np.min(gap - eta)), float(np.min(gap))
 
     def delta_eta_sup(self, n_check: int = 256) -> float:
         xs = np.linspace(0.0, self.period, n_check, endpoint=False)
@@ -129,7 +143,7 @@ class BlockSystem:
             N=lambda x: interp(x)[:n1, n1:],
             Theta=lambda x: interp(x)[n1:, :n1] / delta_scale,
             delta=lambda x: delta_scale,
-            eta=eta_fn)
+            eta=eta_fn, table=interp)
 
 
 @dataclass(eq=False)
@@ -146,96 +160,143 @@ class Conjugator:
     iterations: int
     contraction_ratios: tuple
     measured_C: float
+    err_est: float               # Richardson estimate of the discretization error
+    steps: int                   # RK4 steps taken (see solve_conjugator)
 
     def __call__(self, x: float) -> np.ndarray:
         return self.interp(x)
 
 
-def _sylvester_rhs(system: BlockSystem, forcing):
-    def rhs(x, Phi):
-        out = np.atleast_2d(system.M2(x)) @ Phi - Phi @ np.atleast_2d(system.M1(x))
-        if forcing is not None:
-            out = out + forcing(x)
-        return out
-    return rhs
+def _hermitian_spectrum(M: np.ndarray) -> np.ndarray:
+    """Eigenvalues of the Hermitian parts of a stack of matrices."""
+    return np.linalg.eigvalsh(0.5 * (M + M.conj().swapaxes(-1, -2)))
 
 
 def _growth_rate(system: BlockSystem, n_check: int = 32) -> float:
     """Crude bound on the Sylvester flow's exponential rate, for shooting."""
-    rate = 0.0
-    for x in np.linspace(0.0, system.period, n_check, endpoint=False):
-        m1 = np.atleast_2d(system.M1(x))
-        m2 = np.atleast_2d(system.M2(x))
-        r1 = np.max(np.abs(np.linalg.eigvalsh(0.5 * (m1 + m1.conj().T))))
-        r2 = np.max(np.abs(np.linalg.eigvalsh(0.5 * (m2 + m2.conj().T))))
-        rate = max(rate, r1 + r2)
-    return rate
+    M1, M2, _, _ = _sample_blocks(system, n_check)
+    return float(np.max(np.max(np.abs(_hermitian_spectrum(M1)), axis=-1)
+                        + np.max(np.abs(_hermitian_spectrum(M2)), axis=-1)))
 
 
-def _linear_periodic_solve(system: BlockSystem, forcing, checkpoints: np.ndarray,
-                           n_seg: int, rtol: float, atol: float):
-    """Periodic solution of Phi' = M2 Phi - Phi M1 + forcing by multiple shooting.
+_MAX_STEPS = 1 << 16   # RK4 steps of one fine period solve
 
-    The period splits into n_seg segments; per segment the d homogeneous
-    basis solutions and the particular solution integrate jointly, and the
-    cyclic matching system for the segment starting values keeps every
-    block's growth at e^O(1) even when the Sylvester flow carries a full
-    exponential dichotomy (stable and unstable directions at once), as the
-    reduced Evans system does.
 
-    Returns (values at checkpoints, periodicity defect estimate).
+def _sample_blocks(system: BlockSystem, n: int):
+    """M1, M2, N and delta*Theta at x_j = j T / n, j = 0..n (x_n = T), as stacks."""
+    if system.table is not None:
+        full = system.table.on_grid(n)
+    else:
+        xs = np.arange(n) * (system.period / n)
+        full = np.array([system.full_matrix(x) for x in xs], dtype=complex)
+    full, n1 = np.concatenate([full, full[:1]]), system.n1
+    return full[:, :n1, :n1], full[:, n1:, n1:], full[:, :n1, n1:], full[:, n1:, :n1]
+
+
+def _sylvester_generators(M1: np.ndarray, M2: np.ndarray) -> np.ndarray:
+    """Stack of the matrices of vec(Phi) -> vec(M2 Phi - Phi M1), vec row-major."""
+    n, n2, n1 = len(M1), M2.shape[1], M1.shape[1]
+    L = (np.einsum("xik,jl->xijkl", M2, np.eye(n1))
+         - np.einsum("ik,xlj->xijkl", np.eye(n2), M1))
+    return L.reshape(n, n2 * n1, n2 * n1)
+
+
+class _PeriodicRK4:
+    """Periodic solutions of y' = L(x) y + q(x) by RK4 steps and shooting.
+
+    L is sampled at the half steps of a uniform step sequence with `per_grid`
+    steps per conjugator grid interval; the period splits at the grid nodes
+    `edges` into segments.  Everything that depends on L alone -- the step
+    propagators, the per-segment prefix maps at the grid points and the
+    inverse of the cyclic shooting matrix -- is built here, once; solve()
+    then costs one affine recurrence per forcing.
+    """
+
+    def __init__(self, L: np.ndarray, h: float, per_grid: int, edges):
+        self.h = h
+        self.Lh, self.L1 = L[1::2], L[2::2]
+        d = L.shape[-1]
+        n_seg = len(edges) - 1
+        lengths = np.diff(edges) * per_grid
+        width = max(lengths)
+        # step indices per segment, padded with an identity step (index n_steps)
+        self.index = np.full((n_seg, width), len(L) // 2)
+        for s, (lo, n_s) in enumerate(zip(edges[:-1], lengths)):
+            self.index[s, :n_s] = lo * per_grid + np.arange(n_s)
+        self.step_maps = np.concatenate([_rk4_steps(L, h), np.eye(d)[None]])[self.index]
+        prefix = np.empty((n_seg, width + 1, d, d), dtype=complex)
+        prefix[:, 0] = np.eye(d)
+        for t in range(width):
+            prefix[:, t + 1] = self.step_maps[:, t] @ prefix[:, t]
+        # grid point g lies in segment seg[g], offset[g] steps from its start
+        self.seg = np.repeat(np.arange(n_seg), np.diff(edges))
+        self.offset = (np.arange(edges[-1]) - np.asarray(edges)[self.seg]) * per_grid
+        self.prefix = prefix[self.seg, self.offset]
+        self.maps = prefix[:, width]
+        A = np.eye(n_seg * d, dtype=complex)
+        for s in range(n_seg):
+            j = (s + 1) % n_seg
+            A[j * d:(j + 1) * d, s * d:(s + 1) * d] -= self.maps[s]
+        cond = np.linalg.cond(A)
+        if cond > 1e13:
+            raise PeriodMapSingular(
+                f"shooting matrix nearly singular (cond {cond:.2e}); "
+                "no unique periodic solution -- spectral gap failure")
+        self.shoot_inv = np.linalg.inv(A)
+
+    def solve(self, q: np.ndarray):
+        """(values at the grid points, residual of the closing matching
+        condition) of the periodic solution for the forcing q at the nodes."""
+        h = self.h
+        q0, qh, q1 = q[0:-1:2], q[1::2], q[2::2]
+        k2 = qh + (0.5 * h) * np.einsum("nij,nj->ni", self.Lh, q0)
+        k3 = qh + (0.5 * h) * np.einsum("nij,nj->ni", self.Lh, k2)
+        k4 = q1 + h * np.einsum("nij,nj->ni", self.L1, k3)
+        b = (h / 6.0) * (q0 + 2.0 * (k2 + k3) + k4)
+        b = np.concatenate([b, np.zeros_like(b[:1])])[self.index]
+        n_seg, width, d = b.shape
+        y = np.zeros((n_seg, width + 1, d), dtype=complex)
+        for t in range(width):
+            y[:, t + 1] = np.einsum("sij,sj->si", self.step_maps[:, t], y[:, t]) + b[:, t]
+        ends = y[:, width]
+        v = (self.shoot_inv @ np.roll(ends, 1, axis=0).reshape(-1)).reshape(n_seg, d)
+        values = np.einsum("gij,gj->gi", self.prefix, v[self.seg]) + y[self.seg, self.offset]
+        defect = float(np.max(np.abs(self.maps[-1] @ v[-1] + ends[-1] - v[0])))
+        return values, defect
+
+
+def _fixed_point(solver: _PeriodicRK4, system: BlockSystem, N: np.ndarray,
+                 F0: np.ndarray, n_grid: int, max_iter: int, fp_tol: float):
+    """Fixed-point sweeps Phi -> periodic solution with forcing F0 - Phi N Phi.
+
+    N and F0 are sampled at the solver's nodes; the previous iterate enters
+    there through its trigonometric interpolant, evaluated by one inverse FFT.
+    Returns (samples, increments, periodicity defect, last forcing).
     """
     n1, n2, T = system.n1, system.n2, system.period
-    d = n1 * n2
-    edges = np.linspace(0.0, T, n_seg + 1)
-
-    def rhs(x, Y):  # Y: (d+1, n2, n1); slices 0..d-1 homogeneous, d particular
-        M2 = np.atleast_2d(system.M2(x))
-        M1 = np.atleast_2d(system.M1(x))
-        out = np.einsum("ij,kjl->kil", M2, Y) - np.einsum("kij,jl->kil", Y, M1)
-        out[d] += forcing(x)
-        return out
-
-    Y0 = np.zeros((d + 1, n2, n1), dtype=complex)
-    Y0[:d] = np.eye(d, dtype=complex).reshape(d, n2, n1)
-    seg_prop = []       # (d, d) propagators
-    seg_part_end = []   # particular increments at segment ends
-    seg_records = []    # per-segment checkpoint records, shape (n_cp, d+1, n2, n1)
-    cp_index = []
-    for i in range(n_seg):
-        lo, hi = edges[i], edges[i + 1]
-        mask = (checkpoints >= lo - 1e-12 * T) & (checkpoints < hi - 1e-12 * T)
-        cps = checkpoints[mask]
-        cp_index.append(np.nonzero(mask)[0])
-        y_end, rec = integrate(rhs, lo, hi, Y0, rtol=rtol, atol=atol,
-                               checkpoints=cps if len(cps) else None)
-        seg_prop.append(y_end[:d].reshape(d, d).T)
-        seg_part_end.append(y_end[d].reshape(-1))
-        seg_records.append(np.array(rec) if len(cps) else np.zeros((0, d + 1, n2, n1)))
-
-    # cyclic matching: v_{i+1} = P_i v_i + q_i with v_{n_seg} = v_0
-    A = np.eye(n_seg * d, dtype=complex)
-    rhs_vec = np.zeros(n_seg * d, dtype=complex)
-    for i in range(n_seg):
-        j = (i + 1) % n_seg
-        A[j * d:(j + 1) * d, i * d:(i + 1) * d] -= seg_prop[i]
-        rhs_vec[j * d:(j + 1) * d] += seg_part_end[i]
-    if np.linalg.cond(A) > 1e13:
-        raise PeriodMapSingular(
-            f"shooting matrix nearly singular (cond {np.linalg.cond(A):.2e}); "
-            "no unique periodic solution -- spectral gap failure")
-    v = np.linalg.solve(A, rhs_vec).reshape(n_seg, d)
-
-    values = np.zeros((len(checkpoints), n2, n1), dtype=complex)
-    for i in range(n_seg):
-        rec = seg_records[i]
-        if len(rec) == 0:
-            continue
-        # Phi(x) = sum_k Hom_k(x) v_i[k] + q(x) on segment i
-        hom = rec[:, :d]
-        values[cp_index[i]] = np.tensordot(hom, v[i], axes=(1, 0)) + rec[:, d]
-    defect = float(np.max(np.abs(seg_prop[-1] @ v[-1] + seg_part_end[-1] - v[0])))
-    return values, defect
+    n_nodes = len(N) - 1
+    samples = np.zeros((n_grid, n2, n1), dtype=complex)
+    changes = []
+    q = F0
+    for _ in range(max_iter):
+        if changes:
+            Phi = TrigInterp(T, samples).on_grid(n_nodes)
+            Phi = np.concatenate([Phi, Phi[:1]])
+            q = F0 - Phi @ N @ Phi
+        new, defect = solver.solve(q.reshape(n_nodes + 1, n1 * n2))
+        new = new.reshape(n_grid, n2, n1)
+        changes.append(float(np.max(np.abs(new - samples))))
+        samples = new
+        if changes[-1] < fp_tol:
+            return samples, changes, defect, q
+        if len(changes) >= 3 and changes[-1] > changes[-2] > changes[-3] \
+                and changes[-1] > 10.0 * changes[0]:
+            raise NoContraction(
+                f"iteration diverging: increments {changes[-3:]} "
+                f"(sup delta/eta = {system.delta_eta_sup():.3e})")
+    raise NoContraction(
+        f"no convergence to {fp_tol:g} in {max_iter} sweeps "
+        f"(last increment {changes[-1]:.3e})")
 
 
 def solve_conjugator(system: BlockSystem, max_iter: int = 60, fp_tol: float = 1e-12,
@@ -244,65 +305,66 @@ def solve_conjugator(system: BlockSystem, max_iter: int = 60, fp_tol: float = 1e
     """Fixed-point iteration over linear periodic Sylvester problems.
 
     Each sweep solves Phi' = M2 Phi - Phi M1 + [delta*Theta - Phi_prev N
-    Phi_prev] with the periodic closure imposed by multiple shooting, then
-    re-interpolates Phi_prev trigonometrically.
+    Phi_prev] with the periodic closure imposed by multiple shooting, by 2m
+    RK4 steps per grid interval (see the module docstring); Phi_prev is the
+    trigonometric interpolant of the previous sweep's grid values.
+
+    Error certificate: after convergence the last sweep's linear problem is
+    solved again with m steps per interval, and
+
+        err_est = max |Phi_2m - Phi_m| / 15
+
+    must meet ode_atol + ode_rtol * max |Phi|.  m starts at 1; on a miss it
+    grows by the power of two, at least 2, that RK4's fourth order predicts
+    will meet the bound, and the iteration restarts.  If the fine solve would
+    then exceed 2^16 steps, IntegrationFailure is raised instead, so an
+    uncertified Phi is never returned.  steps counts every RK4 step of every
+    sweep and of the coarse solve.
     """
     n1, n2, T = system.n1, system.n2, system.period
     if n_seg is None:
         n_seg = max(1, min(64, int(np.ceil(T * _growth_rate(system) / 2.0))))
+    n_seg = min(n_seg, n_grid)
+    edges = [round(i * n_grid / n_seg) for i in range(n_seg + 1)]
     grid = np.linspace(0.0, T, n_grid, endpoint=False)
-    phi_interp = None
-    samples = np.zeros((n_grid, n2, n1), dtype=complex)
-    changes = []
-    periodicity_defect = np.inf
-
-    for it in range(1, max_iter + 1):
-        if phi_interp is None:
-            def forcing(x):
-                return system.delta(x) * np.atleast_2d(system.Theta(x)).astype(complex)
-        else:
-            def forcing(x):
-                Phi = phi_interp(x)
-                return (system.delta(x) * np.atleast_2d(system.Theta(x))
-                        - Phi @ np.atleast_2d(system.N(x)) @ Phi)
-
-        new, periodicity_defect = _linear_periodic_solve(
-            system, forcing, grid, n_seg, ode_rtol, ode_atol)
-        change = float(np.max(np.abs(new - samples)))
-        samples = new
-        phi_interp = TrigInterp(T, samples)
-        changes.append(change)
-        if change < fp_tol:
+    m = 1
+    steps = 0
+    while True:
+        M1, M2, N, F0 = _sample_blocks(system, 4 * m * n_grid)
+        L = _sylvester_generators(M1, M2)
+        fine = _PeriodicRK4(L, T / (2 * m * n_grid), 2 * m, edges)
+        samples, changes, defect, q = _fixed_point(
+            fine, system, N, F0, n_grid, max_iter, fp_tol)
+        coarse = _PeriodicRK4(L[::2], T / (m * n_grid), m, edges)
+        rough, _ = coarse.solve(q[::2].reshape(-1, n1 * n2))
+        steps += (2 * len(changes) + 1) * m * n_grid
+        err_est = float(np.max(np.abs(samples.reshape(n_grid, -1) - rough))) / 15.0
+        bound = ode_atol + ode_rtol * float(np.max(np.abs(samples)))
+        if err_est <= bound:
             break
-        if len(changes) >= 3 and changes[-1] > changes[-2] > changes[-3] \
-                and changes[-1] > 10.0 * changes[0]:
-            raise NoContraction(
-                f"iteration diverging: increments {changes[-3:]} "
-                f"(sup delta/eta = {system.delta_eta_sup():.3e})")
-    else:
-        raise NoContraction(
-            f"no convergence to {fp_tol:g} in {max_iter} sweeps "
-            f"(last increment {changes[-1]:.3e})")
+        # RK4's error falls 16-fold per doubling of m
+        m <<= max(1, math.ceil(math.log2(err_est / bound) / 4.0)) if bound > 0 else 64
+        if 2 * m * n_grid > _MAX_STEPS:
+            raise IntegrationFailure(
+                f"err_est {err_est:.3g} misses {bound:.3g}; meeting it would take "
+                f"{2 * m} RK4 steps per grid interval, beyond the budget of "
+                f"{_MAX_STEPS} per period")
 
     # residual certificate with an independent (spectral) derivative
+    phi_interp = TrigInterp(T, samples)
+    at = slice(0, -1, 4 * m)      # the grid points among the sampled nodes
+    rhs_val = (M2[at] @ samples - samples @ M1[at] + F0[at]
+               - samples @ N[at] @ samples)
+    resid = float(np.max(np.abs(phi_interp.on_grid(n_grid, derivative=True) - rhs_val)))
     sup_phi = float(np.max(np.abs(samples)))
-    resid = 0.0
-    for j, x in enumerate(grid):
-        Phi = samples[j]
-        dPhi = phi_interp.derivative(x)
-        rhs_val = (np.atleast_2d(system.M2(x)) @ Phi
-                   - Phi @ np.atleast_2d(system.M1(x))
-                   + system.delta(x) * np.atleast_2d(system.Theta(x))
-                   - Phi @ np.atleast_2d(system.N(x)) @ Phi)
-        resid = max(resid, float(np.max(np.abs(dPhi - rhs_val))))
-
     de_sup = system.delta_eta_sup()
     ratios = tuple(b / a for a, b in zip(changes[:-1], changes[1:]) if a > 0)
     return Conjugator(system=system, grid=grid, samples=samples, interp=phi_interp,
                       norm_bound=sup_phi, residual=resid,
-                      periodicity_defect=periodicity_defect,
+                      periodicity_defect=defect,
                       iterations=len(changes), contraction_ratios=ratios,
-                      measured_C=sup_phi / de_sup if de_sup > 0 else 0.0)
+                      measured_C=sup_phi / de_sup if de_sup > 0 else 0.0,
+                      err_est=err_est, steps=steps)
 
 
 def triangularized_blocks(system: BlockSystem, conj: Conjugator):
@@ -326,12 +388,13 @@ def conjugation_residual(system: BlockSystem, conj: Conjugator,
     """sup |S' + S A~ - A S| over a grid; raises if tol given and exceeded."""
     n1, n2 = system.n1, system.n2
     M1t, M2t, Nt = triangularized_blocks(system, conj)
+    dPhi = conj.interp.on_grid(n_check, derivative=True)
     sup = 0.0
-    for x in np.linspace(0.0, system.period, n_check, endpoint=False):
+    for j, x in enumerate(np.linspace(0.0, system.period, n_check, endpoint=False)):
         S = np.eye(n1 + n2, dtype=complex)
         S[n1:, :n1] = conj(x)
         Sp = np.zeros((n1 + n2, n1 + n2), dtype=complex)
-        Sp[n1:, :n1] = conj.interp.derivative(x)
+        Sp[n1:, :n1] = dPhi[j]
         At = np.zeros((n1 + n2, n1 + n2), dtype=complex)
         At[:n1, :n1] = M1t(x)
         At[:n1, n1:] = np.atleast_2d(Nt(x))

@@ -54,6 +54,62 @@ def test_block_reduction_structure(kdv_profile):
     assert abs(rep.avg_A1A1x) <= 1e-10
 
 
+def block_reduction_loop(profile, mu, k, n_samples=768):
+    """Reference: the per-point loop the stacked verifier replaced.
+
+    Returns (system_tilde, e44 residual, lower-left sup of E, full
+    lower-left sup), each formed with one 4x4 solve per grid point.
+    """
+    from kpevans.asymptotics import (D4_MATRIX, LAMBDA_ROT, Q_MATRIX,
+                                     _coefficient_functions)
+    rot, Qinv = LAMBDA_ROT, np.linalg.inv(Q_MATRIX)
+    s = mu ** (-1.0 / 3.0)
+    eps, sigma = s * s, profile.params.sigma
+    fields = _coefficient_functions(profile)
+    w = np.array([1 / 3, 1 / 3, 1 / 3, 1.0], dtype=complex)
+    grid_t = np.linspace(0.0, profile.period / s, n_samples + 1)
+    system = np.empty((len(grid_t), 4, 4), dtype=complex)
+    e44_err = lower_left = lower_left_full = 0.0
+    for idx, xt in enumerate(grid_t):
+        A1, A2, A1x, A1xx, A2x = fields(xt * s)
+        At1, At1x = s * A1, eps * A1x
+        b = np.array([0.5 * At1x * eps - sigma * k * k * eps * eps,
+                      At1 * eps, A2 * eps, 0.0], dtype=complex)
+        v = Q_MATRIX.T @ b
+        S = np.eye(4, dtype=complex)
+        S[3, :3] = [-v[0], v[1] / rot, v[2] / np.conj(rot)]
+        DS = (D4_MATRIX + np.outer(w, v)) @ S
+        E = np.linalg.solve(S, DS) - D4_MATRIX
+        e44 = 0.5 * At1x * eps + eps * eps * (0.5 * At1 * At1x - sigma * k * k)
+        e44_err = max(e44_err, abs(E[3, 3] - e44))
+        lower_left = max(lower_left, float(np.max(np.abs(E[3, :3]))))
+        Sp = np.zeros((4, 4), dtype=complex)
+        Sp[3, :3] = s * np.array([
+            0.5 * A1xx * eps * eps - s * A1x * eps + A2x * eps,
+            (-0.5 * A1xx * eps * eps - rot * s * A1x * eps
+             + np.conj(rot) * A2x * eps) / rot,
+            (-0.5 * A1xx * eps * eps - np.conj(rot) * s * A1x * eps
+             + rot * A2x * eps) / np.conj(rot)])
+        system[idx] = np.linalg.solve(S, DS - Sp)
+        lower_left_full = max(lower_left_full, float(np.max(np.abs(system[idx, 3, :3]))))
+    return system, e44_err, lower_left, lower_left_full
+
+
+@pytest.mark.parametrize("wave", ["kdv_profile", "cnoidal_mkdv_profile"])
+@pytest.mark.parametrize("mu", [100.0, 800.0])
+def test_block_reduction_matches_loop(request, wave, mu):
+    """The stacked solves reproduce the per-point loop to rounding."""
+    profile = request.getfixturevalue(wave)
+    rep = kp.verify_block_reduction(profile, mu, 0.5, raise_on_violation=False)
+    system, e44_err, lower_left, lower_left_full = block_reduction_loop(profile, mu, 0.5)
+    scale = np.max(np.abs(system))
+    assert np.max(np.abs(rep.system_tilde - system)) <= 1e-14 * scale
+    # residual sups: each entry agrees to rounding of the O(1) diagonal
+    assert rep.e44_residual == pytest.approx(e44_err, rel=1e-12, abs=1e-15)
+    assert rep.lower_left_sup == pytest.approx(lower_left, rel=1e-12, abs=1e-15)
+    assert rep.lower_left_full_sup == pytest.approx(lower_left_full, rel=1e-12, abs=1e-15)
+
+
 def test_block_reduction_requires_large_mu(kdv_profile):
     with pytest.raises(ValueError):
         kp.verify_block_reduction(kdv_profile, 10.0, 0.5)

@@ -1,7 +1,9 @@
 """CLI: exit codes, file formats, determinism."""
 
+import dataclasses
 import json
 
+import numpy as np
 import pytest
 
 from kpevans import cli
@@ -132,6 +134,55 @@ def test_verify_passes_on_default_kdv(tmp_path, capsys):
     assert all(row["pass"] for row in report["checks"])
     printed = capsys.readouterr().out
     assert "checks passed" in printed
+
+
+def cnoidal_verify(tmp_path):
+    """verify on the mKdV cnoidal wave, whose mass vanishes by symmetry."""
+    cfg = write_config(tmp_path, nonlinearity=MKDV_NL, E=0.3, sigma=-1)
+    out = tmp_path / "vc"
+    code = run(["verify", "--config", cfg, "--out", str(out)])
+    report = json.loads((out / "verify.json").read_text())
+    return code, {row["check"]: row["pass"] for row in report["checks"]}
+
+
+def test_verify_passes_on_mkdv_cnoidal(tmp_path):
+    code, rows = cnoidal_verify(tmp_path)
+    assert code == 0 and len(rows) == 25 and all(rows.values())
+
+
+def test_verify_cnoidal_catches_mass_defect(tmp_path, monkeypatch):
+    # a profile mass off by just over the 1e-8 tolerance, in units of int |u|
+    from kpevans import conserved
+    profile_invariants = conserved.profile_invariants
+
+    def defective(profile):
+        inv = profile_invariants(profile)
+        abs_mass = profile.period * np.mean(np.abs(profile.u_samples[:-1]))
+        return dataclasses.replace(inv, M=inv.M + 1.1e-8 * abs_mass)
+
+    monkeypatch.setattr(conserved, "profile_invariants", defective)
+    code, rows = cnoidal_verify(tmp_path)
+    assert code == 5
+    assert [name for name, ok in rows.items() if not ok] == \
+        ["invariants quadrature vs profile"]
+
+
+def test_verify_cnoidal_catches_non_periodic_a1(tmp_path, monkeypatch):
+    # A1 + 1e-8 x is not periodic: int A1_x gains 1e-8 T, about 1e-9 of int |A1_x|
+    from kpevans import asymptotics
+    coefficient_functions = asymptotics._coefficient_functions
+
+    def drifting(profile):
+        fields = coefficient_functions(profile)
+
+        def out(x):
+            A1, A2, A1x, A1xx, A2x = fields(x)
+            return A1 + 1e-8 * x, A2, A1x + 1e-8, A1xx, A2x
+        return out
+
+    monkeypatch.setattr(asymptotics, "_coefficient_functions", drifting)
+    code, rows = cnoidal_verify(tmp_path)
+    assert code == 5 and not rows["averaging int A1_x"]
 
 
 def test_verify_tightened_tolerances_fail(tmp_path):

@@ -7,8 +7,24 @@ import numpy as np
 import pytest
 
 import kpevans as kp
-from kpevans.evans import char_poly_coeffs, det_complete_pivot
+from kpevans.evans import det_complete_pivot
 from kpevans.integrate import integrate
+
+
+def char_poly_coeffs(mono):
+    """(a, b, c) with det(M - lam I) = lam^4 + a lam^3 + b lam^2 + c lam + det M.
+
+    Newton's identities on the full (unscaled) monodromy; intended for the
+    moderate-mu regime where the scale is representable.
+    """
+    M = mono.full()
+    p1 = np.trace(M)
+    p2 = np.trace(M @ M)
+    p3 = np.trace(M @ M @ M)
+    e1 = p1
+    e2 = (p1 * p1 - p2) / 2.0
+    e3 = (p1 ** 3 - 3.0 * p1 * p2 + 2.0 * p3) / 6.0
+    return -e1, e2, -e3
 
 
 def test_coefficient_matrix_trace_free(kdv_profile):

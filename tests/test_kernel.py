@@ -4,10 +4,20 @@ import numpy as np
 import pytest
 
 import kpevans as kp
-from kpevans.kernel import (cross_identity_residual, displayed_deltaW,
-                            predicted_deltaW, predicted_W0)
+from kpevans.kernel import (displayed_deltaW, predicted_deltaW, predicted_W0,
+                            second_derivative_fd)
 
 KERNEL_TOL = 1e-6
+
+
+def cross_identity_residual(basis):
+    """Residual of u_a u_Exx - u_axx u_E = -u_E, the derivative of the
+    (u_a, u_E) cross-Wronskian, with finite-difference second derivatives."""
+    _, d2uE = second_derivative_fd(basis.grid, basis.uE)
+    _, d2ua = second_derivative_fd(basis.grid, basis.ua)
+    core = slice(3, -3)
+    resid = basis.ua[core] * d2uE - d2ua * basis.uE[core] + basis.uE[core]
+    return float(np.max(np.abs(resid)))
 
 
 def test_kernel_relation_residuals(kdv_basis):
@@ -150,12 +160,3 @@ def test_cross_wronskian_identity(kdv_basis):
     # u_a u_Exx - u_axx u_E = -u_E, with FD second derivatives
     assert cross_identity_residual(kdv_basis) <= 1e-7 * (
         1.0 + np.max(np.abs(kdv_basis.uE)))
-
-
-def test_debug_csv_dump(kdv_basis, tmp_path):
-    from kpevans.kernel import write_debug_csv
-    path = tmp_path / "kernel_debug.csv"
-    write_debug_csv(kdv_basis, path)
-    lines = path.read_text().splitlines()
-    assert lines[0].startswith("x,ux,ua,uE,phi,res_")
-    assert len(lines) == len(kdv_basis.grid) + 1

@@ -1,12 +1,14 @@
 """Periodic conjugation of coupled block systems to triangular form."""
 
 import math
+import time
 
 import numpy as np
 import pytest
 
 import kpevans as kp
-from kpevans.errors import NoContraction, PeriodMapSingular
+from kpevans.errors import IntegrationFailure, NoContraction, PeriodMapSingular
+from kpevans.integrate import integrate
 
 
 def constant_system(delta=0.1):
@@ -17,10 +19,24 @@ def constant_system(delta=0.1):
         delta=lambda x: delta, eta=lambda x: 2.0)
 
 
+def fourier_system():
+    """Single-mode forcing with the closed-form periodic solution exact(x)."""
+    T, m1, m2, th, eps = 3.0, 0.7, -0.9, 1.3, 0.05
+    om = 2.0 * np.pi / T
+    system = kp.BlockSystem(
+        period=T, n1=1, n2=1,
+        M1=lambda x: np.array([[m1]]), M2=lambda x: np.array([[m2]]),
+        N=lambda x: np.array([[0.0]]), Theta=lambda x: np.array([[th]]),
+        delta=lambda x: eps * np.cos(om * x), eta=lambda x: m1 - m2)
+    coef = eps * th / (1j * om - (m2 - m1))
+    return system, lambda x: np.real(coef * np.exp(1j * om * x))
+
+
 def test_zero_delta_gives_zero_phi():
     conj = kp.solve_conjugator(constant_system(0.0), fp_tol=1e-14)
     assert np.max(np.abs(conj.samples)) == 0.0
     assert conj.iterations == 1
+    assert conj.err_est == 0.0 and conj.steps > 0
 
 
 def test_constant_coefficients_quadratic_root():
@@ -35,19 +51,30 @@ def test_constant_coefficients_quadratic_root():
 
 
 def test_fourier_single_mode():
-    T, m1, m2, th, eps = 3.0, 0.7, -0.9, 1.3, 0.05
-    om = 2.0 * np.pi / T
-    system = kp.BlockSystem(
-        period=T, n1=1, n2=1,
-        M1=lambda x: np.array([[m1]]), M2=lambda x: np.array([[m2]]),
-        N=lambda x: np.array([[0.0]]), Theta=lambda x: np.array([[th]]),
-        delta=lambda x: eps * np.cos(om * x), eta=lambda x: m1 - m2)
+    system, exact = fourier_system()
     conj = kp.solve_conjugator(system, fp_tol=1e-13)
-    coef = eps * th / (1j * om - (m2 - m1))
-    exact = np.real(coef * np.exp(1j * om * conj.grid))
-    assert np.max(np.abs(conj.samples[:, 0, 0] - exact)) <= 1e-10
+    assert np.max(np.abs(conj.samples[:, 0, 0] - exact(conj.grid))) <= 1e-10
     assert conj.residual <= 1e-10
     assert conj.periodicity_defect <= 1e-10
+
+
+@pytest.mark.parametrize("rtol", [1e-10, 1e-12])
+def test_engine_error_estimate_against_closed_form(rtol):
+    """err_est meets its documented bound and tracks the true error."""
+    system, exact = fourier_system()
+    conj = kp.solve_conjugator(system, fp_tol=1e-13, ode_rtol=rtol, ode_atol=0.0)
+    assert conj.steps > 0
+    assert conj.err_est <= rtol * conj.norm_bound
+    observed = np.max(np.abs(conj.samples[:, 0, 0] - exact(conj.grid)))
+    assert observed <= 10.0 * conj.err_est
+
+
+def test_engine_unreachable_tolerance_fails_fast():
+    t0 = time.perf_counter()
+    with pytest.raises(IntegrationFailure):
+        kp.solve_conjugator(constant_system(0.1), fp_tol=1e-14,
+                            ode_rtol=1e-30, ode_atol=0.0)
+    assert time.perf_counter() - t0 < 2.0
 
 
 def test_triangularization_residual_and_blocks():
@@ -139,6 +166,28 @@ def test_reduced_evans_system_feed(kdv_profile):
     assert conj.norm_bound >= 0.05 * rep.eps ** 1.5
     assert conj.residual <= 1e-9
     assert conj.periodicity_defect <= 1e-9
+    assert conj.err_est <= 1e-12 + 1e-11 * conj.norm_bound
+
+    # DP5 reference: from every 16th grid point, integrate the conjugation
+    # equation through the next 16 intervals and meet the engine's samples
+    table = system.table
+
+    def full(x):
+        return np.einsum("k,kij->ij", np.exp(1j * table.freqs * x), table.coeffs)
+
+    def rhs(x, Phi):
+        A = full(x)
+        return A[3:, 3:] @ Phi - Phi @ A[:3, :3] + A[3:, :3] - Phi @ A[:3, 3:] @ Phi
+
+    worst = 0.0
+    for j in range(0, 384, 16):
+        cps = conj.grid[j + 1:j + 16]
+        end = conj.grid[j + 16] if j + 16 < 384 else T_t
+        y_end, rec = integrate(rhs, conj.grid[j], end, conj.samples[j],
+                               rtol=1e-12, atol=1e-14, checkpoints=cps)
+        ref = np.array(rec + [y_end])
+        worst = max(worst, float(np.max(np.abs(ref - conj.samples[np.arange(j + 1, j + 17) % 384]))))
+    assert worst <= 1e-9
 
 
 def test_from_json_tables():
