@@ -1,27 +1,32 @@
 """Conserved quantities T, M, P, H and their parameter gradients.
 
 All four integrals use the same branch-point-regularized quadrature as the
-period; gradients come from Richardson-extrapolated central differences in
-(a, E, c) with turning points tracked by Newton from the base wave.  The
-Jacobian {T, M}_{a,E} = T_a M_E - T_E M_a is the quantity the orientation
-index needs; for KdV it has the closed form
+period.  Gradients in (a, E, c) come from one complex-step evaluation
+(Squire & Trapp, SIAM Rev. 40, 1998): the four integrals are taken with
+each parameter moved by i h, and the imaginary parts over h are the
+derivatives, with no subtractive cancellation and no step off the real
+wave.  The Jacobian {T, M}_{a,E} = T_a M_E - T_E M_a is the quantity the
+orientation index needs; for KdV it has the closed form
 
-    {T, M}_{a,E} = -T^2 V'(M/T) / (12 disc(E - V))
+    {T, M}_{a,E} = -T^2 V'(M/T) / (24 disc(E - V))
 
 with disc the standard cubic discriminant (-1)^3 Res(p, p') / lc(p).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NotKdV
 from .model import WaveParams, eval_V, polyval_ascending
-from .quadrature import gauss_legendre
-from .wave import (DEFAULT_QUAD_TOL, WaveProfile, find_turning_points,
-                   turning_points_from_seed, well_integral)
+from .quadrature import _nodes, adaptive_gauss_legendre
+from .wave import (DEFAULT_QUAD_TOL, WaveProfile, _newton_roots, _well_nodes,
+                   find_turning_points, well_integral)
+
+# the complex step: far below rounding of any O(1) value, far above underflow
+CS_STEP = 1e-30
 
 
 @dataclass(frozen=True)
@@ -59,23 +64,14 @@ def compute_invariants(params: WaveParams, turning_points=None,
     E = params.E
     rt2 = np.sqrt(2.0)
 
-    def h_one(u):
-        return np.ones_like(u)
-
-    def h_u(u):
-        return u
-
-    def h_u2(u):
-        return u * u
-
     def h_ham(u):
         # E - V(u) - F(u)
         return E - polyval_ascending(params.F_minus_quadratic(), u) \
             - polyval_ascending(F, u)
 
-    T = rt2 * well_integral(params, tps, h_one, quad_tol)
-    M = rt2 * well_integral(params, tps, h_u, quad_tol)
-    P = rt2 * well_integral(params, tps, h_u2, quad_tol)
+    T = rt2 * well_integral(params, tps, np.ones_like, quad_tol)
+    M = rt2 * well_integral(params, tps, lambda u: u, quad_tol)
+    P = rt2 * well_integral(params, tps, lambda u: u * u, quad_tol)
     H = rt2 * well_integral(params, tps, h_ham, quad_tol)
     return InvariantSet(T, M, P, H)
 
@@ -84,52 +80,46 @@ def profile_invariants(profile: WaveProfile, nodes_per_interval: int = 6) -> Inv
     """Dense-grid cross-check: integrate the interpolated profile in x.
 
     Independent route for the same quantities (oracle for the quadrature
-    path): per-interval Gauss-Legendre on the quintic interpolant.
+    path): per-interval Gauss-Legendre on the quintic interpolant, with u
+    and u_x evaluated once on all (interval, node) points.
     """
     F = profile.params.nonlinearity.F_coeffs
-    M = P = H = 0.0
+    x, w = _nodes(nodes_per_interval)
     g = profile.grid
-    for lo, hi in zip(g[:-1], g[1:]):
-        M += gauss_legendre(profile.u, lo, hi, nodes_per_interval)
-        P += gauss_legendre(lambda x: profile.u(x) ** 2, lo, hi, nodes_per_interval)
-        H += gauss_legendre(
-            lambda x: 0.5 * profile.ux(x) ** 2 - polyval_ascending(F, profile.u(x)),
-            lo, hi, nodes_per_interval)
+    mid, half = 0.5 * (g[:-1] + g[1:]), 0.5 * (g[1:] - g[:-1])
+    pts = mid[:, None] + half[:, None] * x
+    u, ux = profile.u(pts), profile.ux(pts)
+    M, P, H = (float(np.sum(half * (vals @ w)))
+               for vals in (u, u * u, 0.5 * ux ** 2 - polyval_ascending(F, u)))
     return InvariantSet(profile.period, M, P, H)
 
 
-def _invariants_tracked(params: WaveParams, seed, quad_tol: float) -> InvariantSet:
-    tps = turning_points_from_seed(params, seed)
-    return compute_invariants(params, turning_points=tps, quad_tol=quad_tol)
+def gradients(params: WaveParams, quad_tol: float = DEFAULT_QUAD_TOL,
+              bracket_hint=None) -> GradientSet:
+    """Complex-step gradients of (T, M, P, H) in (a, E, c).
 
-
-def gradients(params: WaveParams, h_rel: float = 1e-5,
-              quad_tol: float = DEFAULT_QUAD_TOL, bracket_hint=None) -> GradientSet:
-    """Central differences with one Richardson step in each of a, E, c.
-
-    Steps are h = h_rel * (1 + |p|); each stencil point re-solves the
-    turning points from the base-wave seeds and raises StencilLeftRegion if
-    the periodic orbit disappears there.
+    Row q carries p + i h dp/dq (dp/da = u, dp/dE = 1, dp/dc = u^2/2,
+    h = CS_STEP); the real turning points are polished for all rows by
+    complex Newton, and the regularized integrands (1, u, u^2, E - V - F)
+    2 / sqrt(g) are integrated as one (3, 4, nodes) stack.  No row leaves
+    the real wave, so shallow wells need no special care.
     """
-    seed = find_turning_points(params, bracket_hint)
-    base = {"a": params.a, "E": params.E, "c": params.c}
-    cols = {}
-    for name in ("a", "E", "c"):
-        h = h_rel * (1.0 + abs(base[name]))
-        vals = {}
-        for mult in (-2, -1, 1, 2):
-            # StencilLeftRegion propagates if the orbit disappears here
-            pert = replace(params, **{name: base[name] + 0.5 * h * mult})
-            vals[mult] = _invariants_tracked(pert, seed, quad_tol)
-        # Richardson: (4*D_{h/2} - D_h)/3 per quantity
-        col = np.empty(4)
-        for i, q in enumerate(("T", "M", "P", "H")):
-            d_h = (getattr(vals[2], q) - getattr(vals[-2], q)) / (2.0 * h)
-            d_h2 = (getattr(vals[1], q) - getattr(vals[-1], q)) / h
-            col[i] = (4.0 * d_h2 - d_h) / 3.0
-        cols[name] = col
-    stack = np.column_stack([cols["a"], cols["E"], cols["c"]])
-    return GradientSet(dT=stack[0], dM=stack[1], dP=stack[2], dH=stack[3])
+    u_minus, u_plus = find_turning_points(params, bracket_hint)
+    p = np.trim_zeros(params.energy_poly(), trim="b")
+    rows = np.tile(p + 0j, (3, 1))   # rows a, E, c: dp/da = u, dp/dE = 1, dp/dc = u^2/2
+    rows[(0, 1, 2), (1, 0, 2)] += 1j * CS_STEP * np.array([1.0, 1.0, 0.5])
+    roots = _newton_roots(rows, (u_minus, u_plus))
+    at = _well_nodes(rows[:, ::-1], roots[:, 0], roots[:, 1])
+    p_cols, F = rows.T[..., np.newaxis], params.nonlinearity.F_coeffs
+
+    def integrand(theta):
+        u, sqrt_g = at(theta)
+        ham = polyval_ascending(p_cols, u) - polyval_ascending(F, u)   # E - V - F
+        return np.stack((np.ones_like(u), u, u * u, ham), axis=1) * (2.0 / sqrt_g)[:, None, :]
+
+    stack = adaptive_gauss_legendre(integrand, 0.0, np.pi / 2.0, rel_tol=quad_tol)
+    dT, dM, dP, dH = np.sqrt(2.0) * stack.imag.T / CS_STEP
+    return GradientSet(dT=dT, dM=dM, dP=dP, dH=dH)
 
 
 def gradient_identity_residual(params: WaveParams, grads: GradientSet) -> float:
@@ -149,7 +139,7 @@ def gradient_identity_residual(params: WaveParams, grads: GradientSet) -> float:
 
 
 def jacobian_TM(params: WaveParams, grads: GradientSet = None, **kw) -> float:
-    """{T, M}_{a,E} = T_a M_E - T_E M_a from finite-difference gradients."""
+    """{T, M}_{a,E} = T_a M_E - T_E M_a from the complex-step gradients."""
     g = grads or gradients(params, **kw)
     return float(g.dT[0] * g.dM[1] - g.dT[1] * g.dM[0])
 
@@ -167,15 +157,21 @@ def cubic_discriminant(asc_coeffs) -> float:
 
 def kdv_jacobian_closed_form(params: WaveParams, invariants: InvariantSet = None,
                              quad_tol: float = DEFAULT_QUAD_TOL) -> float:
-    """Closed-form {T, M}_{a,E} for KdV: -T^2 V'(M/T) / (12 disc(E - V)).
+    """Closed-form {T, M}_{a,E} for KdV: -T^2 V'(M/T) / (24 disc(E - V)).
 
-    The discriminant normalization is pinned by agreement with the
-    finite-difference Jacobian: with the standard cubic discriminant the
-    effective convention is disc_eff = 2 * disc_std (checked to 1e-9
-    relative across parameter space), so the denominator below carries 24.
+    Derivation.  With p = E - V = E + a u + (c/2) u^2 - u^3/6, I_k = int
+    u^k p^(-1/2) du over the well and J_k the finite part of int u^k
+    p^(-3/2) du: T = sqrt(2) I_0, M = sqrt(2) I_1, d_E I_k = -J_k / 2 and
+    d_a I_k = -J_(k+1) / 2, so {T, M}_{a,E} = (J_1^2 - J_0 J_2) / 2.
+    Reducing the J_k to I_0, I_1 (Bezout's A p + B p' = 1, with coefficients
+    over disc, and the vanishing integrals of (q p^(-1/2))' and (q p^(1/2))')
+    gives J_1^2 - J_0 J_2 = -I_0^2 V'(I_1/I_0) / (6 disc), which is the
+    12 disc form with the right side in I_0, I_1.  In T and M the sqrt(2)
+    cancels inside V'(M/T) but not in T^2 = 2 I_0^2: 12 becomes 24.  The
+    complex-step Jacobian agrees to about 1e-14 relative.
     The sign structure is normalization-free: V' is strictly convex, so
-    V'(M/T) < 0 by Jensen, and disc_std > 0 whenever three real roots
-    exist, making the Jacobian positive for every KdV periodic wave.
+    V'(M/T) < 0 by Jensen, and disc > 0 whenever three real roots exist,
+    making the Jacobian positive for every KdV periodic wave.
     """
     f = params.nonlinearity.f_coeffs
     want = np.array([0.0, 0.0, 0.5])

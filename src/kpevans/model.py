@@ -41,7 +41,7 @@ def _poly_antiderivative(coeffs: np.ndarray) -> np.ndarray:
 
 def polyval_ascending(coeffs: np.ndarray, u):
     """Horner evaluation of ascending-order coefficients."""
-    result = 0.0 * np.asarray(u, dtype=float) if np.ndim(u) else 0.0
+    result = 0.0 * np.asarray(u) if np.ndim(u) else 0.0
     for ck in coeffs[::-1]:
         result = result * u + ck
     return result

@@ -17,8 +17,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import elliptic
-from .errors import (AmbiguousWell, DegenerateTurningPoint, KPEvansError,
-                     NoPeriodicOrbit, PeriodicityViolation, StencilLeftRegion)
+from .errors import (AmbiguousWell, DegenerateTurningPoint, NoPeriodicOrbit,
+                     PeriodicityViolation)
 from .integrate import integrate
 from .model import NonlinearitySpec, WaveParams, eval_V, polyval_ascending
 from .quadrature import adaptive_gauss_legendre
@@ -66,10 +66,6 @@ def _real_roots(asc_coeffs: np.ndarray):
     return [s / n for s, n in merged]
 
 
-def _simplicity_scale(params: WaveParams, u: float) -> float:
-    return 1.0 + abs(u) + abs(params.E)
-
-
 def find_turning_points(params: WaveParams, bracket_hint=None,
                         simplicity_tol: float = DEFAULT_SIMPLICITY_TOL):
     """Adjacent simple roots (u_-, u_+) of E = V with E - V > 0 between them.
@@ -95,63 +91,63 @@ def find_turning_points(params: WaveParams, bracket_hint=None,
             f"{len(wells)} disjoint wells admit periodic orbits; pass bracket_hint")
     u_minus, u_plus = wells[0]
     for u in (u_minus, u_plus):
-        if abs(eval_V(params, u, 1)) <= simplicity_tol * _simplicity_scale(params, u):
+        if abs(eval_V(params, u, 1)) <= simplicity_tol * (1.0 + abs(u) + abs(params.E)):
             raise DegenerateTurningPoint(
                 f"|V'({u:.6g})| = {abs(eval_V(params, u, 1)):.3e} below simplicity "
                 "tolerance (separatrix or equilibrium boundary)")
     return u_minus, u_plus
 
 
-def turning_points_from_seed(params: WaveParams, seed,
-                             simplicity_tol: float = DEFAULT_SIMPLICITY_TOL):
-    """Polish turning points of a perturbed parameter set from known seeds.
+def _newton_roots(asc_rows, seeds):
+    """Newton from the real seeds on each row of ascending coefficients.
 
-    Used by finite-difference stencils: parameters move slightly, so Newton
-    from the base-wave roots tracks the same well deterministically.
+    Returns the roots as (rows, seeds).  Complex rows carry a complex step
+    p + i h dp/dq; with no abs, comparison or ordering the iteration stays
+    analytic, and the imaginary parts are h times the root derivatives.  The
+    seeds are real roots, so one step already gives those to rounding.
     """
-    p = params.energy_poly()
-    desc = np.trim_zeros(p, trim="b")[::-1]
-    d1 = np.polyder(desc)
-    out = []
-    for s in seed:
-        x = float(s)
-        ok = False
-        for _ in range(60):
-            fx = np.polyval(desc, x)
-            dfx = np.polyval(d1, x)
-            if dfx == 0.0:
-                break
-            step = fx / dfx
-            x -= step
-            if abs(step) <= 1e-15 * (1.0 + abs(x)):
-                ok = True
-                break
-        if not ok and abs(np.polyval(desc, x)) > 1e-10 * (1.0 + abs(params.E)):
-            raise StencilLeftRegion(f"turning point lost near seed {s:.6g}")
-        out.append(x)
-    u_minus, u_plus = sorted(out)
-    if not u_minus < u_plus:
-        raise StencilLeftRegion("turning points collapsed at stencil point")
-    if polyval_ascending(p, 0.5 * (u_minus + u_plus)) <= 0.0:
-        raise StencilLeftRegion("E - V not positive between tracked roots")
-    for u in (u_minus, u_plus):
-        if abs(eval_V(params, u, 1)) <= simplicity_tol * _simplicity_scale(params, u):
-            raise StencilLeftRegion("stencil point reached a degenerate turning point")
-    return u_minus, u_plus
+    d_rows = asc_rows[:, 1:] * np.arange(1, asc_rows.shape[1])
+    p_cols, d_cols = asc_rows.T[..., np.newaxis], d_rows.T[..., np.newaxis]
+    r = np.broadcast_to(np.asarray(seeds, dtype=float), (len(asc_rows), len(seeds)))
+    for _ in range(3):
+        r = r - polyval_ascending(p_cols, r) / polyval_ascending(d_cols, r)
+    return r
 
 
 # ----------------------------------------------------------------------
 # regularized quadrature over one well
 # ----------------------------------------------------------------------
 
-def _deflate(desc: np.ndarray, r: float) -> np.ndarray:
-    """Synthetic division of a descending-coefficient polynomial by (u - r)."""
-    q = np.empty(len(desc) - 1)
-    acc = desc[0]
-    for i in range(len(desc) - 1):
-        q[i] = acc
-        acc = desc[i + 1] + r * acc
+def _deflate(desc: np.ndarray, r) -> np.ndarray:
+    """Synthetic division of descending coefficients (last axis) by (u - r)."""
+    q = np.empty(desc.shape[:-1] + (desc.shape[-1] - 1,), dtype=np.result_type(desc, r))
+    acc = desc[..., 0]
+    for i in range(desc.shape[-1] - 1):
+        q[..., i] = acc
+        acc = desc[..., i + 1] + r * acc
     return q
+
+
+def _well_nodes(p_desc: np.ndarray, u_minus, u_plus):
+    """theta -> (u, sqrt(g(u))) on the well, with u = u_- + (u_+ - u_-) sin^2(theta).
+
+    E - V = (u - u_-)(u_+ - u) g(u).  Rows of descending coefficients (last
+    axis), one (u_-, u_+) each, give rows of u; for complex rows the sign
+    test reads the real part.  g <= 0 means no well: NoPeriodicOrbit.
+    """
+    g_desc = -_deflate(_deflate(p_desc, u_minus), u_plus)
+    g_cols = np.moveaxis(g_desc[..., ::-1], -1, 0)[..., np.newaxis]
+    lo = np.asarray(u_minus)[..., np.newaxis]
+    width = np.asarray(u_plus)[..., np.newaxis] - lo
+
+    def at(theta):
+        u = lo + width * np.sin(theta) ** 2
+        g = polyval_ascending(g_cols, u)
+        if np.any(g.real <= 0.0):
+            raise NoPeriodicOrbit("deflated energy polynomial not positive on the well")
+        return u, np.sqrt(g)
+
+    return at
 
 
 def well_integral(params: WaveParams, turning_points, h_of_u,
@@ -162,18 +158,12 @@ def well_integral(params: WaveParams, turning_points, h_of_u,
     deflation E - V = (u - u_-)(u_+ - u) g(u), the integrand becomes
     2 h(u) / sqrt(g(u)), analytic in theta on [0, pi/2].
     """
-    u_minus, u_plus = turning_points
     p_desc = np.trim_zeros(params.energy_poly(), trim="b")[::-1]
-    g_desc = -_deflate(_deflate(p_desc, u_minus), u_plus)
-
-    width = u_plus - u_minus
+    at = _well_nodes(p_desc, *turning_points)
 
     def integrand(theta):
-        u = u_minus + width * np.sin(theta) ** 2
-        g = np.polyval(g_desc, u)
-        if np.any(g <= 0.0):
-            raise KPEvansError("deflated energy polynomial not positive on the well")
-        return 2.0 * h_of_u(u) / np.sqrt(g)
+        u, sqrt_g = at(theta)
+        return 2.0 * h_of_u(u) / sqrt_g
 
     return adaptive_gauss_legendre(integrand, 0.0, np.pi / 2.0, rel_tol=quad_tol)
 

@@ -1,9 +1,13 @@
 """Shared fixtures: the standard test waves, built once per session."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 import kpevans as kp
+from kpevans.errors import StencilLeftRegion
+from kpevans.model import polyval_ascending
 
 # canonical KdV test wave: near-separatrix well around u = 2
 KDV_A, KDV_E, KDV_C = 0.0, -0.05, 1.0
@@ -95,3 +99,64 @@ def cardano_real_roots(p3, p2, p1, p0):
     t = np.cbrt(-q / 2.0 + np.sqrt(q * q / 4.0 + p ** 3 / 27.0)) \
         + np.cbrt(-q / 2.0 - np.sqrt(q * q / 4.0 + p ** 3 / 27.0))
     return [shift + t]
+
+
+def seeded_turning_points(params, seed, simplicity_tol=1e-8):
+    """Turning points of a perturbed parameter set by real Newton from seeds.
+
+    Finite-difference oracle: parameters move slightly, so Newton from the
+    base-wave roots tracks the same well; StencilLeftRegion when it cannot.
+    """
+    p = params.energy_poly()
+    desc = np.trim_zeros(p, trim="b")[::-1]
+    d1 = np.polyder(desc)
+    out = []
+    for s in seed:
+        x = float(s)
+        ok = False
+        for _ in range(60):
+            dfx = np.polyval(d1, x)
+            if dfx == 0.0:
+                break
+            step = np.polyval(desc, x) / dfx
+            x -= step
+            if abs(step) <= 1e-15 * (1.0 + abs(x)):
+                ok = True
+                break
+        if not ok and abs(np.polyval(desc, x)) > 1e-10 * (1.0 + abs(params.E)):
+            raise StencilLeftRegion(f"turning point lost near seed {s:.6g}")
+        out.append(x)
+    u_minus, u_plus = sorted(out)
+    if not u_minus < u_plus:
+        raise StencilLeftRegion("turning points collapsed at stencil point")
+    if polyval_ascending(p, 0.5 * (u_minus + u_plus)) <= 0.0:
+        raise StencilLeftRegion("E - V not positive between tracked roots")
+    for u in (u_minus, u_plus):
+        if abs(kp.eval_V(params, u, 1)) <= simplicity_tol * (1.0 + abs(u) + abs(params.E)):
+            raise StencilLeftRegion("stencil point reached a degenerate turning point")
+    return u_minus, u_plus
+
+
+def fd_gradients(params, h_rel=1e-5, bracket_hint=None):
+    """Richardson-extrapolated central differences of (T, M, P, H) in (a, E, c).
+
+    Finite-difference oracle for the complex-step gradients: steps
+    h = h_rel (1 + |p|), turning points tracked from the base wave by
+    seeded_turning_points, which raises StencilLeftRegion on shallow wells.
+    """
+    seed = kp.find_turning_points(params, bracket_hint)
+    cols = []
+    for name in ("a", "E", "c"):
+        base = getattr(params, name)
+        h = h_rel * (1.0 + abs(base))
+        vals = {}
+        for mult in (-2, -1, 1, 2):
+            pert = replace(params, **{name: base + 0.5 * h * mult})
+            tps = seeded_turning_points(pert, seed)
+            inv = kp.compute_invariants(pert, turning_points=tps)
+            vals[mult] = np.array([inv.T, inv.M, inv.P, inv.H])
+        d_h = (vals[2] - vals[-2]) / (2.0 * h)
+        d_h2 = (vals[1] - vals[-1]) / h
+        cols.append((4.0 * d_h2 - d_h) / 3.0)
+    dT, dM, dP, dH = np.column_stack(cols)
+    return kp.GradientSet(dT=dT, dM=dM, dP=dP, dH=dH)

@@ -106,12 +106,12 @@ def test_criterion_07_kdv_closed_form():
     all_positive = True
     for a, E, c in points:
         params = kp.WaveParams(a, E, c, kp.NonlinearitySpec.kdv())
-        fd = kp.jacobian_TM(params)
+        cs = kp.jacobian_TM(params)
         cf = kp.kdv_jacobian_closed_form(params)
-        worst = max(worst, abs(fd - cf) / abs(cf))
-        all_positive = all_positive and fd > 0 and cf > 0
-    report(7, worst <= 1e-5 and all_positive,
-           f"closed-form vs FD Jacobian at 5 KdV points: worst rel {worst:.2e},"
+        worst = max(worst, abs(cs - cf) / abs(cf))
+        all_positive = all_positive and cs > 0 and cf > 0
+    report(7, worst <= 1e-12 and all_positive,
+           f"closed-form vs complex-step Jacobian at 5 KdV points: worst rel {worst:.2e},"
            f" all positive: {all_positive}")
 
 
@@ -124,7 +124,7 @@ def test_criterion_08_gradient_identity():
         params = kp.WaveParams(a, E, c, kp.NonlinearitySpec.kdv())
         grads = kp.gradients(params)
         worst = max(worst, kp.gradient_identity_residual(params, grads))
-    report(8, worst <= 1e-6,
+    report(8, worst <= 1e-12,
            f"E gradT + a gradM + (c/2) gradP + gradH = 0: worst rel {worst:.2e}")
 
 

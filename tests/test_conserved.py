@@ -1,14 +1,23 @@
 """Conserved quantities, gradients, and the {T, M}_{a,E} Jacobian."""
 
+import math
+
 import numpy as np
 import pytest
+from numpy.polynomial import polynomial as P
+from scipy.integrate import quad
+from scipy.optimize import brentq
 
 import kpevans as kp
+from kpevans import conserved
 from kpevans.conserved import cubic_discriminant, invariants_csv_row
-from kpevans.errors import NotKdV
+from kpevans.errors import NoPeriodicOrbit, NotKdV, StencilLeftRegion
+
+from conftest import DNOIDAL_HINT, fd_gradients, seeded_turning_points
 
 KDV = kp.NonlinearitySpec.kdv()
 MKDV = kp.NonlinearitySpec.mkdv()
+MIXED = kp.NonlinearitySpec.polynomial((0.0, 0.0, 0.5, 1.0 / 3.0))
 
 # frozen regression values for the KdV test wave (a=0, E=-0.05, c=1),
 # fixed by the dual-method oracle: regularized quadrature vs dense-grid
@@ -37,6 +46,24 @@ def test_invariants_match_profile_integrals(kdv_profile, kdv_invariants):
     assert pinv.H == pytest.approx(kdv_invariants.H, rel=1e-8)
 
 
+@pytest.mark.parametrize("wave", ["kdv", "cnoidal_mkdv"])
+def test_profile_invariants_match_interval_loop(request, wave):
+    # reference: one 6-node Gauss-Legendre call per interval and quantity
+    from kpevans.model import polyval_ascending
+    from kpevans.quadrature import gauss_legendre
+    profile = request.getfixturevalue(f"{wave}_profile")
+    F = profile.params.nonlinearity.F_coeffs
+    fns = (profile.u, lambda x: profile.u(x) ** 2,
+           lambda x: 0.5 * profile.ux(x) ** 2 - polyval_ascending(F, profile.u(x)))
+    g = profile.grid
+    parts = np.array([[gauss_legendre(fn, lo, hi, 6) for fn in fns]
+                      for lo, hi in zip(g[:-1], g[1:])])
+    pinv = kp.profile_invariants(profile)
+    # summation order differs: one rounding per term at most
+    bound = len(parts) * np.finfo(float).eps * np.sum(np.abs(parts), axis=0)
+    assert np.all(np.abs([pinv.M, pinv.P, pinv.H] - np.sum(parts, axis=0)) <= bound)
+
+
 def test_momentum_identity_from_profile_ode(kdv_invariants, kdv_params):
     # integrating u'' = -V'(u) over a period gives P = 2cM + 2aT exactly
     lhs = kdv_invariants.P
@@ -51,11 +78,11 @@ def test_harmonic_limit_mean_value():
 
 
 def test_gradient_identity(kdv_params, kdv_grads):
-    assert kp.gradient_identity_residual(kdv_params, kdv_grads) <= 1e-6
+    assert kp.gradient_identity_residual(kdv_params, kdv_grads) <= 1e-12
     # a second point with a != 0
     params = kp.WaveParams(0.1, -0.05, 1.0, KDV)
     grads = kp.gradients(params)
-    assert kp.gradient_identity_residual(params, grads) <= 1e-6
+    assert kp.gradient_identity_residual(params, grads) <= 1e-12
 
 
 def test_dT_dE_positive_toward_separatrix(kdv_grads):
@@ -63,11 +90,30 @@ def test_dT_dE_positive_toward_separatrix(kdv_grads):
     assert kdv_grads.dT[1] > 0
 
 
-def test_richardson_step_consistency(kdv_params):
-    g1 = kp.gradients(kdv_params, h_rel=1e-5)
-    g2 = kp.gradients(kdv_params, h_rel=2e-5)
-    for a, b in ((g1.dT, g2.dT), (g1.dM, g2.dM)):
+def test_richardson_step_consistency(kdv_params, kdv_grads):
+    # the finite-difference oracle is step-consistent, and the complex step
+    # sits within its truncation error
+    g1 = fd_gradients(kdv_params, h_rel=1e-5)
+    g2 = fd_gradients(kdv_params, h_rel=2e-5)
+    for a, b, cs in ((g1.dT, g2.dT, kdv_grads.dT), (g1.dM, g2.dM, kdv_grads.dM)):
         assert np.max(np.abs(a - b)) <= 1e-7 * (1.0 + np.max(np.abs(a)))
+        assert np.max(np.abs(a - cs)) <= 1e-7 * (1.0 + np.max(np.abs(a)))
+
+
+@pytest.mark.parametrize("wave", ["kdv", "dnoidal", "cnoidal_mkdv"])
+def test_complex_step_matches_fd_oracle(request, wave):
+    params = request.getfixturevalue(f"{wave}_params")
+    grads = request.getfixturevalue(f"{wave}_grads")
+    fd = fd_gradients(params, bracket_hint=DNOIDAL_HINT if wave == "dnoidal" else None)
+    for q in ("dT", "dM", "dP", "dH"):
+        cs, ref = getattr(grads, q), getattr(fd, q)
+        assert np.max(np.abs(cs - ref)) <= 1e-8 * np.max(np.abs(ref)), q
+
+
+def test_maxwell_symmetry(kdv_grads, dnoidal_grads, cnoidal_mkdv_grads):
+    # T_a = M_E: both are -(1/sqrt 2) of the finite-part integral of u (E - V)^(-3/2)
+    for g in (kdv_grads, dnoidal_grads, cnoidal_mkdv_grads):
+        assert g.dT[0] == pytest.approx(g.dM[1], rel=1e-13, abs=1e-13 * abs(g.dT[1]))
 
 
 def test_jacobian_frozen_and_deterministic(kdv_params, kdv_grads):
@@ -85,9 +131,9 @@ def test_kdv_jacobian_positive_everywhere():
 def test_closed_form_matches_fd():
     for a, E, c in KDV_POINTS:
         params = kp.WaveParams(a, E, c, KDV)
-        fd = kp.jacobian_TM(params)
+        cs = kp.jacobian_TM(params)
         cf = kp.kdv_jacobian_closed_form(params)
-        assert cf == pytest.approx(fd, rel=1e-5)
+        assert cf == pytest.approx(cs, rel=1e-12)
         assert cf > 0
 
 
@@ -153,10 +199,107 @@ def test_csv_row_format(kdv_params, kdv_invariants):
     assert float(fields[3]) == pytest.approx(FROZEN["T"], rel=1e-15)
 
 
+# Shallow and near-separatrix wells on which a fixed finite-difference step
+# leaves the well.  Each entry: params, bracket hint, and (lo, bottom, hi):
+# points with E - V < 0, > 0 (the minimum of V in the well) and < 0.
+def _kdv_well(depth, t):
+    """KdV well of the given depth at c = 1, with E a fraction t up from its bottom."""
+    s = (1.5 * depth) ** (1.0 / 3.0)   # depth = (2/3) s^3, critical points 1 -+ s
+    a = 0.5 * (s * s - 1.0)
+    V = np.array([0.0, -a, -0.5, 1.0 / 6.0])
+    E = P.polyval(1.0 + s, V) + t * (P.polyval(1.0 - s, V) - P.polyval(1.0 + s, V))
+    return (kp.WaveParams(a, E, 1.0, KDV), (1.0 + s - 1e-3, 1.0 + s + 1e-3),
+            (1.0 - s, 1.0 + s, 2.0 + s))
+
+
+def _mixed_well(hint):
+    a, E, c = -0.15979476282410432, 0.02487912071268847, 0.6482235935136903
+    crit = np.sort(P.polyroots([-a, -c, 0.5, 1.0 / 3.0]).real)
+    brackets = {(0.41, 0.452): (-10.0, crit[0], crit[1]),   # 4.5e-6 below the barrier
+                (0.44, 0.5): (crit[1], crit[2], 1.0)}       # 6.6e-6 deep
+    return kp.WaveParams(a, E, c, MIXED), hint, brackets[hint]
+
+
+SHALLOW = {
+    "kdv-1e-6-t0.1": _kdv_well(1e-6, 0.1),
+    "kdv-1e-6-t0.5": _kdv_well(1e-6, 0.5),
+    "mixed-separatrix": _mixed_well((0.41, 0.452)),
+    "mixed-shallow": _mixed_well((0.44, 0.5)),
+}
+
+
+def quad_jacobian(params, lo, bottom, hi):
+    """{T, M}_{a,E} by central differences of QUADPACK integrals, with error.
+
+    Turning points by bisection inside (lo, bottom) and (bottom, hi); T and
+    M by the algebraic-weight rule on the deflated E - V.  The E step is
+    1e-2 of the gap from E to the critical values of V at lo, bottom, hi
+    (whichever are critical points), so every stencil point keeps the well;
+    the error estimate is the change when both steps double.
+    """
+    F = np.asarray(params.nonlinearity.F_coeffs, dtype=float)
+    V = np.pad(F, (0, max(0, 3 - len(F))))
+    V[1] -= params.a
+    V[2] -= 0.5 * params.c
+    crit = P.polyroots(P.polyder(V))
+    levels = [P.polyval(u, V) for u in (lo, bottom, hi)
+              if np.min(np.abs(crit - u)) <= 1e-12 * (1.0 + abs(u))]
+    h_E = 1e-2 * min(abs(params.E - v) for v in levels)
+    h_a = h_E / (1.0 + abs(bottom))
+
+    def TM(a, E):
+        p = -V.copy()
+        p[0] += E
+        p[1] += a - params.a
+        u_lo = brentq(P.polyval, lo, bottom, args=(p,), xtol=1e-16, rtol=1e-15)
+        u_hi = brentq(P.polyval, bottom, hi, args=(p,), xtol=1e-16, rtol=1e-15)
+        q = P.polydiv(P.polydiv(p, [-u_lo, 1.0])[0], [-u_hi, 1.0])[0]
+        return [math.sqrt(2.0) * quad(lambda u: u ** k / math.sqrt(-P.polyval(u, q)),
+                                      u_lo, u_hi, weight="alg", wvar=(-0.5, -0.5),
+                                      epsabs=0.0, epsrel=1e-13, limit=200)[0]
+                for k in (0, 1)]
+
+    def jac(scale):
+        ha, hE = scale * h_a, scale * h_E
+        Ta, Ma = np.subtract(TM(params.a + ha, params.E), TM(params.a - ha, params.E)) / (2 * ha)
+        TE, ME = np.subtract(TM(params.a, params.E + hE), TM(params.a, params.E - hE)) / (2 * hE)
+        return Ta * ME - TE * Ma
+
+    j1 = jac(1.0)
+    return j1, abs(j1 - jac(2.0))
+
+
+@pytest.mark.parametrize("name", sorted(SHALLOW))
+def test_shallow_well_index(name):
+    params, hint, (lo, bottom, hi) = SHALLOW[name]
+    grads = kp.gradients(params, bracket_hint=hint)
+    assert kp.gradient_identity_residual(params, grads) <= 1e-12
+    verdict = kp.orientation_index(params, grads)
+    ref, err = quad_jacobian(params, lo, bottom, hi)
+    assert abs(verdict.jacobian - ref) <= err
+    assert abs(ref) > 10.0 * err
+    assert verdict.conclusion == ("UnstableDetected" if params.sigma * ref > 0
+                                  else "IndexInconclusive")
+
+
 def test_stencil_leaves_region():
-    from kpevans.errors import StencilLeftRegion
-    from kpevans.wave import turning_points_from_seed
     # seeds from the dnoidal well, but E below the well bottom: no orbit
     params = kp.WaveParams(0.0, -1.0, 1.0, MKDV)
     with pytest.raises(StencilLeftRegion):
-        turning_points_from_seed(params, (1.13, 2.17))
+        seeded_turning_points(params, (1.13, 2.17))
+    # a fixed step leaves every shallow well that the complex step handles
+    for params, hint, _ in SHALLOW.values():
+        with pytest.raises((StencilLeftRegion, NoPeriodicOrbit)):
+            fd_gradients(params, bracket_hint=hint)
+
+
+def test_wrong_turning_points_raise_typed_error(dnoidal_params, monkeypatch):
+    # (u_-, u_+) of the dnoidal well, the left end taken from the mirror well:
+    # E - V changes sign between them, so the deflated polynomial does too
+    u_minus, u_plus = kp.find_turning_points(dnoidal_params, DNOIDAL_HINT)
+    wrong = (-u_minus, u_plus)
+    with pytest.raises(NoPeriodicOrbit, match="not positive on the well"):
+        kp.compute_invariants(dnoidal_params, turning_points=wrong)
+    monkeypatch.setattr(conserved, "find_turning_points", lambda *args: wrong)
+    with pytest.raises(NoPeriodicOrbit, match="not positive on the well"):
+        kp.gradients(dnoidal_params)

@@ -54,11 +54,11 @@ def test_turning_point_derivative_identities(kdv_params, kdv_profile, kdv_basis)
     Vm = kp.eval_V(kdv_params, kdv_profile.u_minus, 1)
     h = 1e-6
     from dataclasses import replace
-    from kpevans.wave import turning_points_from_seed
+    from conftest import seeded_turning_points
     seed = (kdv_profile.u_minus, kdv_profile.u_plus)
 
     def u_minus_at(**kw):
-        return turning_points_from_seed(replace(kdv_params, **kw), seed)[0]
+        return seeded_turning_points(replace(kdv_params, **kw), seed)[0]
 
     fd_dE = (u_minus_at(E=kdv_params.E + h) - u_minus_at(E=kdv_params.E - h)) / (2 * h)
     fd_da = (u_minus_at(a=kdv_params.a + h) - u_minus_at(a=kdv_params.a - h)) / (2 * h)
