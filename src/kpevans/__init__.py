@@ -25,7 +25,7 @@ from .kernel import (KernelBasis, WMatrix, build_W, kernel_residuals,
                      verify_inverse_column)
 from .model import NonlinearitySpec, WaveParams, eval_V, eval_f
 from .tracking import (BlockSystem, Conjugator, conjugation_residual,
-                       period_map, solve_conjugator, triangularized_blocks)
+                       solve_conjugator, triangularized_blocks)
 from .wave import (WaveProfile, cnoidal_wave, compute_period,
                    find_turning_points, integrate_profile, phase_align)
 
@@ -47,5 +47,5 @@ __all__ = [
     "high_freq_sign", "verify_block_reduction", "lower_left_slope",
     "low_freq_coefficient", "orientation_index",
     "BlockSystem", "Conjugator", "solve_conjugator", "triangularized_blocks",
-    "conjugation_residual", "period_map",
+    "conjugation_residual",
 ]

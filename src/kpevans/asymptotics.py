@@ -31,7 +31,6 @@ from . import conserved
 from .errors import FitIllConditioned, HighFreqInconclusive, StructureViolation
 from .evans import _base_coefficients, evans
 from .model import WaveParams, _poly_derivative, eval_V, polyval_ascending
-from .quadrature import gauss_legendre
 from .wave import DEFAULT_ODE_TOL, DEFAULT_QUAD_TOL, WaveProfile
 
 LAMBDA_ROT = 0.5 * (1.0 + 1j * math.sqrt(3.0))  # e^{i pi/3}
@@ -244,17 +243,14 @@ def verify_block_reduction(profile: WaveProfile, mu: float, k: float,
 
     # averaging cancellations over one original period: both integrands are
     # exact x-derivatives of periodic quantities, so the integrals vanish;
-    # the integrals of their absolute values set the scale of that zero
-    T = profile.period
-
-    def a1_a1x(x):
-        A1, _, A1x, _, _ = fields(x)
-        return A1 * A1x
-
-    avg_A1x = gauss_legendre(lambda x: fields(x)[2], 0.0, T, 2048)
-    avg_A1A1x = gauss_legendre(a1_a1x, 0.0, T, 2048)
-    abs_A1x = gauss_legendre(lambda x: np.abs(fields(x)[2]), 0.0, T, 2048)
-    abs_A1A1x = gauss_legendre(lambda x: np.abs(a1_a1x(x)), 0.0, T, 2048)
+    # the integrals of their absolute values set the scale of that zero.
+    # Periodic trapezoid rule on the profile's own nodes, where the
+    # interpolant returns the nodal data
+    h = profile.period / (len(profile.grid) - 1)
+    nodal = fields(profile.grid[:-1])
+    a1x, a1a1x = nodal[2], nodal[0] * nodal[2]
+    avg_A1x, abs_A1x = h * float(np.sum(a1x)), h * float(np.sum(np.abs(a1x)))
+    avg_A1A1x, abs_A1A1x = h * float(np.sum(a1a1x)), h * float(np.sum(np.abs(a1a1x)))
 
     upper_left_bound = 10.0 * eps * (supA2 + s * supA1 + k * k * eps)
     e44_bound = 10.0 * eps ** 2.5 * (1.0 + k * k * supA1 + supA1x)

@@ -97,7 +97,6 @@ def _write_json(path: Path, obj) -> None:
 def _build_profile(cfg: ProblemConfig) -> wave.WaveProfile:
     return wave.integrate_profile(
         cfg.params, samples_per_period=cfg.samples_per_period,
-        ode_tol=cfg.tol("ode_tol", wave.DEFAULT_ODE_TOL),
         quad_tol=cfg.tol("quad_tol", wave.DEFAULT_QUAD_TOL),
         bracket_hint=cfg.bracket_hint)
 
@@ -257,10 +256,10 @@ def cmd_verify(cfg: ProblemConfig, out: Path, tol_scale: float = 1.0) -> int:
     grads = conserved.gradients(params, quad_tol=quad_tol, bracket_hint=tps)
     if abs(params.E) > 1e-8:
         check("gradient identity", conserved.gradient_identity_residual(params, grads),
-              1e-6 * tol_scale)
+              1e-12 * tol_scale)
     jac = conserved.jacobian_TM(params, grads)
 
-    basis = kernel.phi_solution(profile, kernel.variational_solutions(profile, ode_tol))
+    basis = kernel.phi_solution(profile, kernel.variational_solutions(profile, quad_tol))
     residuals = kernel.kernel_residuals(basis)
     for name in ("ux", "uE", "ua", "phi"):
         check(f"kernel residual L[u]{name}", residuals[name], kernel_tol)

@@ -22,11 +22,7 @@ class QuadratureNotConverged(KPEvansError):
 
 
 class IntegrationFailure(KPEvansError):
-    """The adaptive ODE integrator could not complete the requested span."""
-
-
-class PeriodicityViolation(KPEvansError):
-    """Integrated profile fails to close up after one period."""
+    """An RK4 step product misses its tolerance within its step budget."""
 
 
 class ModulusOutOfRange(KPEvansError):

@@ -15,8 +15,14 @@ normalization pins to exactly 1:
 
 Initial data follow from differentiating u(0) = u_-(a, E, c) and the
 turning-point identities V'(u_-) du_-/dE = 1, V'(u_-) du_-/da = u_-.
-All running integrals ride along as extra ODE state, and third derivatives
-are assembled from the governing equations, never by differencing.
+
+No ODE is solved.  The profile and its variations come from the first
+integral: u = u_- + w sin^2(theta) with x(theta) from the cosine series of
+dx/dtheta (wave.orbit_theta), and u_a, u_E at fixed x are the complex
+steps of that construction in a and E (conserved.CS_STEP).  The running
+integrals are cumulative quintic-Hermite sums on the grid, whose
+derivatives, like the second and third derivatives of W, come from the
+governing equations, never from differencing.
 """
 
 from __future__ import annotations
@@ -25,10 +31,10 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .conserved import CS_STEP
 from .errors import WronskianDegenerate
-from .integrate import integrate
 from .model import eval_V
-from .wave import DEFAULT_ODE_TOL, WaveProfile
+from .wave import DEFAULT_QUAD_TOL, WaveProfile, orbit_samples, orbit_theta
 
 
 @dataclass(eq=False)
@@ -96,54 +102,57 @@ class KernelBasis:
         return self.ux * self.uEp - self.uxp * self.uE
 
 
-def variational_solutions(profile: WaveProfile,
-                          ode_tol: float = DEFAULT_ODE_TOL) -> KernelBasis:
-    """Integrate u_x, u_a, u_E and the running integrals over one period.
+def _running_integral(h: float, f, df, d2f):
+    """int_0^x f on a uniform grid (last axis), from f, f' and f'' at the nodes.
 
-    The profile is re-integrated jointly so every quantity sits at the same
-    integrator accuracy; u_x doubles as a consistency check against the
-    stored profile derivative.
+    Per interval h/2 (f_i + f_i+1) + h^2/10 (f'_i - f'_i+1)
+    + h^3/120 (f''_i + f''_i+1): the integral of the quintic Hermite
+    interpolant, exact for quintics.
     """
-    params = profile.params
-    vp_desc = np.trim_zeros(params.V_coeffs(1), trim="b")[::-1]
-    v2_desc = np.trim_zeros(params.V_coeffs(2), trim="b")[::-1]
-    if len(v2_desc) == 0:
-        v2_desc = np.zeros(1)
-    u_minus = profile.u_minus
-    Vm = eval_V(params, u_minus, 1)
+    steps = (0.5 * h * (f[..., :-1] + f[..., 1:])
+             + (h * h / 10.0) * (df[..., :-1] - df[..., 1:])
+             + (h ** 3 / 120.0) * (d2f[..., :-1] + d2f[..., 1:]))
+    return np.concatenate((np.zeros_like(f[..., :1]), np.cumsum(steps, axis=-1)), axis=-1)
 
-    def rhs(x, y):
-        u, up, ux, uxp, ua, uap, uE, uEp = y[:8]
-        V2 = np.polyval(v2_desc, u)
-        return np.array([
-            up,
-            -np.polyval(vp_desc, u),
-            uxp,
-            -V2 * ux,
-            uap,
-            -V2 * ua + 1.0,
-            uEp,
-            -V2 * uE,
-            x * uE,        # I_sE
-            x * ux,        # I_sx
-            u,             # J
-            uE,            # I_E
-            y[11],         # II_E
-        ])
 
-    y0 = np.zeros(13)
-    y0[0] = u_minus
-    y0[3] = -Vm
-    y0[4] = u_minus / Vm
-    y0[6] = 1.0 / Vm
-    _, rec = integrate(rhs, 0.0, profile.period, y0, rtol=ode_tol, atol=ode_tol,
-                       checkpoints=profile.grid)
-    S = np.array(rec)
+def variational_solutions(profile: WaveProfile,
+                          quad_tol: float = DEFAULT_QUAD_TOL) -> KernelBasis:
+    """u_x, u_a, u_E and the running integrals on the profile grid.
+
+    The real wave is rebuilt on the grid from the first integral; the rows
+    p + i h u (a) and p + i h (E) of the energy polynomial give u_a, u_E
+    and their slopes as imaginary parts over h at the same real x.  Their
+    turning points take the step from the turning-point identities at the
+    profile's own u_+-.  Complex Newton would also move their real parts by
+    the rounding of the roots; on a 1e-6-deep KdV well that lifts the
+    inverse-column residual from 2e-8 to 1e-6.  Derivatives follow from
+    u_xx = -V'(u) and u_xxx = -V''(u) u_x; V does not depend on E.
+    """
+    params, x = profile.params, profile.grid
+    p = np.trim_zeros(params.energy_poly(), trim="b")
+    tps = np.array([profile.u_minus, profile.u_plus])
+    rows = np.tile(p + 0j, (2, 1))   # a + ih: dp/da = u;  E + ih: dp/dE = 1
+    rows[(0, 1), (1, 0)] += 1j * CS_STEP
+    # their turning points, by V'(u_+-) du_+-/da = u_+- and V'(u_+-) du_+-/dE = 1
+    roots = tps + 1j * CS_STEP * np.stack((tps, np.ones(2))) / eval_V(params, tps, 1)
+    theta = orbit_theta(p[::-1], tps, profile.period, x, quad_tol)
+    u, ux = orbit_samples(p[::-1], tps, theta)
+    theta_c = orbit_theta(rows[:, ::-1], roots.T, profile.period, x, quad_tol, theta)
+    u_c, ux_c = orbit_samples(rows[:, ::-1], roots.T, theta_c)
+    uxx = -eval_V(params, u, 1)
+    (ua, uE), (uap, uEp) = u_c.imag / CS_STEP, ux_c.imag / CS_STEP
+    uEpp = -eval_V(params, u_c[1], 1).imag / CS_STEP
+    # the integrands u, x u_x, u_E, x u_E with their first two derivatives
+    J, I_sx, I_E, I_sE = _running_integral(
+        x[1] - x[0],
+        np.stack((u, x * ux, uE, x * uE)),
+        np.stack((ux, ux + x * uxx, uEp, uE + x * uEp)),
+        np.stack((uxx, 2.0 * uxx - x * eval_V(params, u, 2) * ux,
+                  uEpp, 2.0 * uEp + x * uEpp)))
     return KernelBasis(
-        profile=profile, grid=profile.grid.copy(),
-        u=S[:, 0], up=S[:, 1], ux=S[:, 2], uxp=S[:, 3],
-        ua=S[:, 4], uap=S[:, 5], uE=S[:, 6], uEp=S[:, 7],
-        I_sE=S[:, 8], I_sx=S[:, 9], J=S[:, 10], I_E=S[:, 11], II_E=S[:, 12])
+        profile=profile, grid=x.copy(), u=u, up=ux, ux=ux, uxp=uxx,
+        ua=ua, uap=uap, uE=uE, uEp=uEp, I_sE=I_sE, I_sx=I_sx, J=J, I_E=I_E,
+        II_E=x * I_E - I_sE)    # int_0^x int_0^s u_E, by parts
 
 
 def phi_solution(profile: WaveProfile, basis: KernelBasis,
@@ -291,8 +300,9 @@ def verify_inverse_column(wmatrix: WMatrix, basis: KernelBasis) -> InverseColumn
 def second_derivative_fd(grid: np.ndarray, vals: np.ndarray):
     """Interior second derivative by the 7-point O(h^6) central stencil.
 
-    Independent of the ODE route, so residuals of L[u]v computed with it
-    genuinely test the integrated solutions.  Returns (grid_core, d2vals).
+    Independent of the governing equations, so residuals of L[u]v computed
+    with it genuinely test the constructed solutions.  Returns (grid_core,
+    d2vals).
     """
     h = grid[1] - grid[0]
     v = vals

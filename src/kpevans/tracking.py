@@ -36,7 +36,7 @@ import numpy as np
 
 from .errors import (IntegrationFailure, NoContraction, PeriodMapSingular,
                      ResidualExceeded)
-from .integrate import _rk4_steps, integrate
+from .integrate import _rk4_steps
 
 
 class TrigInterp:
@@ -404,14 +404,3 @@ def conjugation_residual(system: BlockSystem, conj: Conjugator,
     if tol is not None and sup > tol:
         raise ResidualExceeded(f"conjugation residual {sup:.3e} exceeds {tol:g}")
     return sup
-
-
-def period_map(A_of_x, dim: int, period: float, rtol: float = 1e-12,
-               atol: float = 1e-13) -> np.ndarray:
-    """Fundamental-solution period map of a general linear periodic system."""
-    def rhs(x, Y):
-        return np.atleast_2d(A_of_x(x)) @ Y
-
-    Y, _ = integrate(rhs, 0.0, period, np.eye(dim, dtype=complex),
-                     rtol=rtol, atol=atol)
-    return Y

@@ -3,8 +3,12 @@
 Construction pipeline: locate the two simple turning points of E - V,
 evaluate the period by quadrature regularized with u = u_- +
 (u_+ - u_-) sin^2(theta) (which cancels the square-root branch points
-exactly for polynomial potentials), then integrate u'' = -V'(u) with the
-adaptive RK pair to fill a uniform grid over one period.
+exactly for polynomial potentials), then place the profile on a uniform
+grid over one period through the same substitution: dx/dtheta =
+sqrt(2) / sqrt(g(u(theta))) is analytic, even and pi-periodic, so its
+cosine series converges geometrically and integrates to x(theta) in
+closed form; Newton in theta finds the grid points, where u and
+u_x = sqrt(2) w sin(theta) cos(theta) sqrt(g(u)) are exact.
 
 Also hosts the Jacobi-elliptic layer consumers: the closed-form KdV cnoidal
 wave together with recovery of its (a, E, c) parameters.
@@ -18,12 +22,11 @@ import numpy as np
 
 from . import elliptic
 from .errors import (AmbiguousWell, DegenerateTurningPoint, NoPeriodicOrbit,
-                     PeriodicityViolation)
-from .integrate import integrate
+                     QuadratureNotConverged)
 from .model import NonlinearitySpec, WaveParams, eval_V, polyval_ascending
-from .quadrature import adaptive_gauss_legendre
+from .quadrature import _parts, adaptive_gauss_legendre
 
-DEFAULT_ODE_TOL = 1e-12
+DEFAULT_ODE_TOL = 1e-12     # the tolerance of evans.monodromy
 DEFAULT_QUAD_TOL = 1e-13
 DEFAULT_SIMPLICITY_TOL = 1e-8
 
@@ -176,6 +179,94 @@ def compute_period(params: WaveParams, turning_points=None,
 
 
 # ----------------------------------------------------------------------
+# the orbit in theta
+# ----------------------------------------------------------------------
+
+_MAX_SERIES_NODES = 2 ** 14
+_CHUNK = 64          # theta points per block of the sine table, which bounds its memory
+_NEWTON_ITERS = 8
+
+
+def _cosine_series(f, quad_tol: float) -> np.ndarray:
+    """Coefficients a_k of an even, pi-periodic f(theta) = sum_k a_k cos(2k theta).
+
+    f is sampled at n uniform points of [0, pi) and transformed by a real
+    FFT; n doubles until, in every row, the upper half of the coefficients
+    is below quad_tol times the mean of |f| (a_0 for a positive f).  Complex
+    rows are transformed part by part: an FFT of complex data would leak
+    the rounding of the real part into the complex step.
+    """
+    n = 16
+    while n <= _MAX_SERIES_NODES:
+        vals = f(np.pi * np.arange(n) / n)
+        parts = _parts(vals)
+        c = np.fft.rfft(parts, axis=-1).real * (2.0 / n)
+        c[..., 0] *= 0.5
+        if np.all(np.abs(c[..., n // 4:])
+                  <= quad_tol * np.mean(np.abs(parts), axis=-1, keepdims=True)):
+            c = c[..., :n // 2]          # the Nyquist term is no cosine mode
+            return c[0] + 1j * c[1] if np.iscomplexobj(vals) else c
+        n *= 2
+    raise QuadratureNotConverged(
+        f"cosine series of dx/dtheta not converged to {quad_tol:g} "
+        f"with {_MAX_SERIES_NODES} nodes")
+
+
+def _x_series(coef, theta, scale):
+    """x(theta) = scale (a_0 theta + sum_k a_k sin(2k theta) / 2k) on each row.
+
+    theta is one real vector shared by the rows.
+    """
+    k2 = 2.0 * np.arange(1, coef.shape[-1])
+    b = (coef[..., 1:] / k2).T
+    sines = np.concatenate([np.sin(np.multiply.outer(theta[i:i + _CHUNK], k2)) @ b
+                            for i in range(0, len(theta), _CHUNK)])
+    return scale * (np.multiply.outer(coef[..., 0], theta) + sines.T)
+
+
+def orbit_theta(p_desc, turning_points, period: float, grid, quad_tol: float,
+                theta=None):
+    """theta at the points of a uniform x grid, on each row of p_desc.
+
+    x(theta) integrates the cosine series of dx/dtheta = sqrt(2) / sqrt(g),
+    scaled by the real factor period / (pi Re a_0), so that x(pi) = period
+    on a real row.  Without theta, Newton from the linear interpolant of
+    x(theta) solves x(theta) = grid on a real row.  Complex-step rows
+    p + i h dp/dq instead take one complex Newton step from the real wave's
+    theta: exact to O(h^2), and x stays the real grid.
+    """
+    at = _well_nodes(p_desc, *turning_points)
+
+    def dx_dtheta(th):
+        return np.sqrt(2.0) / at(th)[1]
+
+    coef = _cosine_series(dx_dtheta, quad_tol)
+    scale = period / (np.pi * coef[..., :1].real)
+
+    def newton(th):
+        return th - (_x_series(coef, th, scale) - grid) / (scale * dx_dtheta(th))
+
+    if theta is not None:
+        return newton(theta)
+    nodes = np.linspace(0.0, np.pi, len(grid))
+    theta = np.interp(grid, _x_series(coef, nodes, scale), nodes)
+    for _ in range(_NEWTON_ITERS):
+        new = newton(theta)
+        step, theta = np.max(np.abs(new - theta)), new
+        if step <= 1e-8:     # quadratic convergence: one more step reaches rounding
+            return newton(theta)
+    raise QuadratureNotConverged(
+        f"theta Newton not converged in {_NEWTON_ITERS} steps (last step {step:.3e})")
+
+
+def orbit_samples(p_desc, turning_points, theta):
+    """(u, u_x) at theta: u = u_- + w sin^2(theta), u_x = sqrt(2) w sin cos sqrt(g(u))."""
+    u, sqrt_g = _well_nodes(p_desc, *turning_points)(theta)
+    width = np.asarray(turning_points[1] - turning_points[0])[..., np.newaxis]
+    return u, np.sqrt(2.0) * width * np.sin(theta) * np.cos(theta) * sqrt_g
+
+
+# ----------------------------------------------------------------------
 # profile
 # ----------------------------------------------------------------------
 
@@ -282,7 +373,7 @@ class WaveProfile:
 
     def energy_residual(self) -> float:
         """sup |u_x^2/2 - (E - V(u))| over the stored grid."""
-        V = np.array([eval_V(self.params, u, 0) for u in self.u_samples])
+        V = eval_V(self.params, self.u_samples, 0)
         return float(np.max(np.abs(0.5 * self.ux_samples ** 2 - (self.params.E - V))))
 
     def to_json_dict(self) -> dict:
@@ -314,28 +405,17 @@ class WaveProfile:
 
 
 def integrate_profile(params: WaveParams, samples_per_period: int = 1024,
-                      ode_tol: float = DEFAULT_ODE_TOL, bracket_hint=None,
-                      turning_points=None, quad_tol: float = DEFAULT_QUAD_TOL) -> WaveProfile:
-    """Solve u'' = -V'(u) from (u_-, 0) over one period onto a uniform grid."""
+                      bracket_hint=None, turning_points=None,
+                      quad_tol: float = DEFAULT_QUAD_TOL) -> WaveProfile:
+    """The orbit from (u_-, 0) over one period on a uniform grid (theta series)."""
     if samples_per_period < 64:
         raise ValueError("samples_per_period must be at least 64")
     tps = turning_points or find_turning_points(params, bracket_hint)
     u_minus, u_plus = tps
     T = compute_period(params, tps, quad_tol=quad_tol)
     grid = np.linspace(0.0, T, samples_per_period + 1)
-    vp_desc = np.trim_zeros(params.V_coeffs(1), trim="b")[::-1]
-
-    def rhs(x, y):
-        return np.array([y[1], -np.polyval(vp_desc, y[0])])
-
-    y_end, rec = integrate(rhs, 0.0, T, np.array([u_minus, 0.0]),
-                           rtol=ode_tol, atol=ode_tol, checkpoints=grid)
-    closure = abs(y_end[0] - u_minus) + abs(y_end[1])
-    if closure > 100.0 * ode_tol * max(1.0, u_plus - u_minus):
-        raise PeriodicityViolation(
-            f"profile fails to close after one period (defect {closure:.3e})")
-    samples = np.array(rec)
-    u_s, ux_s = samples[:, 0].copy(), samples[:, 1].copy()
+    p_desc = np.trim_zeros(params.energy_poly(), trim="b")[::-1]
+    u_s, ux_s = orbit_samples(p_desc, tps, orbit_theta(p_desc, tps, T, grid, quad_tol))
     # pin the endpoint to the exact periodic image of the start
     u_s[-1], ux_s[-1] = u_minus, 0.0
     return WaveProfile(params, u_minus, u_plus, T, grid, u_s, ux_s)

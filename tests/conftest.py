@@ -9,6 +9,8 @@ import kpevans as kp
 from kpevans.errors import StencilLeftRegion
 from kpevans.model import polyval_ascending
 
+from dp5 import kernel_reference
+
 # canonical KdV test wave: near-separatrix well around u = 2
 KDV_A, KDV_E, KDV_C = 0.0, -0.05, 1.0
 
@@ -77,6 +79,13 @@ def cnoidal_mkdv_profile(cnoidal_mkdv_params):
 @pytest.fixture(scope="session")
 def cnoidal_mkdv_grads(cnoidal_mkdv_params):
     return kp.gradients(cnoidal_mkdv_params)
+
+
+@pytest.fixture(scope="session", params=("kdv", "dnoidal", "cnoidal_mkdv"))
+def dp5_reference(request):
+    """(profile, DP5 kernel reference at rtol = atol = 1e-14) per canonical wave."""
+    profile = request.getfixturevalue(f"{request.param}_profile")
+    return profile, kernel_reference(profile)
 
 
 def cardano_real_roots(p3, p2, p1, p0):

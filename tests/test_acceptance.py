@@ -12,6 +12,7 @@ import kpevans as kp
 from kpevans.kernel import predicted_deltaW
 
 from conftest import DNOIDAL_HINT
+from dp5 import period_map
 
 
 def report(num, ok, text):
@@ -189,10 +190,10 @@ def test_criterion_12_tracking():
     conj_s = kp.solve_conjugator(synth, fp_tol=1e-14)
     resid = kp.conjugation_residual(synth, conj_s)
     M1t, M2t, _ = kp.triangularized_blocks(synth, conj_s)
-    full = kp.period_map(synth.full_matrix, 2, 2.0)
+    full = period_map(synth.full_matrix, 2, 2.0)
     fact_err = abs(np.linalg.det(full - np.eye(2))
-                   - np.linalg.det(kp.period_map(M1t, 1, 2.0) - np.eye(1))
-                   * np.linalg.det(kp.period_map(M2t, 1, 2.0) - np.eye(1)))
+                   - np.linalg.det(period_map(M1t, 1, 2.0) - np.eye(1))
+                   * np.linalg.det(period_map(M2t, 1, 2.0) - np.eye(1)))
 
     ok = (err_const <= 1e-12 and err_fourier <= 1e-10 and resid <= 1e-10
           and conj_s.periodicity_defect <= 1e-10 and fact_err <= 1e-10)
@@ -210,11 +211,11 @@ def test_criterion_13_elliptic_layer():
         worst_id = max(worst_id, float(np.max(np.abs(sn ** 2 + cn ** 2 - 1.0))),
                        float(np.max(np.abs(dn ** 2 + k * k * sn ** 2 - 1.0))))
     prof = kp.cnoidal_wave(0.1, 1.0, 0.8)
-    ode = kp.integrate_profile(prof.params)
-    sup_diff = kp.phase_align(prof, ode)
+    built = kp.integrate_profile(prof.params)
+    sup_diff = kp.phase_align(prof, built)
     per_err = abs(prof.period - 2.0 * kp.complete_K(0.8))
-    ok = worst_id <= 1e-12 and sup_diff <= 1e-8 and per_err <= 1e-10
-    report(13, ok, f"elliptic identities {worst_id:.1e}; cnoidal vs ODE "
+    ok = worst_id <= 1e-12 and sup_diff <= 1e-12 and per_err <= 1e-10
+    report(13, ok, f"elliptic identities {worst_id:.1e}; cnoidal vs profile "
            f"{sup_diff:.1e}; period vs 2K/kappa {per_err:.1e}")
 
 

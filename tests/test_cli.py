@@ -54,7 +54,7 @@ def test_invariants_csv(tmp_path):
     assert len(lines[1].split(",")) == 8
     data = json.loads((out / "invariants.json").read_text())
     assert data["PT_minus_M2"] > 0
-    assert data["gradient_identity_residual"] <= 1e-6
+    assert data["gradient_identity_residual"] <= 1e-12
 
 
 def test_missing_key_exit_2(tmp_path):

@@ -8,7 +8,8 @@ import pytest
 
 import kpevans as kp
 from kpevans.evans import det_complete_pivot
-from kpevans.integrate import integrate
+
+from dp5 import integrate
 
 
 def char_poly_coeffs(mono):

@@ -1,5 +1,7 @@
 """Kernel quadruple (u_x, u_a, u_E, phi), W matrix, and inverse-column checks."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -32,7 +34,7 @@ def test_translation_mode_boundary_values(kdv_basis):
 
 
 def test_ux_matches_profile_derivative(kdv_profile, kdv_basis):
-    # ODE-propagated translation mode vs the profile interpolant derivative
+    # the kernel's own translation mode vs the profile interpolant derivative
     diff = kdv_basis.ux - kdv_profile.ux(kdv_basis.grid)
     assert np.max(np.abs(diff)) <= 1e-9 * (1.0 + np.max(np.abs(kdv_basis.ux)))
 
@@ -53,7 +55,6 @@ def test_turning_point_derivative_identities(kdv_params, kdv_profile, kdv_basis)
     """V'(u_-) du_-/dE = 1 and V'(u_-) du_-/da = u_- against FD of u_-."""
     Vm = kp.eval_V(kdv_params, kdv_profile.u_minus, 1)
     h = 1e-6
-    from dataclasses import replace
     from conftest import seeded_turning_points
     seed = (kdv_profile.u_minus, kdv_profile.u_plus)
 
@@ -71,7 +72,6 @@ def test_turning_point_derivative_identities(kdv_params, kdv_profile, kdv_basis)
 
 def test_ua_against_two_profile_fd(kdv_params, kdv_profile, kdv_basis):
     """Phase-locked finite difference of neighboring profiles (h = 1e-5)."""
-    from dataclasses import replace
     h = 1e-5
     plus = kp.integrate_profile(replace(kdv_params, a=kdv_params.a + h))
     minus = kp.integrate_profile(replace(kdv_params, a=kdv_params.a - h))
@@ -82,7 +82,6 @@ def test_ua_against_two_profile_fd(kdv_params, kdv_profile, kdv_basis):
 
 
 def test_uE_against_two_profile_fd(kdv_params, kdv_basis):
-    from dataclasses import replace
     h = 1e-6
     plus = kp.integrate_profile(replace(kdv_params, E=kdv_params.E + h))
     minus = kp.integrate_profile(replace(kdv_params, E=kdv_params.E - h))
@@ -90,6 +89,30 @@ def test_uE_against_two_profile_fd(kdv_params, kdv_basis):
     fd = (plus.u(x) - minus.u(x)) / (2.0 * h)
     uE = kdv_basis.uE[: len(x)]
     assert np.max(np.abs(fd - uE)) <= 1e-4 * (1.0 + np.max(np.abs(uE)))
+
+
+def test_basis_against_dp5(dp5_reference):
+    """Every field of the basis against the joint DP5 solve at 1e-14."""
+    profile, ref = dp5_reference
+    basis = kp.variational_solutions(profile)
+    for name, vals in ref.items():
+        assert np.max(np.abs(getattr(basis, name) - vals)) <= 1e-10, name
+
+
+@pytest.mark.parametrize("wave", ["kdv", "dnoidal", "cnoidal_mkdv"])
+def test_complex_step_against_central_difference(request, wave):
+    """u_a, u_E and their slopes at fixed x against central differences of
+    real profiles at a +- h, E +- h (h = 1e-5, truncation about 4e-9)."""
+    profile = request.getfixturevalue(f"{wave}_profile")
+    basis = kp.variational_solutions(profile)
+    params, hint, h = profile.params, (profile.u_minus, profile.u_plus), 1e-5
+    for q, v, vx in (("a", basis.ua, basis.uap), ("E", basis.uE, basis.uEp)):
+        plus, minus = (kp.integrate_profile(replace(params, **{q: getattr(params, q) + s}),
+                                            bracket_hint=hint) for s in (h, -h))
+        x = basis.grid[basis.grid <= min(plus.period, minus.period)]
+        for fd, exact in (((plus.u(x) - minus.u(x)) / (2.0 * h), v[:len(x)]),
+                          ((plus.ux(x) - minus.ux(x)) / (2.0 * h), vx[:len(x)])):
+            assert np.max(np.abs(fd - exact)) <= 2e-8 * (1.0 + np.max(np.abs(exact)))
 
 
 def test_gram_determinant_nonzero(kdv_basis):

@@ -1,0 +1,36 @@
+"""Layout guards: the package solves no ODE adaptively, and the tests stay
+independent of the benchmark."""
+
+import ast
+from pathlib import Path
+
+import kpevans
+
+SRC = Path(kpevans.__file__).resolve().parent
+TESTS = Path(__file__).resolve().parent
+PERFBENCH = TESTS.parent / "perfbench"
+
+
+def nodes(path, kinds):
+    return [n for n in ast.walk(ast.parse(path.read_text())) if isinstance(n, kinds)]
+
+
+def test_no_dp5_integrate_in_src():
+    for path in SRC.glob("*.py"):
+        for node in nodes(path, (ast.FunctionDef, ast.ImportFrom, ast.Import)):
+            if isinstance(node, ast.FunctionDef):
+                assert node.name != "integrate", path.name
+            else:
+                names = {alias.name for alias in node.names}
+                assert "integrate" not in names and "dp5" not in names, path.name
+                assert getattr(node, "module", None) != "dp5", path.name
+    assert not hasattr(kpevans.integrate, "integrate")
+
+
+def test_tests_do_not_import_perfbench():
+    banned = {"perfbench"} | {p.stem for p in PERFBENCH.glob("*.py")}
+    for path in TESTS.glob("*.py"):
+        for node in nodes(path, (ast.Import, ast.ImportFrom)):
+            modules = ([alias.name for alias in node.names] if isinstance(node, ast.Import)
+                       else [node.module or ""])
+            assert not any(m.split(".")[0] in banned for m in modules), path.name

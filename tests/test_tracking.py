@@ -8,7 +8,8 @@ import pytest
 
 import kpevans as kp
 from kpevans.errors import IntegrationFailure, NoContraction, PeriodMapSingular
-from kpevans.integrate import integrate
+
+from dp5 import integrate, period_map
 
 
 def constant_system(delta=0.1):
@@ -105,9 +106,9 @@ def test_evans_factorization():
         eta=lambda x: 1.9)
     conj = kp.solve_conjugator(system, fp_tol=1e-14)
     M1t, M2t, _ = kp.triangularized_blocks(system, conj)
-    full = kp.period_map(system.full_matrix, 2, T)
-    p1 = kp.period_map(M1t, 1, T)
-    p2 = kp.period_map(M2t, 1, T)
+    full = period_map(system.full_matrix, 2, T)
+    p1 = period_map(M1t, 1, T)
+    p2 = period_map(M2t, 1, T)
     lhs = np.linalg.det(full - np.eye(2))
     rhs = np.linalg.det(p1 - np.eye(1)) * np.linalg.det(p2 - np.eye(1))
     assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(lhs))

@@ -7,11 +7,12 @@ import pytest
 
 import kpevans as kp
 from kpevans.errors import (AmbiguousWell, DegenerateTurningPoint,
-                            ModulusOutOfRange, NoPeriodicOrbit)
-from kpevans.integrate import integrate
+                            ModulusOutOfRange, NoPeriodicOrbit,
+                            QuadratureNotConverged)
 from kpevans.conserved import cubic_discriminant
 
 from conftest import cardano_real_roots
+from dp5 import integrate
 
 KDV = kp.NonlinearitySpec.kdv()
 MKDV = kp.NonlinearitySpec.mkdv()
@@ -114,8 +115,23 @@ def test_period_consistency_quadrature_vs_profile(kdv_params, kdv_profile):
         kdv_profile.grid[-1], rel=1e-9)
 
 
+def test_profile_against_dp5(dp5_reference):
+    """The theta-series profile against DP5 at rtol = atol = 1e-14."""
+    profile, ref = dp5_reference
+    assert np.max(np.abs(profile.u_samples - ref["u"])) <= 1e-12
+    assert np.max(np.abs(profile.ux_samples - ref["up"])) <= 1e-12
+
+
+def test_theta_series_not_converged_raises():
+    # 1e-12 below the separatrix g nearly vanishes at u_-: dx/dtheta needs
+    # far more than 2^14 cosine modes, while the period quadrature converges
+    params = kp.WaveParams(0.0, -1e-12, 1.0, KDV)
+    with pytest.raises(QuadratureNotConverged, match="cosine series"):
+        kp.integrate_profile(params)
+
+
 def test_interpolant_accuracy(kdv_params, kdv_profile):
-    """Off-grid values against a finer integration (quintic contract)."""
+    """Off-grid values against a finer profile (quintic contract)."""
     fine = kp.integrate_profile(kdv_params, samples_per_period=4096)
     rng = np.random.default_rng(3)
     xs = rng.uniform(0.0, kdv_profile.period, 50)
@@ -181,8 +197,10 @@ def test_cnoidal_recovered_parameters():
 
 def test_cnoidal_matches_integrated_profile():
     prof = kp.cnoidal_wave(0.1, 1.0, 0.8)
-    ode = kp.integrate_profile(prof.params)
-    assert kp.phase_align(prof, ode) <= 1e-8
+    built = kp.integrate_profile(prof.params)
+    assert kp.phase_align(prof, built) <= 1e-12
+    assert np.max(np.abs(prof.u_samples - built.u_samples)) <= 1e-12
+    assert np.max(np.abs(prof.ux_samples - built.ux_samples)) <= 1e-12
 
 
 def test_cnoidal_shape_invariant_under_u0_shift():
