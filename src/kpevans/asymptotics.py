@@ -29,9 +29,9 @@ import numpy as np
 
 from . import conserved
 from .errors import FitIllConditioned, HighFreqInconclusive, StructureViolation
-from .evans import _base_coefficients, evans
+from .evans import DEFAULT_ODE_TOL, _base_coefficients, evans
 from .model import WaveParams, _poly_derivative, eval_V, polyval_ascending
-from .wave import DEFAULT_ODE_TOL, DEFAULT_QUAD_TOL, WaveProfile
+from .wave import DEFAULT_QUAD_TOL, WaveProfile
 
 LAMBDA_ROT = 0.5 * (1.0 + 1j * math.sqrt(3.0))  # e^{i pi/3}
 

@@ -24,7 +24,7 @@ import numpy as np
 from . import asymptotics, conserved, kernel, tracking, wave
 from .errors import ConfigError, DegenerateTurningPoint, KPEvansError
 from .evans import evans as evans_value
-from .evans import evans_scan, monodromy
+from .evans import DEFAULT_ODE_TOL, evans_scan, monodromy
 from .model import NonlinearitySpec, WaveParams
 
 EXIT_OK = 0
@@ -177,7 +177,7 @@ def _mu_grid_from_spec(spec: dict):
 def cmd_scan(cfg: ProblemConfig, out: Path) -> int:
     if not cfg.scan:
         raise ConfigError("scan command requires a 'scan' block in the config")
-    ode_tol = cfg.tol("ode_tol", wave.DEFAULT_ODE_TOL)
+    ode_tol = cfg.tol("ode_tol", DEFAULT_ODE_TOL)
     refine_tol = cfg.tol("refine_tol", 1e-6)
     profile = _build_profile(cfg)
     consolidated = {}
@@ -234,7 +234,7 @@ def cmd_verify(cfg: ProblemConfig, out: Path, tol_scale: float = 1.0) -> int:
         rows.append({"check": name, "measured": float(measured),
                      "tolerance": float(tol), "pass": bool(measured <= tol)})
 
-    ode_tol = cfg.tol("ode_tol", wave.DEFAULT_ODE_TOL)
+    ode_tol = cfg.tol("ode_tol", DEFAULT_ODE_TOL)
     quad_tol = cfg.tol("quad_tol", wave.DEFAULT_QUAD_TOL)
     kernel_tol = cfg.tol("kernel_tol", 1e-6) * tol_scale
 
@@ -305,11 +305,8 @@ def cmd_verify(cfg: ProblemConfig, out: Path, tol_scale: float = 1.0) -> int:
                                     ode_tol=ode_tol)
     check("high-frequency sign = sigma", abs(hf.verdict - params.sigma), 0.0)
 
-    sys_const = tracking.BlockSystem(
-        period=2.0, n1=1, n2=1,
-        M1=lambda x: np.array([[1.0]]), M2=lambda x: np.array([[-1.0]]),
-        N=lambda x: np.array([[1.0]]), Theta=lambda x: np.array([[1.0]]),
-        delta=lambda x: 0.1, eta=lambda x: 2.0)
+    sys_const = tracking.BlockSystem.from_tables(
+        2.0, [0.0], [[[1.0, 1.0], [0.1, -1.0]]], 1, 1)
     conj = tracking.solve_conjugator(sys_const, fp_tol=1e-14)
     root = -1.0 + math.sqrt(1.1)
     check("tracking fixed point", float(np.max(np.abs(conj.samples - root))),

@@ -39,8 +39,9 @@ import numpy as np
 from .errors import IntegrationFailure, NonRealEvans, ScaleOverflow
 from .integrate import _rk4_steps
 from .model import _poly_derivative, polyval_ascending
-from .wave import DEFAULT_ODE_TOL, WaveProfile
+from .wave import WaveProfile
 
+DEFAULT_ODE_TOL = 1e-12     # the tolerance of monodromy
 _LOG_MAX = 690.0  # exp() overflow guard for float64
 
 

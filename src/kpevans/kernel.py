@@ -234,8 +234,7 @@ def predicted_deltaW(profile: WaveProfile, basis: KernelBasis,
     since u_Ex(T) = V'(u_-) T_E and u_Exxx(T) = -V'(u_-) V''(u_-) T_E, the
     entries (2,4) and (4,4) pick up the extra moment T_E * int x u_x dx on
     top of int x u_E dx.  The extra terms equal -int(x u_x) times column 3,
-    so the determinant is unchanged; see displayed_deltaW for the reduced
-    variant with those terms dropped.
+    so the determinant is unchanged.
     """
     Vm = eval_V(profile.params, profile.u_minus, 1)
     Vmm = eval_V(profile.params, profile.u_minus, 2)
@@ -250,18 +249,6 @@ def predicted_deltaW(profile: WaveProfile, basis: KernelBasis,
         [0.0, 0.0, 0.0, -T + Vmm * aE * Ix],
         [0.0, -Vm * Vmm * T_a, -Vm * Vmm * T_E, Vmm * Vm * mom],
     ])
-
-
-def displayed_deltaW(profile: WaveProfile, basis: KernelBasis,
-                     T_a: float, T_E: float) -> np.ndarray:
-    """The delta W variant with the pure int x u_E moment in column 4.
-
-    Differs from predicted_deltaW by (int x u_x) * column 3 added to
-    column 4, a determinant-preserving column operation.
-    """
-    dW = predicted_deltaW(profile, basis, T_a, T_E)
-    dW[:, 3] += basis.I_sx[-1] * dW[:, 2]
-    return dW
 
 
 # ----------------------------------------------------------------------

@@ -60,13 +60,6 @@ def _nodes(n: int):
             np.concatenate([w[:half], w[::-1]]))
 
 
-def gauss_legendre(fn, a: float, b: float, n: int) -> float:
-    """n-node Gauss-Legendre approximation of the integral of fn over [a, b]."""
-    x, w = _nodes(n)
-    mid, half = 0.5 * (a + b), 0.5 * (b - a)
-    return half * float(np.dot(w, fn(mid + half * x)))
-
-
 def _parts(v):
     """Real view of a value: (real, imag) stacked on a new first axis if complex."""
     return np.stack((v.real, v.imag)) if np.iscomplexobj(v) else v

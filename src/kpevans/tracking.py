@@ -53,10 +53,6 @@ class TrigInterp:
         self.modes = np.rint(np.fft.fftfreq(self.n) * self.n).astype(int)
         self.freqs = 2.0 * np.pi / period * np.fft.fftfreq(self.n, d=1.0 / self.n)
 
-    def __call__(self, x: float):
-        phases = np.exp(1j * self.freqs * x)
-        return np.tensordot(phases, self.coeffs, axes=(0, 0))
-
     def on_grid(self, n: int, derivative: bool = False) -> np.ndarray:
         """Values (or derivatives) at x_j = j * period / n, j < n, by one inverse FFT."""
         c = self.coeffs
@@ -69,81 +65,42 @@ class TrigInterp:
 
 @dataclass(eq=False)
 class BlockSystem:
-    """Periodic coefficient blocks; all entries are callables of x."""
+    """Periodic full coefficient matrices [[M1, N], [delta*Theta, M2]].
+
+    table holds the trigonometric interpolant of uniform samples of the full
+    (n1 + n2) x (n1 + n2) matrix; M1 is n1 x n1 and M2 is n2 x n2.
+    """
 
     period: float
     n1: int
     n2: int
-    M1: callable
-    M2: callable
-    N: callable
-    Theta: callable
-    delta: callable
-    eta: callable
-    table: TrigInterp = None     # from_tables: full matrices, sampled by FFT
+    table: TrigInterp
 
-    def full_matrix(self, x) -> np.ndarray:
-        top = np.hstack([np.atleast_2d(self.M1(x)), np.atleast_2d(self.N(x))])
-        bot = np.hstack([self.delta(x) * np.atleast_2d(self.Theta(x)),
-                         np.atleast_2d(self.M2(x))])
-        return np.vstack([top, bot])
-
-    def gap_margin(self, n_check: int = 64):
-        """min over x of [min spec Re M1 - max spec Re M2 - eta]; also the raw gap.
+    def gap_margin(self, n_check: int = 64) -> float:
+        """min over x of [min spec Re M1 - max spec Re M2], the raw gap.
 
         Reported, not assumed: the periodic-BVP solver only needs I - P
-        invertible, so a negative margin is diagnostic rather than fatal.
+        invertible, so a negative gap is diagnostic rather than fatal.
         """
         M1, M2, _, _ = _sample_blocks(self, n_check)
         gap = (np.min(_hermitian_spectrum(M1[:-1]), axis=-1)
                - np.max(_hermitian_spectrum(M2[:-1]), axis=-1))
-        eta = np.array([np.real(self.eta(x))
-                        for x in np.arange(n_check) * (self.period / n_check)])
-        return float(np.min(gap - eta)), float(np.min(gap))
-
-    def delta_eta_sup(self, n_check: int = 256) -> float:
-        xs = np.linspace(0.0, self.period, n_check, endpoint=False)
-        return float(max(abs(self.delta(x)) / abs(self.eta(x)) for x in xs))
-
-    @staticmethod
-    def from_json_dict(d: dict) -> "BlockSystem":
-        """Sampled coefficient table as JSON: uniform grid + full matrices.
-
-        Schema: {"period": T, "n1": .., "n2": .., "grid": [...],
-        "matrices": [[[re or [re, im], ...], ...], ...]}.
-        """
-        def entry(v):
-            return complex(v[0], v[1]) if isinstance(v, (list, tuple)) else complex(v)
-
-        mats = np.array([[[entry(v) for v in row] for row in m]
-                         for m in d["matrices"]])
-        return BlockSystem.from_tables(float(d["period"]), np.asarray(d["grid"]),
-                                       mats, int(d["n1"]), int(d["n2"]))
+        return float(np.min(gap))
 
     @staticmethod
     def from_tables(period: float, grid: np.ndarray, matrices: np.ndarray,
-                    n1: int, n2: int, eta=None) -> "BlockSystem":
+                    n1: int, n2: int) -> "BlockSystem":
         """Build a system from sampled full coefficient matrices.
 
         grid must be uniform over [0, period); a trailing duplicated endpoint
-        is dropped.  The lower-left block is factored as delta(x) * Theta(x)
-        with delta its overall sup so Theta stays uniformly bounded by 1.
+        is dropped.  One sample gives a constant system.
         """
         mats = np.asarray(matrices)
         g = np.asarray(grid)
         if len(g) >= 2 and abs((g[-1] - g[0]) - period) < 1e-9 * period:
-            mats, g = mats[:-1], g[:-1]
-        interp = TrigInterp(period, mats)
-        delta_scale = float(np.max(np.abs(mats[:, n1:, :n1]))) or 1.0
-        eta_fn = eta if eta is not None else (lambda x: 1.0)
-        return BlockSystem(
-            period=period, n1=n1, n2=n2,
-            M1=lambda x: interp(x)[:n1, :n1],
-            M2=lambda x: interp(x)[n1:, n1:],
-            N=lambda x: interp(x)[:n1, n1:],
-            Theta=lambda x: interp(x)[n1:, :n1] / delta_scale,
-            delta=lambda x: delta_scale,
-            eta=eta_fn, table=interp)
+            mats = mats[:-1]
+        return BlockSystem(period=period, n1=n1, n2=n2,
+                           table=TrigInterp(period, mats))
 
 
 @dataclass(eq=False)
@@ -159,12 +116,8 @@ class Conjugator:
     periodicity_defect: float
     iterations: int
     contraction_ratios: tuple
-    measured_C: float
     err_est: float               # Richardson estimate of the discretization error
     steps: int                   # RK4 steps taken (see solve_conjugator)
-
-    def __call__(self, x: float) -> np.ndarray:
-        return self.interp(x)
 
 
 def _hermitian_spectrum(M: np.ndarray) -> np.ndarray:
@@ -184,11 +137,7 @@ _MAX_STEPS = 1 << 16   # RK4 steps of one fine period solve
 
 def _sample_blocks(system: BlockSystem, n: int):
     """M1, M2, N and delta*Theta at x_j = j T / n, j = 0..n (x_n = T), as stacks."""
-    if system.table is not None:
-        full = system.table.on_grid(n)
-    else:
-        xs = np.arange(n) * (system.period / n)
-        full = np.array([system.full_matrix(x) for x in xs], dtype=complex)
+    full = system.table.on_grid(n)
     full, n1 = np.concatenate([full, full[:1]]), system.n1
     return full[:, :n1, :n1], full[:, n1:, n1:], full[:, :n1, n1:], full[:, n1:, :n1]
 
@@ -293,7 +242,7 @@ def _fixed_point(solver: _PeriodicRK4, system: BlockSystem, N: np.ndarray,
                 and changes[-1] > 10.0 * changes[0]:
             raise NoContraction(
                 f"iteration diverging: increments {changes[-3:]} "
-                f"(sup delta/eta = {system.delta_eta_sup():.3e})")
+                f"(max |delta Theta| = {np.max(np.abs(F0)):.3e})")
     raise NoContraction(
         f"no convergence to {fp_tol:g} in {max_iter} sweeps "
         f"(last increment {changes[-1]:.3e})")
@@ -357,50 +306,48 @@ def solve_conjugator(system: BlockSystem, max_iter: int = 60, fp_tol: float = 1e
                - samples @ N[at] @ samples)
     resid = float(np.max(np.abs(phi_interp.on_grid(n_grid, derivative=True) - rhs_val)))
     sup_phi = float(np.max(np.abs(samples)))
-    de_sup = system.delta_eta_sup()
     ratios = tuple(b / a for a, b in zip(changes[:-1], changes[1:]) if a > 0)
     return Conjugator(system=system, grid=grid, samples=samples, interp=phi_interp,
                       norm_bound=sup_phi, residual=resid,
                       periodicity_defect=defect,
                       iterations=len(changes), contraction_ratios=ratios,
-                      measured_C=sup_phi / de_sup if de_sup > 0 else 0.0,
                       err_est=err_est, steps=steps)
 
 
-def triangularized_blocks(system: BlockSystem, conj: Conjugator):
-    """Exact-triangular coefficient functions (M1~, M2~, N~).
+def _triangular(A: np.ndarray, Phi: np.ndarray, n1: int) -> np.ndarray:
+    """Stack of [[M1 + N Phi, N], [0, M2 - Phi N]] from stacks of A and Phi."""
+    N = A[:, :n1, n1:]
+    At = A.copy()
+    At[:, :n1, :n1] += N @ Phi
+    At[:, n1:, n1:] -= Phi @ N
+    At[:, n1:, :n1] = 0.0
+    return At
+
+
+def triangularized_blocks(system: BlockSystem, conj: Conjugator) -> BlockSystem:
+    """The exact-triangular system [[M1~, N], [0, M2~]] on the conjugator's grid.
 
     M1~ = M1 + N Phi and M2~ = M2 - Phi N; the displayed convention is
     validated by the residual certificate S' + S A~ - A S = 0 rather than
     trusted blindly.
     """
-    def M1t(x):
-        return np.atleast_2d(system.M1(x)) + np.atleast_2d(system.N(x)) @ conj(x)
-
-    def M2t(x):
-        return np.atleast_2d(system.M2(x)) - conj(x) @ np.atleast_2d(system.N(x))
-
-    return M1t, M2t, system.N
+    A = system.table.on_grid(len(conj.grid))
+    return BlockSystem.from_tables(system.period, conj.grid,
+                                   _triangular(A, conj.samples, system.n1),
+                                   system.n1, system.n2)
 
 
 def conjugation_residual(system: BlockSystem, conj: Conjugator,
                          n_check: int = 64, tol: float = None) -> float:
     """sup |S' + S A~ - A S| over a grid; raises if tol given and exceeded."""
-    n1, n2 = system.n1, system.n2
-    M1t, M2t, Nt = triangularized_blocks(system, conj)
-    dPhi = conj.interp.on_grid(n_check, derivative=True)
-    sup = 0.0
-    for j, x in enumerate(np.linspace(0.0, system.period, n_check, endpoint=False)):
-        S = np.eye(n1 + n2, dtype=complex)
-        S[n1:, :n1] = conj(x)
-        Sp = np.zeros((n1 + n2, n1 + n2), dtype=complex)
-        Sp[n1:, :n1] = dPhi[j]
-        At = np.zeros((n1 + n2, n1 + n2), dtype=complex)
-        At[:n1, :n1] = M1t(x)
-        At[:n1, n1:] = np.atleast_2d(Nt(x))
-        At[n1:, n1:] = M2t(x)
-        A = system.full_matrix(x)
-        sup = max(sup, float(np.max(np.abs(Sp + S @ At - A @ S))))
+    n1 = system.n1
+    A = system.table.on_grid(n_check)
+    Phi = conj.interp.on_grid(n_check)
+    S = np.broadcast_to(np.eye(n1 + system.n2, dtype=complex), A.shape).copy()
+    S[:, n1:, :n1] = Phi
+    Sp = np.zeros_like(A)
+    Sp[:, n1:, :n1] = conj.interp.on_grid(n_check, derivative=True)
+    sup = float(np.max(np.abs(Sp + S @ _triangular(A, Phi, n1) - A @ S)))
     if tol is not None and sup > tol:
         raise ResidualExceeded(f"conjugation residual {sup:.3e} exceeds {tol:g}")
     return sup

@@ -20,13 +20,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import elliptic
-from .errors import (AmbiguousWell, DegenerateTurningPoint, NoPeriodicOrbit,
-                     QuadratureNotConverged)
-from .model import NonlinearitySpec, WaveParams, eval_V, polyval_ascending
+from .elliptic import EllipticModulus, complete_K, jacobi_elliptic
+from .errors import (AmbiguousWell, DegenerateTurningPoint, ModulusOutOfRange,
+                     NoPeriodicOrbit, QuadratureNotConverged)
+from .model import (NonlinearitySpec, WaveParams, _poly_derivative, eval_V,
+                    polyval_ascending)
 from .quadrature import _parts, adaptive_gauss_legendre
 
-DEFAULT_ODE_TOL = 1e-12     # the tolerance of evans.monodromy
 DEFAULT_QUAD_TOL = 1e-13
 DEFAULT_SIMPLICITY_TOL = 1e-8
 
@@ -40,20 +40,19 @@ def _real_roots(asc_coeffs: np.ndarray):
     c = np.trim_zeros(np.asarray(asc_coeffs, dtype=float), trim="b")
     if len(c) <= 1:
         return []
-    desc = c[::-1]
-    raw = np.roots(desc)
+    raw = np.roots(c[::-1])
     scale = 1.0 + np.max(np.abs(raw)) if len(raw) else 1.0
-    d1 = np.polyder(desc)
+    d1 = _poly_derivative(c, 1)
     out = []
     for r in raw:
         if abs(r.imag) > 1e-7 * scale:
             continue
         x = float(r.real)
         for _ in range(3):  # Newton polish; skipped near multiple roots
-            dp = np.polyval(d1, x)
+            dp = polyval_ascending(d1, x)
             if abs(dp) < 1e-12 * scale:
                 break
-            step = np.polyval(desc, x) / dp
+            step = polyval_ascending(c, x) / dp
             x -= step
             if abs(step) < 1e-16 * (1.0 + abs(x)):
                 break
@@ -422,14 +421,8 @@ def integrate_profile(params: WaveParams, samples_per_period: int = 1024,
 
 
 # ----------------------------------------------------------------------
-# Jacobi elliptic layer re-exports and the cnoidal closed form
+# the cnoidal closed form
 # ----------------------------------------------------------------------
-
-EllipticModulus = elliptic.EllipticModulus
-jacobi_elliptic = elliptic.jacobi_elliptic
-complete_K = elliptic.complete_K
-complete_E = elliptic.complete_E
-
 
 def cnoidal_wave(u0: float, kappa: float, m, samples_per_period: int = 1024,
                  sigma: int = 1) -> WaveProfile:
@@ -443,7 +436,7 @@ def cnoidal_wave(u0: float, kappa: float, m, samples_per_period: int = 1024,
     """
     k = m.k if isinstance(m, EllipticModulus) else float(m)
     if not (0.0 < k < 1.0):
-        raise elliptic.ModulusOutOfRange(f"cnoidal modulus must lie in (0, 1), got {k}")
+        raise ModulusOutOfRange(f"cnoidal modulus must lie in (0, 1), got {k}")
     if kappa <= 0.0:
         raise ValueError("kappa must be positive")
     K = complete_K(k)

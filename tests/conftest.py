@@ -8,6 +8,7 @@ import pytest
 import kpevans as kp
 from kpevans.errors import StencilLeftRegion
 from kpevans.model import polyval_ascending
+from kpevans.quadrature import _nodes
 
 from dp5 import kernel_reference
 
@@ -86,6 +87,28 @@ def dp5_reference(request):
     """(profile, DP5 kernel reference at rtol = atol = 1e-14) per canonical wave."""
     profile = request.getfixturevalue(f"{request.param}_profile")
     return profile, kernel_reference(profile)
+
+
+def tabulate(period, full, n):
+    """BlockSystem of 1x1 blocks from n uniform samples of the 2x2 matrix full(x)."""
+    grid = np.arange(n) * (period / n)
+    return kp.BlockSystem.from_tables(period, grid, [full(x) for x in grid], 1, 1)
+
+
+def interpolant(system):
+    """x -> the system's full matrix, summed from its table coefficients.
+
+    The scalar evaluation the DP5 references integrate through.
+    """
+    table = system.table
+    return lambda x: np.einsum("k,kij->ij", np.exp(1j * table.freqs * x), table.coeffs)
+
+
+def gauss_legendre(fn, a, b, n):
+    """n-node Gauss-Legendre approximation of the integral of fn over [a, b]."""
+    x, w = _nodes(n)
+    mid, half = 0.5 * (a + b), 0.5 * (b - a)
+    return half * float(np.dot(w, fn(mid + half * x)))
 
 
 def cardano_real_roots(p3, p2, p1, p0):

@@ -11,7 +11,7 @@ import pytest
 import kpevans as kp
 from kpevans.kernel import predicted_deltaW
 
-from conftest import DNOIDAL_HINT
+from conftest import DNOIDAL_HINT, interpolant, tabulate
 from dp5 import period_map
 
 
@@ -161,39 +161,28 @@ def test_criterion_11_block_reduction(kdv_profile):
 
 def test_criterion_12_tracking():
     import math
-    const = kp.BlockSystem(
-        period=2.0, n1=1, n2=1,
-        M1=lambda x: np.array([[1.0]]), M2=lambda x: np.array([[-1.0]]),
-        N=lambda x: np.array([[1.0]]), Theta=lambda x: np.array([[1.0]]),
-        delta=lambda x: 0.1, eta=lambda x: 2.0)
+    const = tabulate(2.0, lambda x: [[1.0, 1.0], [0.1, -1.0]], 1)
     conj = kp.solve_conjugator(const, fp_tol=1e-14)
     err_const = float(np.max(np.abs(conj.samples - (-1.0 + math.sqrt(1.1)))))
 
     T, m1, m2, th, eps = 3.0, 0.7, -0.9, 1.3, 0.05
     om = 2.0 * np.pi / T
-    fourier = kp.BlockSystem(
-        period=T, n1=1, n2=1,
-        M1=lambda x: np.array([[m1]]), M2=lambda x: np.array([[m2]]),
-        N=lambda x: np.array([[0.0]]), Theta=lambda x: np.array([[th]]),
-        delta=lambda x: eps * np.cos(om * x), eta=lambda x: m1 - m2)
+    fourier = tabulate(T, lambda x: [[m1, 0.0], [eps * th * np.cos(om * x), m2]], 16)
     conj_f = kp.solve_conjugator(fourier, fp_tol=1e-13)
     coef = eps * th / (1j * om - (m2 - m1))
     err_fourier = float(np.max(np.abs(
         conj_f.samples[:, 0, 0] - np.real(coef * np.exp(1j * om * conj_f.grid)))))
 
-    synth = kp.BlockSystem(
-        period=2.0, n1=1, n2=1,
-        M1=lambda x: np.array([[0.8]]), M2=lambda x: np.array([[-1.1]]),
-        N=lambda x: np.array([[0.4 + 0.1 * np.cos(np.pi * x)]]),
-        Theta=lambda x: np.array([[1.0]]),
-        delta=lambda x: 0.08 * (1.0 + 0.5 * np.sin(np.pi * x)), eta=lambda x: 1.9)
+    synth = tabulate(2.0, lambda x: [[0.8, 0.4 + 0.1 * np.cos(np.pi * x)],
+                                     [0.08 * (1.0 + 0.5 * np.sin(np.pi * x)), -1.1]], 16)
     conj_s = kp.solve_conjugator(synth, fp_tol=1e-14)
     resid = kp.conjugation_residual(synth, conj_s)
-    M1t, M2t, _ = kp.triangularized_blocks(synth, conj_s)
-    full = period_map(synth.full_matrix, 2, 2.0)
+    tri = interpolant(kp.triangularized_blocks(synth, conj_s))
+    full = period_map(interpolant(synth), 2, 2.0)
+    p1 = period_map(lambda x: tri(x)[:1, :1], 1, 2.0)
+    p2 = period_map(lambda x: tri(x)[1:, 1:], 1, 2.0)
     fact_err = abs(np.linalg.det(full - np.eye(2))
-                   - np.linalg.det(period_map(M1t, 1, 2.0) - np.eye(1))
-                   * np.linalg.det(period_map(M2t, 1, 2.0) - np.eye(1)))
+                   - np.linalg.det(p1 - np.eye(1)) * np.linalg.det(p2 - np.eye(1)))
 
     ok = (err_const <= 1e-12 and err_fourier <= 1e-10 and resid <= 1e-10
           and conj_s.periodicity_defect <= 1e-10 and fact_err <= 1e-10)

@@ -13,7 +13,7 @@ from kpevans import conserved
 from kpevans.conserved import cubic_discriminant, invariants_csv_row
 from kpevans.errors import NoPeriodicOrbit, NotKdV, StencilLeftRegion
 
-from conftest import DNOIDAL_HINT, fd_gradients, seeded_turning_points
+from conftest import DNOIDAL_HINT, fd_gradients, gauss_legendre, seeded_turning_points
 
 KDV = kp.NonlinearitySpec.kdv()
 MKDV = kp.NonlinearitySpec.mkdv()
@@ -50,7 +50,6 @@ def test_invariants_match_profile_integrals(kdv_profile, kdv_invariants):
 def test_profile_invariants_match_interval_loop(request, wave):
     # reference: one 6-node Gauss-Legendre call per interval and quantity
     from kpevans.model import polyval_ascending
-    from kpevans.quadrature import gauss_legendre
     profile = request.getfixturevalue(f"{wave}_profile")
     F = profile.params.nonlinearity.F_coeffs
     fns = (profile.u, lambda x: profile.u(x) ** 2,

@@ -6,8 +6,7 @@ import numpy as np
 import pytest
 
 import kpevans as kp
-from kpevans.kernel import (displayed_deltaW, predicted_deltaW, predicted_W0,
-                            second_derivative_fd)
+from kpevans.kernel import predicted_deltaW, predicted_W0, second_derivative_fd
 
 KERNEL_TOL = 1e-6
 
@@ -155,6 +154,19 @@ def test_deltaW_matches_display(kdv_profile, kdv_basis, kdv_wmatrix, kdv_grads):
     assert np.max(np.abs(pred[np.ix_([0, 2], [1, 2])])) == 0.0
     block = pred[np.ix_([1, 3], [1, 2])]
     assert abs(np.linalg.det(block)) <= 1e-12 * np.max(np.abs(block)) ** 2
+
+
+def displayed_deltaW(profile, basis, T_a, T_E):
+    """The displayed delta W: the pure int x u_E moment in column 4."""
+    Vm = kp.eval_V(profile.params, profile.u_minus, 1)
+    Vmm = kp.eval_V(profile.params, profile.u_minus, 2)
+    aE, Ix, IE = basis.du_minus_dE, basis.I_sx[-1], basis.I_sE[-1]
+    return np.array([
+        [0.0, 0.0, 0.0, -aE * Ix],
+        [0.0, Vm * T_a, Vm * T_E, -Vm * IE],
+        [0.0, 0.0, 0.0, -profile.period + Vmm * aE * Ix],
+        [0.0, -Vm * Vmm * T_a, -Vm * Vmm * T_E, Vmm * Vm * IE],
+    ])
 
 
 def test_deltaW_column_reduction(kdv_profile, kdv_basis, kdv_grads):

@@ -1,5 +1,5 @@
-"""Layout guards: the package solves no ODE adaptively, and the tests stay
-independent of the benchmark."""
+"""Layout guards: the package solves no ODE adaptively, evaluates polynomials
+one way, and the tests stay independent of the benchmark."""
 
 import ast
 from pathlib import Path
@@ -25,6 +25,24 @@ def test_no_dp5_integrate_in_src():
                 assert "integrate" not in names and "dp5" not in names, path.name
                 assert getattr(node, "module", None) != "dp5", path.name
     assert not hasattr(kpevans.integrate, "integrate")
+
+
+def test_one_polynomial_evaluator():
+    """model.polyval_ascending is the package's only polynomial evaluator."""
+    banned = {"polyval", "polyder", "poly1d"}
+    for path in SRC.glob("*.py"):
+        for node in nodes(path, (ast.Attribute, ast.Import, ast.ImportFrom)):
+            if isinstance(node, ast.Attribute):
+                assert node.attr not in banned, (path.name, node.attr)
+            elif isinstance(node, ast.Import):
+                assert not any(a.name.startswith("numpy.polynomial")
+                               for a in node.names), path.name
+            else:
+                module = node.module or ""
+                assert not module.startswith("numpy.polynomial"), path.name
+                if module == "numpy":
+                    names = {alias.name for alias in node.names}
+                    assert not names & (banned | {"polynomial"}), path.name
 
 
 def test_tests_do_not_import_perfbench():

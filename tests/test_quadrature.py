@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 
 from kpevans.errors import QuadratureNotConverged
-from kpevans.quadrature import _nodes, adaptive_gauss_legendre, gauss_legendre
+from kpevans.quadrature import _nodes, adaptive_gauss_legendre
+
+from conftest import gauss_legendre
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 16, 17, 64])

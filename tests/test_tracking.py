@@ -9,28 +9,28 @@ import pytest
 import kpevans as kp
 from kpevans.errors import IntegrationFailure, NoContraction, PeriodMapSingular
 
+from conftest import interpolant, tabulate
 from dp5 import integrate, period_map
 
 
 def constant_system(delta=0.1):
-    return kp.BlockSystem(
-        period=2.0, n1=1, n2=1,
-        M1=lambda x: np.array([[1.0]]), M2=lambda x: np.array([[-1.0]]),
-        N=lambda x: np.array([[1.0]]), Theta=lambda x: np.array([[1.0]]),
-        delta=lambda x: delta, eta=lambda x: 2.0)
+    """One sample: M1 = 1, M2 = -1, N = 1 and lower-left delta."""
+    return tabulate(2.0, lambda x: [[1.0, 1.0], [delta, -1.0]], 1)
 
 
 def fourier_system():
     """Single-mode forcing with the closed-form periodic solution exact(x)."""
     T, m1, m2, th, eps = 3.0, 0.7, -0.9, 1.3, 0.05
     om = 2.0 * np.pi / T
-    system = kp.BlockSystem(
-        period=T, n1=1, n2=1,
-        M1=lambda x: np.array([[m1]]), M2=lambda x: np.array([[m2]]),
-        N=lambda x: np.array([[0.0]]), Theta=lambda x: np.array([[th]]),
-        delta=lambda x: eps * np.cos(om * x), eta=lambda x: m1 - m2)
+    system = tabulate(T, lambda x: [[m1, 0.0], [eps * th * np.cos(om * x), m2]], 16)
     coef = eps * th / (1j * om - (m2 - m1))
     return system, lambda x: np.real(coef * np.exp(1j * om * x))
+
+
+def synthetic_system():
+    """Constant diagonal blocks, single-mode N and lower-left, period 2."""
+    return tabulate(2.0, lambda x: [[0.8, 0.4 + 0.1 * np.cos(np.pi * x)],
+                                    [0.08 * (1.0 + 0.5 * np.sin(np.pi * x)), -1.1]], 16)
 
 
 def test_zero_delta_gives_zero_phi():
@@ -79,36 +79,28 @@ def test_engine_unreachable_tolerance_fails_fast():
 
 
 def test_triangularization_residual_and_blocks():
-    system = kp.BlockSystem(
-        period=2.0, n1=1, n2=1,
-        M1=lambda x: np.array([[0.8]]), M2=lambda x: np.array([[-1.1]]),
-        N=lambda x: np.array([[0.4 + 0.1 * np.cos(np.pi * x)]]),
-        Theta=lambda x: np.array([[1.0]]),
-        delta=lambda x: 0.08 * (1.0 + 0.5 * np.sin(np.pi * x)),
-        eta=lambda x: 1.9)
+    system = synthetic_system()
     conj = kp.solve_conjugator(system, fp_tol=1e-14)
     resid = kp.conjugation_residual(system, conj)
     assert resid <= 1e-12
+    # the triangular system lives on the conjugator's grid, lower-left zero
+    tri = kp.triangularized_blocks(system, conj)
+    assert tri.table.n == len(conj.grid) and (tri.n1, tri.n2) == (1, 1)
+    assert np.max(np.abs(tri.table.on_grid(64)[:, 1, 0])) <= 1e-15
     # delta = 0 leaves the blocks untouched
     conj0 = kp.solve_conjugator(constant_system(0.0), fp_tol=1e-14)
-    M1t, M2t, Nt = kp.triangularized_blocks(constant_system(0.0), conj0)
-    assert M1t(0.3) == pytest.approx(1.0) and M2t(0.3) == pytest.approx(-1.0)
+    A = kp.triangularized_blocks(constant_system(0.0), conj0).table.on_grid(4)
+    assert np.array_equal(A, constant_system(0.0).table.on_grid(4))
 
 
 def test_evans_factorization():
     T = 2.0
-    system = kp.BlockSystem(
-        period=T, n1=1, n2=1,
-        M1=lambda x: np.array([[0.8]]), M2=lambda x: np.array([[-1.1]]),
-        N=lambda x: np.array([[0.4 + 0.1 * np.cos(2 * np.pi * x / T)]]),
-        Theta=lambda x: np.array([[1.0]]),
-        delta=lambda x: 0.08 * (1.0 + 0.5 * np.sin(2 * np.pi * x / T)),
-        eta=lambda x: 1.9)
+    system = synthetic_system()
     conj = kp.solve_conjugator(system, fp_tol=1e-14)
-    M1t, M2t, _ = kp.triangularized_blocks(system, conj)
-    full = period_map(system.full_matrix, 2, T)
-    p1 = period_map(M1t, 1, T)
-    p2 = period_map(M2t, 1, T)
+    tri = interpolant(kp.triangularized_blocks(system, conj))
+    full = period_map(interpolant(system), 2, T)
+    p1 = period_map(lambda x: tri(x)[:1, :1], 1, T)
+    p2 = period_map(lambda x: tri(x)[1:, 1:], 1, T)
     lhs = np.linalg.det(full - np.eye(2))
     rhs = np.linalg.det(p1 - np.eye(1)) * np.linalg.det(p2 - np.eye(1))
     assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(lhs))
@@ -121,30 +113,24 @@ def test_no_contraction_for_large_delta():
 
 def test_period_map_singular_detected():
     # M1 = M2 = 0 makes the homogeneous Sylvester flow the identity
-    system = kp.BlockSystem(
-        period=1.0, n1=1, n2=1,
-        M1=lambda x: np.array([[0.0]]), M2=lambda x: np.array([[0.0]]),
-        N=lambda x: np.array([[0.0]]), Theta=lambda x: np.array([[1.0]]),
-        delta=lambda x: 0.01, eta=lambda x: 1.0)
+    system = tabulate(1.0, lambda x: [[0.0, 0.0], [0.01, 0.0]], 1)
     with pytest.raises(PeriodMapSingular):
         kp.solve_conjugator(system)
 
 
 def test_gap_margin_reporting():
-    margin, raw = constant_system().gap_margin()
-    assert raw == pytest.approx(2.0, abs=1e-12)
-    assert margin == pytest.approx(0.0, abs=1e-12)
+    assert constant_system().gap_margin() == pytest.approx(2.0, abs=1e-12)
 
 
 def test_from_tables_round_trip():
-    system = constant_system(0.1)
-    grid = np.linspace(0.0, 2.0, 65)
-    mats = np.array([system.full_matrix(x) for x in grid])
-    rebuilt = kp.BlockSystem.from_tables(2.0, grid, mats, n1=1, n2=1,
-                                         eta=lambda x: 2.0)
+    # a trailing duplicated endpoint is dropped
+    system, exact = fourier_system()
+    mats = system.table.on_grid(64)
+    rebuilt = kp.BlockSystem.from_tables(3.0, np.linspace(0.0, 3.0, 65),
+                                         np.concatenate([mats, mats[:1]]), n1=1, n2=1)
+    assert rebuilt.table.n == 64
     conj = kp.solve_conjugator(rebuilt, fp_tol=1e-13)
-    root = -1.0 + math.sqrt(1.1)
-    assert np.max(np.abs(conj.samples - root)) <= 1e-11
+    assert np.max(np.abs(conj.samples[:, 0, 0] - exact(conj.grid))) <= 1e-10
 
 
 def test_reduced_evans_system_feed(kdv_profile):
@@ -159,8 +145,7 @@ def test_reduced_evans_system_feed(kdv_profile):
     T_t = rep.grid_tilde[-1]
     system = kp.BlockSystem.from_tables(T_t, rep.grid_tilde, rep.system_tilde,
                                         n1=3, n2=1)
-    margin, raw = system.gap_margin()
-    assert raw < 0  # mixed dichotomy: documented gap violation
+    assert system.gap_margin() < 0  # mixed dichotomy: documented gap violation
     conj = kp.solve_conjugator(system, fp_tol=1e-11, ode_rtol=1e-11,
                                ode_atol=1e-12, n_grid=384)
     assert conj.norm_bound <= 5.0 * rep.eps ** 1.5
@@ -168,13 +153,11 @@ def test_reduced_evans_system_feed(kdv_profile):
     assert conj.residual <= 1e-9
     assert conj.periodicity_defect <= 1e-9
     assert conj.err_est <= 1e-12 + 1e-11 * conj.norm_bound
+    assert kp.conjugation_residual(system, conj) <= 1e-9
 
     # DP5 reference: from every 16th grid point, integrate the conjugation
     # equation through the next 16 intervals and meet the engine's samples
-    table = system.table
-
-    def full(x):
-        return np.einsum("k,kij->ij", np.exp(1j * table.freqs * x), table.coeffs)
+    full = interpolant(system)
 
     def rhs(x, Phi):
         A = full(x)
@@ -189,19 +172,6 @@ def test_reduced_evans_system_feed(kdv_profile):
         ref = np.array(rec + [y_end])
         worst = max(worst, float(np.max(np.abs(ref - conj.samples[np.arange(j + 1, j + 17) % 384]))))
     assert worst <= 1e-9
-
-
-def test_from_json_tables():
-    import json
-    system = constant_system(0.1)
-    grid = np.linspace(0.0, 2.0, 64, endpoint=False)
-    mats = [[[float(v) for v in row] for row in system.full_matrix(x)]
-            for x in grid]
-    blob = json.loads(json.dumps(
-        {"period": 2.0, "n1": 1, "n2": 1, "grid": list(grid), "matrices": mats}))
-    rebuilt = kp.BlockSystem.from_json_dict(blob)
-    conj = kp.solve_conjugator(rebuilt, fp_tol=1e-13)
-    assert np.max(np.abs(conj.samples - (-1.0 + math.sqrt(1.1)))) <= 1e-11
 
 
 def test_residual_exceeded_raises():
