@@ -28,12 +28,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import conserved
-from .errors import FitIllConditioned, HighFreqInconclusive, StructureViolation
+from .errors import FitIllConditioned
 from .evans import DEFAULT_ODE_TOL, _base_coefficients, evans
 from .model import WaveParams, _poly_derivative, eval_V, polyval_ascending
 from .wave import DEFAULT_QUAD_TOL, WaveProfile
 
 LAMBDA_ROT = 0.5 * (1.0 + 1j * math.sqrt(3.0))  # e^{i pi/3}
+_BLOCK_SAMPLES = 768    # block-reduction grid intervals per stretched period
 
 #: constant diagonalizer of the principal part H0 (columns: eigenvectors
 #: for eigenvalues -1, lambda, lambda*, 0)
@@ -76,7 +77,7 @@ class HighFreqReport:
 
 
 def high_freq_sign(profile: WaveProfile, k: float, mu_list,
-                   ode_tol: float = DEFAULT_ODE_TOL, strict: bool = False) -> HighFreqReport:
+                   ode_tol: float = DEFAULT_ODE_TOL) -> HighFreqReport:
     """Probe sgn D(mu, k, 1) along increasing positive mu.
 
     Conclusive once the last three probes agree; evenness in mu justifies
@@ -104,9 +105,6 @@ def high_freq_sign(profile: WaveProfile, k: float, mu_list,
             if s != verdict:
                 break
             onset = mu
-    if verdict == 0 and strict:
-        raise HighFreqInconclusive(
-            f"sign still oscillating at mu={mu_list[-1]:g}: {signs}")
 
     T = profile.period
     xs = np.array([m ** (1.0 / 3.0) * T for m, _, _ in probes])
@@ -172,10 +170,11 @@ class BlockReductionReport:
     system_tilde: np.ndarray     # full transformed coefficient matrices
 
 
-def verify_block_reduction(profile: WaveProfile, mu: float, k: float,
-                           n_samples: int = 768, raise_on_violation: bool = True
+def verify_block_reduction(profile: WaveProfile, mu: float, k: float
                            ) -> BlockReductionReport:
     """Numerically certify the block structure of the rescaled system.
+
+    Report only: each measured block size comes with its bound.
 
     Conventions: eps = |mu|^{-2/3}; in the stretched variable x~ =
     |mu|^{1/3} x the coefficient functions contract, so A1 and A1_x pick up
@@ -201,7 +200,7 @@ def verify_block_reduction(profile: WaveProfile, mu: float, k: float,
     sigma = profile.params.sigma
     fields = _coefficient_functions(profile)
 
-    grid_t = np.linspace(0.0, T_t, n_samples + 1)
+    grid_t = np.linspace(0.0, T_t, _BLOCK_SAMPLES + 1)
     A1, A2, A1x, A1xx, A2x = fields(grid_t * s)
     supA1, supA2, supA1x = (float(np.max(np.abs(f))) for f in (A1, A2, A1x))
     At1 = s * A1            # x~-convention coefficients
@@ -256,7 +255,7 @@ def verify_block_reduction(profile: WaveProfile, mu: float, k: float,
     e44_bound = 10.0 * eps ** 2.5 * (1.0 + k * k * supA1 + supA1x)
     lower_left_bound = 10.0 * eps ** 3 * (1.0 + supA1) * (1.0 + supA2)
 
-    report = BlockReductionReport(
+    return BlockReductionReport(
         mu=mu, k=k, eps=eps, q_diag_error=q_diag_error,
         btilde_numeric_error=btilde_numeric_error,
         last_column_error=last_column_error,
@@ -267,28 +266,11 @@ def verify_block_reduction(profile: WaveProfile, mu: float, k: float,
         avg_A1x=avg_A1x, avg_A1A1x=avg_A1A1x, abs_A1x=abs_A1x, abs_A1A1x=abs_A1A1x,
         grid_tilde=grid_t, system_tilde=system)
 
-    if raise_on_violation:
-        checks = [
-            ("Q diagonalization", q_diag_error, 1e-14),
-            ("upper-left block", upper_left_sup, upper_left_bound),
-            ("(4,4) entry", e44_pred_err, e44_bound),
-            ("lower-left block", lower_left_sup, lower_left_bound),
-        ]
-        for name, val, bound in checks:
-            if val > bound:
-                raise StructureViolation(
-                    f"{name}: measured {val:.3e} exceeds bound {bound:.3e} "
-                    f"at mu={mu:g}")
-    return report
 
-
-def lower_left_slope(profile: WaveProfile, k: float, mu_pair=(100.0, 800.0),
-                     n_samples: int = 768):
-    """Two-mu log-log slope of the S-conjugated lower-left block vs eps."""
-    r1 = verify_block_reduction(profile, mu_pair[0], k, n_samples,
-                                raise_on_violation=False)
-    r2 = verify_block_reduction(profile, mu_pair[1], k, n_samples,
-                                raise_on_violation=False)
+def lower_left_slope(profile: WaveProfile, k: float):
+    """Lower-left log-log slope vs eps from mu = 100 to 800, with both reports."""
+    r1 = verify_block_reduction(profile, 100.0, k)
+    r2 = verify_block_reduction(profile, 800.0, k)
     slope = math.log(r2.lower_left_sup / r1.lower_left_sup) \
         / math.log(r2.eps / r1.eps)
     return slope, (r1, r2)
@@ -377,18 +359,19 @@ class IndexVerdict:
 
 
 def orientation_index(params: WaveParams, grads: conserved.GradientSet = None,
-                      bracket_hint=None, quad_tol: float = DEFAULT_QUAD_TOL,
-                      degeneracy_tol: float = 1e-8) -> IndexVerdict:
+                      bracket_hint=None, quad_tol: float = DEFAULT_QUAD_TOL
+                      ) -> IndexVerdict:
     """Instability verdict from the sign of sigma * {T, M}_{a,E}.
 
     One-sided: a positive product certifies transverse spectral instability;
-    a negative one decides nothing.
+    a negative one decides nothing.  The Jacobian is degenerate when it is at
+    most 1e-8 of the scale |T_a M_E| + |T_E M_a| of its two terms.
     """
     g = grads or conserved.gradients(params, quad_tol=quad_tol,
                                      bracket_hint=bracket_hint)
     jac = conserved.jacobian_TM(params, g)
     scale = abs(g.dT[0] * g.dM[1]) + abs(g.dT[1] * g.dM[0])
-    if abs(jac) <= degeneracy_tol * max(scale, 1e-300):
+    if abs(jac) <= 1e-8 * max(scale, 1e-300):
         return IndexVerdict(jacobian=jac, sigma=params.sigma, product_sign=0,
                             conclusion="DegenerateJacobian")
     product = params.sigma * jac

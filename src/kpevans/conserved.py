@@ -76,15 +76,15 @@ def compute_invariants(params: WaveParams, turning_points=None,
     return InvariantSet(T, M, P, H)
 
 
-def profile_invariants(profile: WaveProfile, nodes_per_interval: int = 6) -> InvariantSet:
+def profile_invariants(profile: WaveProfile) -> InvariantSet:
     """Dense-grid cross-check: integrate the interpolated profile in x.
 
     Independent route for the same quantities (oracle for the quadrature
-    path): per-interval Gauss-Legendre on the quintic interpolant, with u
-    and u_x evaluated once on all (interval, node) points.
+    path): 6-point Gauss-Legendre per interval on the quintic interpolant,
+    with u and u_x evaluated once on all (interval, node) points.
     """
     F = profile.params.nonlinearity.F_coeffs
-    x, w = _nodes(nodes_per_interval)
+    x, w = _nodes(6)
     g = profile.grid
     mid, half = 0.5 * (g[:-1] + g[1:]), 0.5 * (g[1:] - g[:-1])
     pts = mid[:, None] + half[:, None] * x
@@ -155,7 +155,7 @@ def cubic_discriminant(asc_coeffs) -> float:
             - 4.0 * a * c ** 3 - 27.0 * a ** 2 * d ** 2)
 
 
-def kdv_jacobian_closed_form(params: WaveParams, invariants: InvariantSet = None,
+def kdv_jacobian_closed_form(params: WaveParams,
                              quad_tol: float = DEFAULT_QUAD_TOL) -> float:
     """Closed-form {T, M}_{a,E} for KdV: -T^2 V'(M/T) / (24 disc(E - V)).
 
@@ -177,7 +177,7 @@ def kdv_jacobian_closed_form(params: WaveParams, invariants: InvariantSet = None
     want = np.array([0.0, 0.0, 0.5])
     if len(np.trim_zeros(f, trim="b")) != 3 or np.max(np.abs(f[:3] - want)) > 1e-12:
         raise NotKdV("closed-form Jacobian requires f(u) = u^2/2")
-    inv = invariants or compute_invariants(params, quad_tol=quad_tol)
+    inv = compute_invariants(params, quad_tol=quad_tol)
     p = params.energy_poly()  # cubic: E - V
     disc = cubic_discriminant(p)
     vprime_mean = eval_V(params, inv.M / inv.T, 1)

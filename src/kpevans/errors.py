@@ -49,14 +49,6 @@ class NonRealEvans(KPEvansError):
     """Evans value acquired a spurious imaginary part on real data."""
 
 
-class HighFreqInconclusive(KPEvansError):
-    """Sign of the Evans function still oscillating at the largest probe."""
-
-
-class StructureViolation(KPEvansError):
-    """A block of the reduced system exceeds its advertised order."""
-
-
 class FitIllConditioned(KPEvansError):
     """Least-squares fit of the low-frequency model is ill conditioned."""
 
@@ -67,10 +59,6 @@ class NoContraction(KPEvansError):
 
 class PeriodMapSingular(KPEvansError):
     """I - P singular for the homogeneous Sylvester flow; gap failure."""
-
-
-class ResidualExceeded(KPEvansError):
-    """A conjugation residual certificate is above tolerance."""
 
 
 class ConfigError(KPEvansError):

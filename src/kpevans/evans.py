@@ -43,6 +43,7 @@ from .wave import WaveProfile
 
 DEFAULT_ODE_TOL = 1e-12     # the tolerance of monodromy
 _LOG_MAX = 690.0  # exp() overflow guard for float64
+_SIGN_SAFETY = 30.0  # a sign read needs |Re D| above this many LU noise floors
 
 
 def _base_coefficients(params):
@@ -76,13 +77,6 @@ def coefficient_matrix(profile: WaveProfile, mu, k: float, x: float) -> np.ndarr
     H[3, 0] = b41 - profile.params.sigma * k * k
     H[3, 1], H[3, 2] = b42 - mu, b43
     return H
-
-
-@dataclass(frozen=True)
-class SpectralPoint:
-    mu: complex
-    k: float
-    lam: complex
 
 
 @dataclass(frozen=True)
@@ -289,7 +283,6 @@ class EvansValue:
     mantissa: complex
     log_factor: float
     noise: float
-    point: SpectralPoint
 
     @property
     def log_abs(self) -> float:
@@ -307,23 +300,22 @@ class EvansValue:
         v = self.mantissa * math.exp(self.log_factor)
         return v.real if isinstance(self.mantissa, float) else v
 
-    def sign(self, safety: float = 30.0) -> int:
-        """Sign of Re D; 0 when |D| sits below the LU roundoff floor."""
+    def sign(self) -> int:
+        """Sign of Re D; 0 when |Re D| <= _SIGN_SAFETY * noise, the LU floor."""
         re = self.mantissa.real if isinstance(self.mantissa, complex) else self.mantissa
-        if abs(re) <= safety * self.noise:
+        if abs(re) <= _SIGN_SAFETY * self.noise:
             return 0
         return 1 if re > 0 else -1
 
 
 def evans(profile: WaveProfile, mu, k: float, lam=1.0,
-          mono: Monodromy = None, ode_tol: float = DEFAULT_ODE_TOL) -> EvansValue:
+          ode_tol: float = DEFAULT_ODE_TOL) -> EvansValue:
     """Periodic Evans function D(mu, k, lambda) = det(M(mu, k) - lambda I).
 
     Computed as e^{4 ls} det(M_hat - lambda e^{-ls} I) so the determinant of
     the normalized matrix stays O(1) regardless of the accumulated scale.
     """
-    if mono is None:
-        mono = monodromy(profile, mu, k, ode_tol=ode_tol)
+    mono = monodromy(profile, mu, k, ode_tol=ode_tol)
     ls = mono.log_scale
     if -ls > _LOG_MAX:
         raise ScaleOverflow("monodromy scale underflow")
@@ -333,8 +325,7 @@ def evans(profile: WaveProfile, mu, k: float, lam=1.0,
     A = mono.matrix - shift * np.eye(4, dtype=mono.matrix.dtype)
     mant, noise = det_with_noise(A)
     mant = float(mant.real) if real_case else complex(mant)
-    return EvansValue(mantissa=mant, log_factor=4.0 * ls, noise=noise,
-                      point=SpectralPoint(complex(mu), k, lam_c))
+    return EvansValue(mantissa=mant, log_factor=4.0 * ls, noise=noise)
 
 
 # ----------------------------------------------------------------------
@@ -393,8 +384,8 @@ class ScanReport:
 
 
 def evans_scan(profile: WaveProfile, mu_grid, k: float, lam=1.0,
-               ode_tol: float = DEFAULT_ODE_TOL, refine_tol: float = 1e-6,
-               sign_safety: float = 30.0) -> ScanReport:
+               ode_tol: float = DEFAULT_ODE_TOL,
+               refine_tol: float = 1e-6) -> ScanReport:
     """Evaluate D along a real mu grid, bracket sign changes, bisect roots.
 
     For real mu and lambda the system has real coefficients, so the scan
@@ -421,7 +412,7 @@ def evans_scan(profile: WaveProfile, mu_grid, k: float, lam=1.0,
         m = complex(ev.mantissa)
         samples.append(EvansSample(mu=mu, re=m.real, im=m.imag,
                                    log_factor=ev.log_factor,
-                                   sign=ev.sign(sign_safety)))
+                                   sign=ev.sign()))
 
     roots = []
     for s0, s1 in zip(samples, samples[1:]):
@@ -430,7 +421,7 @@ def evans_scan(profile: WaveProfile, mu_grid, k: float, lam=1.0,
             sign_lo = s0.sign
             while hi - lo > refine_tol:
                 mid = 0.5 * (lo + hi)
-                s_mid = eval_point(mid).sign(sign_safety)
+                s_mid = eval_point(mid).sign()
                 if s_mid == 0 or s_mid == sign_lo:
                     lo = mid
                 else:

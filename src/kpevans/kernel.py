@@ -155,16 +155,15 @@ def variational_solutions(profile: WaveProfile,
         II_E=x * I_E - I_sE)    # int_0^x int_0^s u_E, by parts
 
 
-def phi_solution(profile: WaveProfile, basis: KernelBasis,
-                 wronskian_tol: float = 1e-8) -> KernelBasis:
+def phi_solution(profile: WaveProfile, basis: KernelBasis) -> KernelBasis:
     """Attach phi = I_sE u_x - I_sx u_E (and phi') to the basis.
 
     Valid only while the (u_x, u_E) Wronskian stays at its normalized value
-    1; drift beyond wronskian_tol signals an exceptional parameter point.
+    1; drift beyond 1e-6 signals an exceptional parameter point.
     """
     wron = basis.wronskian_ux_uE()
     drift = float(np.max(np.abs(wron - 1.0)))
-    if drift > max(wronskian_tol, 1e-6):
+    if drift > 1e-6:
         raise WronskianDegenerate(
             f"Wronskian of (u_x, u_E) drifted {drift:.3e} from 1")
     phi = basis.I_sE * basis.ux - basis.I_sx * basis.uE

@@ -66,8 +66,8 @@ def _parts(v):
 
 
 def adaptive_gauss_legendre(fn, a: float, b: float, rel_tol: float = 1e-13,
-                            n0: int = 16, n_max: int = 4096):
-    """Double nodes until the change drops below rel_tol at the natural scale.
+                            n_max: int = 4096):
+    """Double the nodes from 16 until the change meets rel_tol at the natural scale.
 
     fn maps the nodes to values whose last axis is the nodes; the result has
     the remaining shape (a scalar for a scalar integrand).  The scale of each
@@ -77,13 +77,13 @@ def adaptive_gauss_legendre(fn, a: float, b: float, rel_tol: float = 1e-13,
     real and imaginary parts of complex values each meet their own scale:
     a complex-step derivative is far smaller than the value it rides on.
     """
-    x, w = _nodes(n0)
+    x, w = _nodes(16)
     mid, half = 0.5 * (a + b), 0.5 * (b - a)
     vals = fn(mid + half * x)
     prev = half * np.dot(vals, w)
     scale_ref = half * np.dot(np.abs(_parts(vals)), w)
     diff, scale = np.inf, 1.0
-    n = 2 * n0
+    n = 32
     while n <= n_max:
         x, w = _nodes(n)
         cur = half * np.dot(fn(mid + half * x), w)

@@ -34,8 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (IntegrationFailure, NoContraction, PeriodMapSingular,
-                     ResidualExceeded)
+from .errors import IntegrationFailure, NoContraction, PeriodMapSingular
 from .integrate import _rk4_steps
 
 
@@ -47,7 +46,6 @@ class TrigInterp:
     """
 
     def __init__(self, period: float, samples: np.ndarray):
-        self.period = period
         self.n = len(samples)
         self.coeffs = np.fft.fft(np.asarray(samples, dtype=complex), axis=0) / self.n
         self.modes = np.rint(np.fft.fftfreq(self.n) * self.n).astype(int)
@@ -76,13 +74,13 @@ class BlockSystem:
     n2: int
     table: TrigInterp
 
-    def gap_margin(self, n_check: int = 64) -> float:
-        """min over x of [min spec Re M1 - max spec Re M2], the raw gap.
+    def gap_margin(self) -> float:
+        """min over 64 points of [min spec Re M1 - max spec Re M2], the raw gap.
 
         Reported, not assumed: the periodic-BVP solver only needs I - P
         invertible, so a negative gap is diagnostic rather than fatal.
         """
-        M1, M2, _, _ = _sample_blocks(self, n_check)
+        M1, M2, _, _ = _sample_blocks(self, 64)
         gap = (np.min(_hermitian_spectrum(M1[:-1]), axis=-1)
                - np.max(_hermitian_spectrum(M2[:-1]), axis=-1))
         return float(np.min(gap))
@@ -107,7 +105,6 @@ class BlockSystem:
 class Conjugator:
     """Periodic solution Phi of the conjugation equation, with certificates."""
 
-    system: BlockSystem
     grid: np.ndarray             # uniform, endpoint excluded
     samples: np.ndarray          # (n_grid, n2, n1)
     interp: TrigInterp
@@ -125,9 +122,9 @@ def _hermitian_spectrum(M: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh(0.5 * (M + M.conj().swapaxes(-1, -2)))
 
 
-def _growth_rate(system: BlockSystem, n_check: int = 32) -> float:
+def _growth_rate(system: BlockSystem) -> float:
     """Crude bound on the Sylvester flow's exponential rate, for shooting."""
-    M1, M2, _, _ = _sample_blocks(system, n_check)
+    M1, M2, _, _ = _sample_blocks(system, 32)
     return float(np.max(np.max(np.abs(_hermitian_spectrum(M1)), axis=-1)
                         + np.max(np.abs(_hermitian_spectrum(M2)), axis=-1)))
 
@@ -250,7 +247,7 @@ def _fixed_point(solver: _PeriodicRK4, system: BlockSystem, N: np.ndarray,
 
 def solve_conjugator(system: BlockSystem, max_iter: int = 60, fp_tol: float = 1e-12,
                      ode_rtol: float = 1e-12, ode_atol: float = 1e-13,
-                     n_grid: int = 256, n_seg: int = None) -> Conjugator:
+                     n_grid: int = 256) -> Conjugator:
     """Fixed-point iteration over linear periodic Sylvester problems.
 
     Each sweep solves Phi' = M2 Phi - Phi M1 + [delta*Theta - Phi_prev N
@@ -271,9 +268,7 @@ def solve_conjugator(system: BlockSystem, max_iter: int = 60, fp_tol: float = 1e
     sweep and of the coarse solve.
     """
     n1, n2, T = system.n1, system.n2, system.period
-    if n_seg is None:
-        n_seg = max(1, min(64, int(np.ceil(T * _growth_rate(system) / 2.0))))
-    n_seg = min(n_seg, n_grid)
+    n_seg = max(1, min(64, n_grid, int(np.ceil(T * _growth_rate(system) / 2.0))))
     edges = [round(i * n_grid / n_seg) for i in range(n_seg + 1)]
     grid = np.linspace(0.0, T, n_grid, endpoint=False)
     m = 1
@@ -307,7 +302,7 @@ def solve_conjugator(system: BlockSystem, max_iter: int = 60, fp_tol: float = 1e
     resid = float(np.max(np.abs(phi_interp.on_grid(n_grid, derivative=True) - rhs_val)))
     sup_phi = float(np.max(np.abs(samples)))
     ratios = tuple(b / a for a, b in zip(changes[:-1], changes[1:]) if a > 0)
-    return Conjugator(system=system, grid=grid, samples=samples, interp=phi_interp,
+    return Conjugator(grid=grid, samples=samples, interp=phi_interp,
                       norm_bound=sup_phi, residual=resid,
                       periodicity_defect=defect,
                       iterations=len(changes), contraction_ratios=ratios,
@@ -337,17 +332,13 @@ def triangularized_blocks(system: BlockSystem, conj: Conjugator) -> BlockSystem:
                                    system.n1, system.n2)
 
 
-def conjugation_residual(system: BlockSystem, conj: Conjugator,
-                         n_check: int = 64, tol: float = None) -> float:
-    """sup |S' + S A~ - A S| over a grid; raises if tol given and exceeded."""
+def conjugation_residual(system: BlockSystem, conj: Conjugator) -> float:
+    """sup |S' + S A~ - A S| over a uniform grid of 64 points."""
     n1 = system.n1
-    A = system.table.on_grid(n_check)
-    Phi = conj.interp.on_grid(n_check)
+    A = system.table.on_grid(64)
+    Phi = conj.interp.on_grid(64)
     S = np.broadcast_to(np.eye(n1 + system.n2, dtype=complex), A.shape).copy()
     S[:, n1:, :n1] = Phi
     Sp = np.zeros_like(A)
-    Sp[:, n1:, :n1] = conj.interp.on_grid(n_check, derivative=True)
-    sup = float(np.max(np.abs(Sp + S @ _triangular(A, Phi, n1) - A @ S)))
-    if tol is not None and sup > tol:
-        raise ResidualExceeded(f"conjugation residual {sup:.3e} exceeds {tol:g}")
-    return sup
+    Sp[:, n1:, :n1] = conj.interp.on_grid(64, derivative=True)
+    return float(np.max(np.abs(Sp + S @ _triangular(A, Phi, n1) - A @ S)))

@@ -28,7 +28,7 @@ from .model import (NonlinearitySpec, WaveParams, _poly_derivative, eval_V,
 from .quadrature import _parts, adaptive_gauss_legendre
 
 DEFAULT_QUAD_TOL = 1e-13
-DEFAULT_SIMPLICITY_TOL = 1e-8
+SIMPLICITY_TOL = 1e-8
 
 
 # ----------------------------------------------------------------------
@@ -68,8 +68,7 @@ def _real_roots(asc_coeffs: np.ndarray):
     return [s / n for s, n in merged]
 
 
-def find_turning_points(params: WaveParams, bracket_hint=None,
-                        simplicity_tol: float = DEFAULT_SIMPLICITY_TOL):
+def find_turning_points(params: WaveParams, bracket_hint=None):
     """Adjacent simple roots (u_-, u_+) of E = V with E - V > 0 between them.
 
     bracket_hint is an (lo, hi) interval singling out one well when the
@@ -93,7 +92,7 @@ def find_turning_points(params: WaveParams, bracket_hint=None,
             f"{len(wells)} disjoint wells admit periodic orbits; pass bracket_hint")
     u_minus, u_plus = wells[0]
     for u in (u_minus, u_plus):
-        if abs(eval_V(params, u, 1)) <= simplicity_tol * (1.0 + abs(u) + abs(params.E)):
+        if abs(eval_V(params, u, 1)) <= SIMPLICITY_TOL * (1.0 + abs(u) + abs(params.E)):
             raise DegenerateTurningPoint(
                 f"|V'({u:.6g})| = {abs(eval_V(params, u, 1)):.3e} below simplicity "
                 "tolerance (separatrix or equilibrium boundary)")
@@ -300,13 +299,7 @@ class _QuinticHermite:
     def _locate(self, x):
         xw = np.mod(np.asarray(x, dtype=float) - self.x0, self.period)
         idx = np.clip((xw / self.h).astype(int), 0, self.n - 1)
-        t = xw / self.h - idx
-        # guard against float fuzz at interval boundaries
-        bad = t > 1.0 + 1e-9
-        if np.any(bad):
-            idx = np.where(bad, np.minimum(idx + 1, self.n - 1), idx)
-            t = xw / self.h - idx
-        return idx, t
+        return idx, xw / self.h - idx
 
     def value(self, x):
         idx, t = self._locate(x)

@@ -150,7 +150,7 @@ def test_criterion_10_inverse_column(kdv_wmatrix, kdv_basis):
 
 def test_criterion_11_block_reduction(kdv_profile):
     rep = kp.verify_block_reduction(kdv_profile, 100.0, 0.5)
-    slope, _ = kp.lower_left_slope(kdv_profile, 0.5, (100.0, 800.0))
+    slope, _ = kp.lower_left_slope(kdv_profile, 0.5)
     ok = (rep.q_diag_error <= 1e-14
           and abs(rep.avg_A1x) <= 1e-10 and abs(rep.avg_A1A1x) <= 1e-10
           and abs(slope - 3.0) <= 0.6)

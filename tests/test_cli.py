@@ -64,8 +64,9 @@ def test_missing_key_exit_2(tmp_path):
 
 
 def test_unknown_key_exit_2(tmp_path):
-    cfg = write_config(tmp_path, bogus=1)
-    assert run(["profile", "--config", cfg, "--out", str(tmp_path)]) == 2
+    for overrides in ({"bogus": 1}, {"tolerances": {"simplicity_tol": 1e-8}}):
+        cfg = write_config(tmp_path, **overrides)
+        assert run(["profile", "--config", cfg, "--out", str(tmp_path)]) == 2
 
 
 def test_separatrix_exit_3(tmp_path):

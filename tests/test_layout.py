@@ -1,10 +1,12 @@
 """Layout guards: the package solves no ODE adaptively, evaluates polynomials
-one way, and the tests stay independent of the benchmark."""
+one way, reads every tolerance key it accepts, and the tests stay
+independent of the benchmark."""
 
 import ast
 from pathlib import Path
 
 import kpevans
+from kpevans import cli
 
 SRC = Path(kpevans.__file__).resolve().parent
 TESTS = Path(__file__).resolve().parent
@@ -43,6 +45,14 @@ def test_one_polynomial_evaluator():
                 if module == "numpy":
                     names = {alias.name for alias in node.names}
                     assert not names & (banned | {"polynomial"}), path.name
+
+
+def test_cli_reads_every_tolerance_key():
+    """The keys cli accepts under "tolerances" are the keys it passes to cfg.tol."""
+    read = {node.args[0].value for node in nodes(SRC / "cli.py", ast.Call)
+            if isinstance(node.func, ast.Attribute) and node.func.attr == "tol"
+            and isinstance(node.args[0], ast.Constant)}
+    assert read == cli._TOL_KEYS
 
 
 def test_tests_do_not_import_perfbench():

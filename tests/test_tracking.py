@@ -140,8 +140,7 @@ def test_reduced_evans_system_feed(kdv_profile):
     share M1), but the periodic closure is still unique; Phi comes out at
     the eps^{3/2} scale of the coupling, certifying the reduction step.
     """
-    rep = kp.verify_block_reduction(kdv_profile, 100.0, 0.5,
-                                    raise_on_violation=False)
+    rep = kp.verify_block_reduction(kdv_profile, 100.0, 0.5)
     T_t = rep.grid_tilde[-1]
     system = kp.BlockSystem.from_tables(T_t, rep.grid_tilde, rep.system_tilde,
                                         n1=3, n2=1)
@@ -172,10 +171,3 @@ def test_reduced_evans_system_feed(kdv_profile):
         ref = np.array(rec + [y_end])
         worst = max(worst, float(np.max(np.abs(ref - conj.samples[np.arange(j + 1, j + 17) % 384]))))
     assert worst <= 1e-9
-
-
-def test_residual_exceeded_raises():
-    from kpevans.errors import ResidualExceeded
-    conj = kp.solve_conjugator(constant_system(0.1), fp_tol=1e-14)
-    with pytest.raises(ResidualExceeded):
-        kp.conjugation_residual(constant_system(0.1), conj, tol=1e-30)
