@@ -259,7 +259,7 @@ def cmd_verify(cfg: ProblemConfig, out: Path, tol_scale: float = 1.0) -> int:
               1e-12 * tol_scale)
     jac = conserved.jacobian_TM(params, grads)
 
-    basis = kernel.phi_solution(profile, kernel.variational_solutions(profile, quad_tol))
+    basis = kernel.phi_solution(kernel.variational_solutions(profile, quad_tol))
     residuals = kernel.kernel_residuals(basis)
     for name in ("ux", "uE", "ua", "phi"):
         check(f"kernel residual L[u]{name}", residuals[name], kernel_tol)

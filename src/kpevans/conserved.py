@@ -138,9 +138,9 @@ def gradient_identity_residual(params: WaveParams, grads: GradientSet) -> float:
     return float(np.max(np.abs(vec)) / max(scale, 1e-300))
 
 
-def jacobian_TM(params: WaveParams, grads: GradientSet = None, **kw) -> float:
+def jacobian_TM(params: WaveParams, grads: GradientSet = None) -> float:
     """{T, M}_{a,E} = T_a M_E - T_E M_a from the complex-step gradients."""
-    g = grads or gradients(params, **kw)
+    g = grads or gradients(params)
     return float(g.dT[0] * g.dM[1] - g.dT[1] * g.dM[0])
 
 

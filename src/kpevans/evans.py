@@ -19,14 +19,18 @@ monodromy M(mu, k) = Phi(T) is stored as a normalized matrix plus a real
 log of the factored-out scale.  It is a product of classical RK4 step
 propagators aligned with the profile's quintic-Hermite grid (m substeps per
 grid interval, so H is polynomial inside every step), built and multiplied
-as numpy stacks.  The map with 2m substeps is returned with the Richardson
-estimate err_est of its error, and m doubles until err_est meets the bound
-that ode_tol sets (see monodromy).  The Evans function is
+as numpy stacks from one table of H over the period, read straight off the
+interpolant's coefficients.  One map is built per substep count: the map
+with 2m substeps is returned with the Richardson estimate err_est of its
+error against the map with m, and m doubles, each retry reusing the last
+fine map as its coarse one, until err_est meets the bound that ode_tol sets
+(see monodromy).  The Evans function is
 
     D(mu, k, lambda) = det(M(mu, k) - lambda I),
 
 evaluated through a complete-pivot LU so the sign survives near zeros even
-when the scale bookkeeping is large.
+when the scale bookkeeping is large.  evans_scan brackets the sign changes
+of Re D on a real mu grid and refines each by Illinois regula falsi.
 """
 
 from __future__ import annotations
@@ -178,30 +182,59 @@ def _ordered_product(P: np.ndarray) -> np.ndarray:
     return P[0]
 
 
-def _segment_maps(profile: WaveProfile, lo: int, hi: int, mu, sigma_k2: float,
-                  m: int, dtype):
-    """Maps over grid intervals [lo, hi) with m and with 2m RK4 substeps each.
+def _base_table(profile: WaveProfile, m: int):
+    """_base_coefficients at x0 + (i + j / 2m) h for every grid interval i
+    and 0 <= j < 2m, then at x0 + T, the periodic image of x0.
 
-    Both come from one sampling of H at the quarter steps of the coarse map,
-    which are the half steps of the fine one.
+    Elementwise Horner at t = j / 2m straight from the interpolant's quintic
+    coefficients: the half steps of m RK4 substeps per interval.
     """
     ip = profile._interp
-    base = _base_coefficients(profile.params)
-    h = ip.h / (2 * m)                  # fine step
-    x_lo = ip.x0 + lo * ip.h
-    coarse = fine = np.eye(4, dtype=dtype)
-    for s0 in range(0, (hi - lo) * 2 * m, _CHUNK):
-        s1 = min(s0 + _CHUNK, (hi - lo) * 2 * m)
-        x = x_lo + np.arange(2 * s0, 2 * s1 + 1) * (0.5 * h)
-        b41, b42, b43 = base(ip.value(x), ip.derivative(x))
-        A = np.empty((len(x), 4, 4), dtype=dtype)
-        A[:] = _SHIFT
-        A[:, 3, 0] = b41 - sigma_k2
-        A[:, 3, 1] = b42 - mu
-        A[:, 3, 2] = b43
-        fine = _ordered_product(_rk4_steps(A, h)) @ fine
-        coarse = _ordered_product(_rk4_steps(A[::2], 2.0 * h)) @ coarse
-    return coarse, fine
+    # column i holds interval i's coefficients, column n interval 0's again
+    c = np.vstack([ip.coeffs, ip.coeffs[:1]]).T.copy()
+    t = (np.arange(2 * m) / (2 * m))[:, None]
+    u, du = c[5] * t + c[4], 5.0 * c[5] * t + 4.0 * c[4]
+    for j in range(3, 0, -1):
+        u = u * t + c[j]
+        du = du * t + j * c[j]
+    u = u * t + c[0]
+    du /= ip.h
+    # point i * 2m + j sits at row j, column i; x0 + T at row 0, column n
+    return tuple(b.T.ravel()[:1 - 2 * m]
+                 for b in _base_coefficients(profile.params)(u, du))
+
+
+def _period_map(profile: WaveProfile, edges, mu, sigma_k2: float, m: int, dtype):
+    """One normalized period map with m RK4 substeps per grid interval.
+
+    Returns (matrix, log_scale, segment maps), segment i mapping grid node
+    edges[i] to edges[i + 1]; H comes from one _base_table of the period.
+    """
+    b41, b42, b43 = _base_table(profile, m)
+    b41, b42 = b41 - sigma_k2, b42 - mu
+    h = profile._interp.h / m
+    P = np.eye(4, dtype=dtype)
+    log_scale = 0.0
+    segments = []
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        seg = np.eye(4, dtype=dtype)
+        for s0 in range(2 * m * lo, 2 * m * hi, 2 * _CHUNK):
+            s1 = min(s0 + 2 * _CHUNK, 2 * m * hi) + 1
+            A = np.empty((s1 - s0, 4, 4), dtype=dtype)
+            A[:] = _SHIFT
+            A[:, 3, 0] = b41[s0:s1]
+            A[:, 3, 1] = b42[s0:s1]
+            A[:, 3, 2] = b43[s0:s1]
+            seg = _ordered_product(_rk4_steps(A, h)) @ seg
+        segments.append(seg)
+        P = seg @ P
+        s = float(np.max(np.abs(P)))
+        if not np.isfinite(s) or s == 0.0:
+            raise ScaleOverflow(f"segment map degenerate on grid intervals "
+                                f"[{lo}, {hi})")
+        P = P / s
+        log_scale += math.log(s)
+    return P, log_scale, segments
 
 
 def monodromy(profile: WaveProfile, mu, k: float,
@@ -215,11 +248,12 @@ def monodromy(profile: WaveProfile, mu, k: float,
     at grid nodes into ceil(|mu|^{1/3} T / 5) segments; after each segment
     the running product is normalized by its max entry with the log
     accumulated, which keeps every factor well conditioned for |mu| into the
-    hundreds, and log_det sums the logs of the segment determinants.
+    hundreds, and log_det sums the logs of the returned map's segment
+    determinants.
 
-    Error certificate: the map is computed with m and with 2m substeps, and
-    the 2m map is returned with the Richardson estimate of its error
-    relative to its largest entry,
+    Error certificate: one map is built with m and one with 2m substeps per
+    interval, and the 2m map is returned with the Richardson estimate of its
+    error relative to its largest entry,
 
         err_est = max |M_2m - M_m| / (15 max |M_2m|).
 
@@ -227,9 +261,11 @@ def monodromy(profile: WaveProfile, mu, k: float,
 
         err_est <= 1e3 * ode_tol * (1 + |mu|);
 
-    if the budget of 2^16 steps per map runs out first, IntegrationFailure
-    is raised, so an uncertified map is never returned.  steps counts every
-    RK4 step taken, both maps of each attempt included.
+    on a miss the 2m map becomes the next attempt's coarse map, so each
+    retry builds one map.  If the budget of 2^16 steps per map runs out
+    first, IntegrationFailure is raised, so an uncertified map is never
+    returned.  steps counts every RK4 step of every map built, m n for a
+    map with m substeps on the n grid intervals.
     """
     mu_c = complex(mu)
     real_mode = mu_c.imag == 0.0
@@ -246,34 +282,28 @@ def monodromy(profile: WaveProfile, mu, k: float,
     target = bound / (1.0 + abs(mu_c)) ** 1.5
     m = max(1, math.ceil(0.5 * profile._interp.h / target ** 0.25))
     steps = 0
+    coarse = None
     while True:
         if 2 * m * n > _MAX_STEPS:
             raise IntegrationFailure(
                 f"RK4 step budget {_MAX_STEPS} exhausted before the Richardson "
                 f"estimate met {bound:.3g} (mu={mu_c:.6g}, k={k:.6g})")
-        P = Pc = np.eye(4, dtype=dtype)
-        log_scale = log_scale_c = 0.0
-        log_det = 0.0 + 0.0j
-        for lo, hi in zip(edges[:-1], edges[1:]):
-            seg_c, seg = _segment_maps(profile, lo, hi, mu_val, sigma_k2, m, dtype)
-            P, Pc = seg @ P, seg_c @ Pc
-            s, sc = float(np.max(np.abs(P))), float(np.max(np.abs(Pc)))
-            if not np.isfinite(s) or s == 0.0:
-                raise ScaleOverflow(f"segment map degenerate on grid intervals "
-                                    f"[{lo}, {hi})")
-            # segment determinant (theoretically 1) while it is well conditioned
-            log_det += complex(np.log(complex(det_complete_pivot(seg))))
-            P, Pc = P / s, Pc / sc
-            log_scale += math.log(s)
-            log_scale_c += math.log(sc)
-        steps += 3 * m * n
+        if coarse is None:
+            coarse = _period_map(profile, edges, mu_val, sigma_k2, m, dtype)
+            steps += m * n
+        fine = _period_map(profile, edges, mu_val, sigma_k2, 2 * m, dtype)
+        steps += 2 * m * n
+        (P, log_scale, segments), (Pc, log_scale_c, _) = fine, coarse
         drift = log_scale_c - log_scale
         err_est = math.inf if abs(drift) > _LOG_MAX else \
             float(np.max(np.abs(P - math.exp(drift) * Pc))) / 15.0
         if err_est <= bound:
+            # segment determinants (theoretically 1) while well conditioned
+            log_det = sum((complex(np.log(complex(det_complete_pivot(seg))))
+                           for seg in segments), 0j)
             return Monodromy(matrix=P, log_scale=log_scale, log_det=log_det,
                              mu=mu_c, k=k, err_est=err_est, steps=steps)
-        m *= 2
+        coarse, m = fine, 2 * m
 
 
 @dataclass(frozen=True)
@@ -383,10 +413,56 @@ class ScanReport:
                          f"{s.log_factor:.17e},{s.sign}\n")
 
 
+def _refine(sample, s0: EvansSample, s1: EvansSample, tol: float) -> RefinedRoot:
+    """Illinois refinement of the sign change of Re D between s0 and s1.
+
+    Regula falsi on the signed value Re D e^{log_factor - L}, with L fixed
+    for the bracket and the Illinois halving of an end value kept twice
+    running (Dowell & Jarratt, BIT 11, 1971).  Each point is clamped tol/2
+    inside the bracket, so a side that has converged closes it in one step.
+    An in-noise read (sign 0) moves lo, as a bisection would, with the value
+    0: the next point probes lo + tol/2, which closes the bracket if the
+    read sat on the root.  The point is the midpoint instead when the secant
+    point is not finite, after a second in-noise read in a row (a flat
+    stretch), and when the last three evaluations did not halve the
+    bracket; the last rule bounds the evaluations by
+    4 ceil(log2((s1.mu - s0.mu) / tol)).  Stops once hi - lo <= tol.
+    """
+    L = max(s0.log_factor, s1.log_factor)
+
+    def signed(s):
+        return s.re * math.exp(min(s.log_factor - L, _LOG_MAX))
+
+    lo, hi, f_lo, f_hi = s0.mu, s1.mu, signed(s0), signed(s1)
+    widths, kept = [hi - lo], 0
+    while hi - lo > tol:
+        x = hi - f_hi * (hi - lo) / (f_hi - f_lo) if f_hi != f_lo else math.nan
+        if not math.isfinite(x) or (len(widths) > 3 and hi - lo > 0.5 * widths[-4]):
+            x = 0.5 * (lo + hi)
+        x = min(max(x, lo + 0.5 * tol), hi - 0.5 * tol)
+        s = sample(x)
+        if s.sign == s1.sign:
+            hi, f_hi = x, signed(s)
+            if kept == -1:
+                f_lo *= 0.5
+            kept = -1
+        else:
+            lo, f_lo = x, signed(s) if s.sign else (math.nan if f_lo == 0.0 else 0.0)
+            if kept == 1:
+                f_hi *= 0.5
+            kept = 1
+        widths.append(hi - lo)
+    return RefinedRoot(mu_lo=lo, mu_hi=hi, mu_star=0.5 * (lo + hi))
+
+
 def evans_scan(profile: WaveProfile, mu_grid, k: float, lam=1.0,
                ode_tol: float = DEFAULT_ODE_TOL,
                refine_tol: float = 1e-6) -> ScanReport:
-    """Evaluate D along a real mu grid, bracket sign changes, bisect roots.
+    """Evaluate D along a real mu grid, bracket sign changes, refine roots.
+
+    Each sign change of Re D between neighbouring grid points (both read
+    above the noise floor) is refined by _refine, Illinois regula falsi
+    with a bisection safeguard, to a bracket at most refine_tol wide.
 
     For real mu and lambda the system has real coefficients, so the scan
     runs entirely in real arithmetic; a nonzero imaginary part can only
@@ -397,34 +473,17 @@ def evans_scan(profile: WaveProfile, mu_grid, k: float, lam=1.0,
         raise ValueError("mu_grid must be strictly increasing")
     lam_c = complex(lam)
 
-    def eval_point(mu: float) -> EvansValue:
+    def sample(mu: float) -> EvansSample:
         ev = evans(profile, mu, k, lam_c.real if lam_c.imag == 0 else lam_c,
                    ode_tol=ode_tol)
         m = complex(ev.mantissa)
         if abs(m.imag) > 1e-9 * max(abs(m), 1e-300):
             raise NonRealEvans(
                 f"Im D = {m.imag:.3e} at mu={mu:.6g} on real data")
-        return ev
+        return EvansSample(mu=mu, re=m.real, im=m.imag,
+                           log_factor=ev.log_factor, sign=ev.sign())
 
-    samples = []
-    for mu in mu_grid:
-        ev = eval_point(mu)
-        m = complex(ev.mantissa)
-        samples.append(EvansSample(mu=mu, re=m.real, im=m.imag,
-                                   log_factor=ev.log_factor,
-                                   sign=ev.sign()))
-
-    roots = []
-    for s0, s1 in zip(samples, samples[1:]):
-        if s0.sign != 0 and s1.sign != 0 and s0.sign != s1.sign:
-            lo, hi = s0.mu, s1.mu
-            sign_lo = s0.sign
-            while hi - lo > refine_tol:
-                mid = 0.5 * (lo + hi)
-                s_mid = eval_point(mid).sign()
-                if s_mid == 0 or s_mid == sign_lo:
-                    lo = mid
-                else:
-                    hi = mid
-            roots.append(RefinedRoot(mu_lo=lo, mu_hi=hi, mu_star=0.5 * (lo + hi)))
+    samples = [sample(mu) for mu in mu_grid]
+    roots = [_refine(sample, s0, s1, refine_tol)
+             for s0, s1 in zip(samples, samples[1:]) if s0.sign * s1.sign < 0]
     return ScanReport(k=k, lam=lam_c, samples=tuple(samples), roots=tuple(roots))

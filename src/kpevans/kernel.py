@@ -155,7 +155,7 @@ def variational_solutions(profile: WaveProfile,
         II_E=x * I_E - I_sE)    # int_0^x int_0^s u_E, by parts
 
 
-def phi_solution(profile: WaveProfile, basis: KernelBasis) -> KernelBasis:
+def phi_solution(basis: KernelBasis) -> KernelBasis:
     """Attach phi = I_sE u_x - I_sx u_E (and phi') to the basis.
 
     Valid only while the (u_x, u_E) Wronskian stays at its normalized value
@@ -201,7 +201,7 @@ class WMatrix:
 def build_W(profile: WaveProfile, basis: KernelBasis) -> WMatrix:
     """Assemble W on the grid; derivatives of order 2, 3 from the ODEs."""
     if basis.phi is None:
-        basis = phi_solution(profile, basis)
+        basis = phi_solution(basis)
     n = len(basis.grid)
     W = np.empty((n, 4, 4))
     for j, name in enumerate(_COLUMNS):

@@ -34,7 +34,7 @@ def kdv_profile(kdv_params):
 
 @pytest.fixture(scope="session")
 def kdv_basis(kdv_profile):
-    return kp.phi_solution(kdv_profile, kp.variational_solutions(kdv_profile))
+    return kp.phi_solution(kp.variational_solutions(kdv_profile))
 
 
 @pytest.fixture(scope="session")

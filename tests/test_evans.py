@@ -1,5 +1,6 @@
 """Monodromy and periodic Evans function."""
 
+import math
 import sys
 import time
 
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 
 import kpevans as kp
-from kpevans.evans import det_complete_pivot
+from kpevans.evans import EvansValue, det_complete_pivot
 
 from dp5 import integrate
 
@@ -247,3 +248,155 @@ def test_single_coefficient_source(kdv_profile, monkeypatch):
     assert np.array_equal(H_0, H_k)
     assert np.max(np.abs(mono_0.full() - mono_k.full())) \
         <= 1e-12 * np.max(np.abs(mono_k.full()))
+
+
+@pytest.mark.parametrize("wave", ["kdv_profile", "dnoidal_profile",
+                                  "cnoidal_mkdv_profile"])
+@pytest.mark.parametrize("m", [1, 3])
+def test_base_table_is_grid_exact(request, wave, m):
+    """The engine's H table is _base_coefficients of the interpolant's u, u_x
+    at x0 + (i + j / 2m) h, ending on the periodic image of x0."""
+    profile = request.getfixturevalue(wave)
+    ev = sys.modules["kpevans.evans"]
+    ip = profile._interp
+    t = (np.arange(ip.n)[:, None] + np.arange(2 * m) / (2 * m)).ravel()
+    x = ip.x0 + np.append(t, ip.n) * ip.h
+    table = ev._base_table(profile, m)
+    reference = ev._base_coefficients(profile.params)(profile.u(x), profile.ux(x))
+    for got, want in zip(table, reference):
+        assert got.shape == x.shape and got[-1] == got[0]
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+# ----------------------------------------------------------------------
+# root refinement and work counters
+# ----------------------------------------------------------------------
+
+DOC_GRID = list(np.geomspace(1e-3, 60.0, 40))   # the scan README documents
+DOC_K = 0.1
+REFINE_TOL = 1e-6
+SYNTH_ROOT = 0.3141592653589793
+
+
+def refine_bound(lo, hi, tol=REFINE_TOL):
+    """The refinement's stated bound: a halving of the bracket every four
+    evaluations at worst."""
+    return 4 * math.ceil(math.log2((hi - lo) / tol))
+
+
+def scan_synthetic(monkeypatch, d_of_mu, grid):
+    """evans_scan with D replaced by d_of_mu: (report, refinement evaluations)."""
+    calls = []
+
+    def fake_evans(profile, mu, k, lam=1.0, ode_tol=None):
+        calls.append(mu)
+        return d_of_mu(mu)
+
+    monkeypatch.setattr(sys.modules["kpevans.evans"], "evans", fake_evans)
+    rep = kp.evans_scan(None, grid, DOC_K, refine_tol=REFINE_TOL)
+    return rep, len(calls) - len(grid)
+
+
+def skewed(mu):
+    """D = expm1(6 (mu - r)) e^{4 mu}: convex across the root, with a
+    log_factor that varies over the bracket."""
+    return EvansValue(mantissa=math.expm1(6.0 * (mu - SYNTH_ROOT)),
+                      log_factor=4.0 * mu, noise=1e-20)
+
+
+# (bracket, refinement evaluations measured; plain bisection takes 20, 22, 19)
+SKEWED_CASES = [([0.05, 1.0], 15), ([0.3141, 3.0], 24), ([0.01, 0.31416], 2)]
+
+
+@pytest.mark.parametrize("grid, measured", SKEWED_CASES)
+def test_illinois_on_skewed_function(monkeypatch, grid, measured):
+    rep, evals = scan_synthetic(monkeypatch, skewed, grid)
+    (root,) = rep.roots
+    assert root.width <= REFINE_TOL and root.mu_lo <= SYNTH_ROOT <= root.mu_hi
+    assert evals <= min(measured, refine_bound(*grid))
+
+
+def test_illinois_read_on_root_closes_bracket(monkeypatch):
+    """Linear D: the first secant point is the root and reads in the noise;
+    the probe tol/2 above it closes the bracket."""
+    def linear(mu):
+        return EvansValue(mantissa=mu - SYNTH_ROOT, log_factor=0.0, noise=1e-20)
+
+    rep, evals = scan_synthetic(monkeypatch, linear, [0.05, 1.0])
+    (root,) = rep.roots
+    assert root.width <= REFINE_TOL and root.mu_lo <= SYNTH_ROOT <= root.mu_hi
+    assert evals == 2
+
+
+def test_illinois_flat_noise_segment(monkeypatch):
+    """D reads 0 (in the noise) on [r - w, r + w].  Each sign-0 read moves
+    lo, so the bracket closes on the stretch's upper edge."""
+    w = 1e-3
+
+    def flat(mu):
+        d = mu - SYNTH_ROOT
+        return EvansValue(mantissa=0.0 if abs(d) < w else d, log_factor=0.0,
+                          noise=1e-12)
+
+    for grid in ([0.05, 1.0], [0.29, 0.3152]):
+        rep, evals = scan_synthetic(monkeypatch, flat, grid)
+        (root,) = rep.roots
+        assert root.width <= REFINE_TOL
+        assert root.mu_lo < SYNTH_ROOT + w <= root.mu_hi
+        assert flat(root.mu_lo).sign() == 0 and flat(root.mu_hi).sign() == 1
+        # measured: 28 and 19, against bounds of 80 and 60
+        assert evals <= refine_bound(*grid)
+
+
+@pytest.fixture(scope="module")
+def documented_scans(kdv_profile, dnoidal_profile, cnoidal_mkdv_profile):
+    """(profile, report, refinement evaluations) of the documented scan on
+    each canonical wave."""
+    ev = sys.modules["kpevans.evans"]
+    out = []
+    for profile in (kdv_profile, dnoidal_profile, cnoidal_mkdv_profile):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[1])
+            return kp.evans(*args, **kwargs)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ev, "evans", counted)
+            rep = kp.evans_scan(profile, DOC_GRID, DOC_K)
+        out.append((profile, rep, len(calls) - len(DOC_GRID)))
+    return out
+
+
+def bisect(profile, s0, s1, tol=REFINE_TOL):
+    """Plain bisection of a grid bracket: the reference refinement."""
+    lo, hi = s0.mu, s1.mu
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        s_mid = kp.evans(profile, mid, DOC_K).sign()
+        if s_mid == 0 or s_mid == s0.sign:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def test_scan_roots_match_bisection(documented_scans):
+    for profile, rep, _ in documented_scans:
+        brackets = [(s0, s1) for s0, s1 in zip(rep.samples, rep.samples[1:])
+                    if s0.sign * s1.sign < 0]
+        assert len(brackets) == len(rep.roots) == 1
+        for (s0, s1), root in zip(brackets, rep.roots):
+            assert root.width <= REFINE_TOL
+            assert abs(root.mu_star - bisect(profile, s0, s1)) <= REFINE_TOL
+
+
+def test_work_counters(kdv_profile, cnoidal_mkdv_profile, documented_scans):
+    """Work, not time.  The cnoidal wave misses the first (m, 2m) = (1, 2)
+    pair at small mu and retries with the 4-substep map alone: 3n + 4n
+    steps.  The KdV wave meets the bound with the first pair: 3n."""
+    n = cnoidal_mkdv_profile._interp.n
+    assert kp.monodromy(cnoidal_mkdv_profile, 1e-3, DOC_K).steps == 7 * n
+    assert kp.monodromy(kdv_profile, 1e-3, DOC_K).steps == 3 * kdv_profile._interp.n
+    # measured: 5 + 5 + 7; plain bisection took 14 + 15 + 18
+    assert sum(evals for _, _, evals in documented_scans) <= 24
