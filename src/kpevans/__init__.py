@@ -27,14 +27,14 @@ from .model import NonlinearitySpec, WaveParams, eval_V, eval_f
 from .tracking import (BlockSystem, Conjugator, conjugation_residual,
                        solve_conjugator, triangularized_blocks)
 from .wave import (WaveProfile, cnoidal_wave, compute_period,
-                   find_turning_points, integrate_profile, phase_align)
+                   find_turning_points, integrate_profile)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "NonlinearitySpec", "WaveParams", "eval_f", "eval_V",
     "WaveProfile", "find_turning_points", "compute_period",
-    "integrate_profile", "cnoidal_wave", "phase_align",
+    "integrate_profile", "cnoidal_wave",
     "EllipticModulus", "jacobi_elliptic", "complete_K", "complete_E",
     "InvariantSet", "GradientSet", "compute_invariants", "profile_invariants",
     "gradients", "gradient_identity_residual", "jacobian_TM",

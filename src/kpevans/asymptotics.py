@@ -304,8 +304,7 @@ class LowFreqReport:
 def low_freq_coefficient(profile: WaveProfile, k_ladder=DEFAULT_K_LADDER,
                          ode_tol: float = DEFAULT_ODE_TOL,
                          quad_tol: float = DEFAULT_QUAD_TOL,
-                         grads: conserved.GradientSet = None,
-                         bracket_hint=None) -> LowFreqReport:
+                         grads: conserved.GradientSet = None) -> LowFreqReport:
     """Fit D(0, k, 1) = c4 k^4 + c6 k^6 and compare c4 with the prediction.
 
     Predicted c4 = -(P T - M^2) {T, M}_{a,E}; the dispersion sign enters
@@ -331,8 +330,7 @@ def low_freq_coefficient(profile: WaveProfile, k_ladder=DEFAULT_K_LADDER,
     params = profile.params
     tps = (profile.u_minus, profile.u_plus)
     inv = conserved.compute_invariants(params, turning_points=tps, quad_tol=quad_tol)
-    g = grads or conserved.gradients(params, quad_tol=quad_tol,
-                                     bracket_hint=bracket_hint or tps)
+    g = grads or conserved.gradients(params, quad_tol=quad_tol, bracket_hint=tps)
     jac = conserved.jacobian_TM(params, g)
     predicted = -(inv.P * inv.T - inv.M ** 2) * jac
     rel = abs(coef[0] - predicted) / abs(predicted)

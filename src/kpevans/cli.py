@@ -49,7 +49,40 @@ class ProblemConfig:
     samples_per_period: int
 
     def tol(self, name: str, default: float) -> float:
-        return float(self.tolerances.get(name, default))
+        return self.tolerances.get(name, default)
+
+
+def _number(value, key: str, kind):
+    try:
+        return kind(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{key} must be a number, got {value!r}") from None
+
+
+def _numbers(values, key: str, at_least: int) -> list:
+    if not isinstance(values, list) or len(values) < at_least:
+        raise ConfigError(f"{key} must be a list of at least {at_least} numbers, "
+                          f"got {values!r}")
+    return [_number(v, key, float) for v in values]
+
+
+def _mu_grid_from_spec(spec) -> list:
+    """The scan's mu grid, which must increase strictly."""
+    kind = spec.get("kind") if isinstance(spec, dict) else None
+    keys = {"values"} if kind == "list" else {"start", "stop", "n"}
+    if kind not in ("list", "geometric", "linear") or keys - set(spec):
+        raise ConfigError("mu_grid needs the kind 'list' with 'values', or 'geometric' "
+                          f"or 'linear' with 'start', 'stop' and 'n'; got {spec!r}")
+    if kind == "list":
+        grid = _numbers(spec["values"], "scan.mu_grid.values", 1)
+    else:
+        space = np.geomspace if kind == "geometric" else np.linspace
+        grid = list(space(_number(spec["start"], "scan.mu_grid.start", float),
+                          _number(spec["stop"], "scan.mu_grid.stop", float),
+                          _number(spec["n"], "scan.mu_grid.n", int)))
+    if any(m2 <= m1 for m1, m2 in zip(grid, grid[1:])):
+        raise ConfigError("scan.mu_grid must be strictly increasing")
+    return grid
 
 
 def load_config(path) -> ProblemConfig:
@@ -69,23 +102,31 @@ def load_config(path) -> ProblemConfig:
     sigma = raw.get("sigma", 1)
     if sigma not in (-1, 1):
         raise ConfigError(f"sigma must be +1 or -1, got {sigma!r}")
-    try:
-        params = WaveParams(float(raw["a"]), float(raw["E"]), float(raw["c"]),
-                            nl, int(sigma))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad parameter value: {exc}")
+    params = WaveParams(*(_number(raw[key], key, float) for key in ("a", "E", "c")),
+                        nl, int(sigma))
     tols = raw.get("tolerances", {})
     if not isinstance(tols, dict) or set(tols) - _TOL_KEYS:
         raise ConfigError(f"tolerances must use keys from {sorted(_TOL_KEYS)}")
+    tols = {k: _number(v, f"tolerances.{k}", float) for k, v in tols.items()}
     scan = raw.get("scan", {})
     if not isinstance(scan, dict) or set(scan) - _SCAN_KEYS:
         raise ConfigError(f"scan block must use keys from {sorted(_SCAN_KEYS)}")
+    if "mu_grid" in scan:
+        scan["mu_grid"] = _mu_grid_from_spec(scan["mu_grid"])
+    if "k" in scan:
+        scan["k"] = _numbers(scan["k"], "scan.k", 1)
+    lf = scan.get("low_freq", {})
+    if isinstance(lf, dict) and "k_ladder" in lf:   # the k^4, k^6 fit needs four
+        scan["low_freq"] = dict(lf, k_ladder=_numbers(lf["k_ladder"],
+                                                      "scan.low_freq.k_ladder", 4))
     hint = raw.get("bracket_hint")
     if hint is not None:
         if not (isinstance(hint, (list, tuple)) and len(hint) == 2):
             raise ConfigError("bracket_hint must be a [lo, hi] pair")
-        hint = (float(hint[0]), float(hint[1]))
-    spp = int(raw.get("samples_per_period", 1024))
+        hint = tuple(_number(v, "bracket_hint", float) for v in hint)
+    spp = _number(raw.get("samples_per_period", 1024), "samples_per_period", int)
+    if spp < 64:
+        raise ConfigError(f"samples_per_period must be at least 64, got {spp}")
     return ProblemConfig(params=params, bracket_hint=hint, tolerances=tols,
                          scan=scan, samples_per_period=spp)
 
@@ -159,21 +200,6 @@ def cmd_index(cfg: ProblemConfig, out: Path) -> int:
     return EXIT_OK
 
 
-def _mu_grid_from_spec(spec: dict):
-    if not isinstance(spec, dict) or "kind" not in spec:
-        raise ConfigError("mu_grid must be an object with a 'kind'")
-    kind = spec["kind"]
-    if kind == "list":
-        return [float(v) for v in spec["values"]]
-    if kind == "geometric":
-        return list(np.geomspace(float(spec["start"]), float(spec["stop"]),
-                                 int(spec["n"])))
-    if kind == "linear":
-        return list(np.linspace(float(spec["start"]), float(spec["stop"]),
-                                int(spec["n"])))
-    raise ConfigError(f"unknown mu_grid kind {kind!r}")
-
-
 def cmd_scan(cfg: ProblemConfig, out: Path) -> int:
     if not cfg.scan:
         raise ConfigError("scan command requires a 'scan' block in the config")
@@ -183,7 +209,7 @@ def cmd_scan(cfg: ProblemConfig, out: Path) -> int:
     consolidated = {}
 
     if "mu_grid" in cfg.scan:
-        mu_grid = _mu_grid_from_spec(cfg.scan["mu_grid"])
+        mu_grid = cfg.scan["mu_grid"]
         lam = float(cfg.scan.get("lambda", 1.0))
         scans_json = []
         for k in cfg.scan.get("k", [0.1]):
@@ -214,8 +240,7 @@ def cmd_scan(cfg: ProblemConfig, out: Path) -> int:
                                                 asymptotics.DEFAULT_K_LADDER))
         report = asymptotics.low_freq_coefficient(
             profile, ladder, ode_tol=ode_tol,
-            quad_tol=cfg.tol("quad_tol", wave.DEFAULT_QUAD_TOL),
-            bracket_hint=cfg.bracket_hint)
+            quad_tol=cfg.tol("quad_tol", wave.DEFAULT_QUAD_TOL))
         with open(out / "low_freq.csv", "w", newline="\n") as fh:
             fh.write("k,D\n")
             for k, d in zip(report.k_samples, report.d_values):

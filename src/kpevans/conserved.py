@@ -109,7 +109,7 @@ def gradients(params: WaveParams, quad_tol: float = DEFAULT_QUAD_TOL,
     rows = np.tile(p + 0j, (3, 1))   # rows a, E, c: dp/da = u, dp/dE = 1, dp/dc = u^2/2
     rows[(0, 1, 2), (1, 0, 2)] += 1j * CS_STEP * np.array([1.0, 1.0, 0.5])
     roots = _newton_roots(rows, (u_minus, u_plus))
-    at = _well_nodes(rows[:, ::-1], roots[:, 0], roots[:, 1])
+    at = _well_nodes(rows, roots[:, 0], roots[:, 1])
     p_cols, F = rows.T[..., np.newaxis], params.nonlinearity.F_coeffs
 
     def integrand(theta):

@@ -17,10 +17,10 @@ monodromy engine alike.
 H is trace free, so the fundamental matrix has constant determinant; the
 monodromy M(mu, k) = Phi(T) is stored as a normalized matrix plus a real
 log of the factored-out scale.  It is a product of classical RK4 step
-propagators aligned with the profile's quintic-Hermite grid (m substeps per
-grid interval, so H is polynomial inside every step), built and multiplied
-as numpy stacks from one table of H over the period, read straight off the
-interpolant's coefficients.  One map is built per substep count: the map
+propagators (_rk4_steps) aligned with the profile's quintic-Hermite grid
+(m substeps per grid interval, so H is polynomial inside every step), built
+and multiplied as numpy stacks from one table of H over the period at
+WaveProfile.substep_samples.  One map is built per substep count: the map
 with 2m substeps is returned with the Richardson estimate err_est of its
 error against the map with m, and m doubles, each retry reusing the last
 fine map as its coarse one, until err_est meets the bound that ode_tol sets
@@ -41,7 +41,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import IntegrationFailure, NonRealEvans, ScaleOverflow
-from .integrate import _rk4_steps
 from .model import _poly_derivative, polyval_ascending
 from .wave import WaveProfile
 
@@ -73,8 +72,7 @@ def _base_coefficients(params):
 
 def coefficient_matrix(profile: WaveProfile, mu, k: float, x: float) -> np.ndarray:
     """H(x; mu, k) with u, u_x from the interpolant and u_xx = -V'(u)."""
-    u, ux = profile._interp.value_and_derivative_scalar(float(x))
-    b41, b42, b43 = _base_coefficients(profile.params)(u, ux)
+    b41, b42, b43 = _base_coefficients(profile.params)(profile.u(x), profile.ux(x))
     dtype = complex if isinstance(mu, complex) else float
     H = np.zeros((4, 4), dtype=dtype)
     H[0, 1] = H[1, 2] = H[2, 3] = 1.0
@@ -182,37 +180,30 @@ def _ordered_product(P: np.ndarray) -> np.ndarray:
     return P[0]
 
 
-def _base_table(profile: WaveProfile, m: int):
-    """_base_coefficients at x0 + (i + j / 2m) h for every grid interval i
-    and 0 <= j < 2m, then at x0 + T, the periodic image of x0.
+def _rk4_steps(A: np.ndarray, h: float) -> np.ndarray:
+    """Classical RK4 step propagators of the linear flow Y' = A(x) Y.
 
-    Elementwise Horner at t = j / 2m straight from the interpolant's quintic
-    coefficients: the half steps of m RK4 substeps per interval.
+    A holds the coefficient matrices at every half step, A[2j], A[2j + 1]
+    and A[2j + 2] being step j's start, midpoint and end; h is the step.
+    Returns the stack of the n = (len(A) - 1) / 2 one-step maps.
     """
-    ip = profile._interp
-    # column i holds interval i's coefficients, column n interval 0's again
-    c = np.vstack([ip.coeffs, ip.coeffs[:1]]).T.copy()
-    t = (np.arange(2 * m) / (2 * m))[:, None]
-    u, du = c[5] * t + c[4], 5.0 * c[5] * t + 4.0 * c[4]
-    for j in range(3, 0, -1):
-        u = u * t + c[j]
-        du = du * t + j * c[j]
-    u = u * t + c[0]
-    du /= ip.h
-    # point i * 2m + j sits at row j, column i; x0 + T at row 0, column n
-    return tuple(b.T.ravel()[:1 - 2 * m]
-                 for b in _base_coefficients(profile.params)(u, du))
+    A0, Ah, A1 = A[0:-1:2], A[1::2], A[2::2]
+    k2 = Ah + (0.5 * h) * (Ah @ A0)
+    k3 = Ah + (0.5 * h) * (Ah @ k2)
+    k4 = A1 + h * (A1 @ k3)
+    return np.eye(A.shape[-1]) + (h / 6.0) * (A0 + 2.0 * (k2 + k3) + k4)
 
 
 def _period_map(profile: WaveProfile, edges, mu, sigma_k2: float, m: int, dtype):
     """One normalized period map with m RK4 substeps per grid interval.
 
     Returns (matrix, log_scale, segment maps), segment i mapping grid node
-    edges[i] to edges[i + 1]; H comes from one _base_table of the period.
+    edges[i] to edges[i + 1]; H comes from one table of the period, at the
+    half steps of the m RK4 substeps of every interval.
     """
-    b41, b42, b43 = _base_table(profile, m)
+    b41, b42, b43 = _base_coefficients(profile.params)(*profile.substep_samples(m))
     b41, b42 = b41 - sigma_k2, b42 - mu
-    h = profile._interp.h / m
+    h = profile.h / m
     P = np.eye(4, dtype=dtype)
     log_scale = 0.0
     segments = []
@@ -272,7 +263,7 @@ def monodromy(profile: WaveProfile, mu, k: float,
     mu_val = mu_c.real if real_mode else mu_c
     dtype = float if real_mode else complex
     sigma_k2 = profile.params.sigma * k * k
-    n = profile._interp.n
+    n = len(profile.grid) - 1
     nseg = min(n, max(1, math.ceil(abs(mu_c) ** (1.0 / 3.0) * profile.period / 5.0)))
     edges = [round(i * n / nseg) for i in range(nseg + 1)]
     bound = _TOL_FACTOR * ode_tol * (1.0 + abs(mu_c))
@@ -280,7 +271,7 @@ def monodromy(profile: WaveProfile, mu, k: float,
     # fourth power in the step, a growth in |mu| fitted to the canonical
     # waves; the doubling below corrects a poor guess, so it only sets cost
     target = bound / (1.0 + abs(mu_c)) ** 1.5
-    m = max(1, math.ceil(0.5 * profile._interp.h / target ** 0.25))
+    m = max(1, math.ceil(0.5 * profile.h / target ** 0.25))
     steps = 0
     coarse = None
     while True:

@@ -135,10 +135,10 @@ def variational_solutions(profile: WaveProfile,
     rows[(0, 1), (1, 0)] += 1j * CS_STEP
     # their turning points, by V'(u_+-) du_+-/da = u_+- and V'(u_+-) du_+-/dE = 1
     roots = tps + 1j * CS_STEP * np.stack((tps, np.ones(2))) / eval_V(params, tps, 1)
-    theta = orbit_theta(p[::-1], tps, profile.period, x, quad_tol)
-    u, ux = orbit_samples(p[::-1], tps, theta)
-    theta_c = orbit_theta(rows[:, ::-1], roots.T, profile.period, x, quad_tol, theta)
-    u_c, ux_c = orbit_samples(rows[:, ::-1], roots.T, theta_c)
+    theta = orbit_theta(p, tps, profile.period, x, quad_tol)
+    u, ux = orbit_samples(p, tps, theta)
+    theta_c = orbit_theta(rows, roots.T, profile.period, x, quad_tol, theta)
+    u_c, ux_c = orbit_samples(rows, roots.T, theta_c)
     uxx = -eval_V(params, u, 1)
     (ua, uE), (uap, uEp) = u_c.imag / CS_STEP, ux_c.imag / CS_STEP
     uEpp = -eval_V(params, u_c[1], 1).imag / CS_STEP

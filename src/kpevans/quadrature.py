@@ -16,6 +16,8 @@ import numpy as np
 
 from .errors import QuadratureNotConverged
 
+_MAX_NODES = 4096
+
 
 def _legendre_pair(n: int, x):
     """(P_n(x), P_{n-1}(x)) by the three-term recurrence."""
@@ -65,8 +67,7 @@ def _parts(v):
     return np.stack((v.real, v.imag)) if np.iscomplexobj(v) else v
 
 
-def adaptive_gauss_legendre(fn, a: float, b: float, rel_tol: float = 1e-13,
-                            n_max: int = 4096):
+def adaptive_gauss_legendre(fn, a: float, b: float, rel_tol: float = 1e-13):
     """Double the nodes from 16 until the change meets rel_tol at the natural scale.
 
     fn maps the nodes to values whose last axis is the nodes; the result has
@@ -84,7 +85,7 @@ def adaptive_gauss_legendre(fn, a: float, b: float, rel_tol: float = 1e-13,
     scale_ref = half * np.dot(np.abs(_parts(vals)), w)
     diff, scale = np.inf, 1.0
     n = 32
-    while n <= n_max:
+    while n <= _MAX_NODES:
         x, w = _nodes(n)
         cur = half * np.dot(fn(mid + half * x), w)
         diff = np.abs(_parts(cur - prev))
@@ -94,5 +95,5 @@ def adaptive_gauss_legendre(fn, a: float, b: float, rel_tol: float = 1e-13,
         prev = cur
         n *= 2
     raise QuadratureNotConverged(
-        f"no convergence to rel_tol={rel_tol:g} with {n_max} nodes "
+        f"no convergence to rel_tol={rel_tol:g} with {_MAX_NODES} nodes "
         f"(last change {np.max(diff / scale):.3e} of the scale)")

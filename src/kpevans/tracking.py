@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import IntegrationFailure, NoContraction, PeriodMapSingular
-from .integrate import _rk4_steps
+from .evans import _rk4_steps
 
 
 class TrigInterp:

@@ -8,7 +8,9 @@ grid over one period through the same substitution: dx/dtheta =
 sqrt(2) / sqrt(g(u(theta))) is analytic, even and pi-periodic, so its
 cosine series converges geometrically and integrates to x(theta) in
 closed form; Newton in theta finds the grid points, where u and
-u_x = sqrt(2) w sin(theta) cos(theta) sqrt(g(u)) are exact.
+u_x = sqrt(2) w sin(theta) cos(theta) sqrt(g(u)) are exact.  WaveProfile
+interpolates them by piecewise-quintic Hermite, evaluated by one Horner
+routine, _quintic.  Energy polynomials are rows of ascending coefficients.
 
 Also hosts the Jacobi-elliptic layer consumers: the closed-form KdV cnoidal
 wave together with recovery of its (a, E, c) parameters.
@@ -119,25 +121,27 @@ def _newton_roots(asc_rows, seeds):
 # regularized quadrature over one well
 # ----------------------------------------------------------------------
 
-def _deflate(desc: np.ndarray, r) -> np.ndarray:
-    """Synthetic division of descending coefficients (last axis) by (u - r)."""
-    q = np.empty(desc.shape[:-1] + (desc.shape[-1] - 1,), dtype=np.result_type(desc, r))
-    acc = desc[..., 0]
-    for i in range(desc.shape[-1] - 1):
+def _deflate(asc: np.ndarray, r) -> np.ndarray:
+    """Synthetic division of ascending coefficients (last axis) by (u - r),
+    run from the top coefficient down."""
+    n = asc.shape[-1] - 1
+    q = np.empty(asc.shape[:-1] + (n,), dtype=np.result_type(asc, r))
+    acc = asc[..., n]
+    for i in range(n - 1, -1, -1):
         q[..., i] = acc
-        acc = desc[..., i + 1] + r * acc
+        acc = asc[..., i] + r * acc
     return q
 
 
-def _well_nodes(p_desc: np.ndarray, u_minus, u_plus):
+def _well_nodes(p_asc: np.ndarray, u_minus, u_plus):
     """theta -> (u, sqrt(g(u))) on the well, with u = u_- + (u_+ - u_-) sin^2(theta).
 
-    E - V = (u - u_-)(u_+ - u) g(u).  Rows of descending coefficients (last
+    E - V = (u - u_-)(u_+ - u) g(u).  Rows of ascending coefficients (last
     axis), one (u_-, u_+) each, give rows of u; for complex rows the sign
     test reads the real part.  g <= 0 means no well: NoPeriodicOrbit.
     """
-    g_desc = -_deflate(_deflate(p_desc, u_minus), u_plus)
-    g_cols = np.moveaxis(g_desc[..., ::-1], -1, 0)[..., np.newaxis]
+    g = -_deflate(_deflate(p_asc, u_minus), u_plus)
+    g_cols = np.moveaxis(g, -1, 0)[..., np.newaxis]
     lo = np.asarray(u_minus)[..., np.newaxis]
     width = np.asarray(u_plus)[..., np.newaxis] - lo
 
@@ -159,8 +163,7 @@ def well_integral(params: WaveParams, turning_points, h_of_u,
     deflation E - V = (u - u_-)(u_+ - u) g(u), the integrand becomes
     2 h(u) / sqrt(g(u)), analytic in theta on [0, pi/2].
     """
-    p_desc = np.trim_zeros(params.energy_poly(), trim="b")[::-1]
-    at = _well_nodes(p_desc, *turning_points)
+    at = _well_nodes(np.trim_zeros(params.energy_poly(), trim="b"), *turning_points)
 
     def integrand(theta):
         u, sqrt_g = at(theta)
@@ -170,9 +173,9 @@ def well_integral(params: WaveParams, turning_points, h_of_u,
 
 
 def compute_period(params: WaveParams, turning_points=None,
-                   quad_tol: float = DEFAULT_QUAD_TOL, bracket_hint=None) -> float:
+                   quad_tol: float = DEFAULT_QUAD_TOL) -> float:
     """Period T = sqrt(2) * integral du / sqrt(E - V(u)) over the well."""
-    tps = turning_points or find_turning_points(params, bracket_hint)
+    tps = turning_points or find_turning_points(params)
     return np.sqrt(2.0) * well_integral(params, tps, lambda u: np.ones_like(u), quad_tol)
 
 
@@ -222,9 +225,9 @@ def _x_series(coef, theta, scale):
     return scale * (np.multiply.outer(coef[..., 0], theta) + sines.T)
 
 
-def orbit_theta(p_desc, turning_points, period: float, grid, quad_tol: float,
+def orbit_theta(p_asc, turning_points, period: float, grid, quad_tol: float,
                 theta=None):
-    """theta at the points of a uniform x grid, on each row of p_desc.
+    """theta at the points of a uniform x grid, on each row of p_asc.
 
     x(theta) integrates the cosine series of dx/dtheta = sqrt(2) / sqrt(g),
     scaled by the real factor period / (pi Re a_0), so that x(pi) = period
@@ -233,7 +236,7 @@ def orbit_theta(p_desc, turning_points, period: float, grid, quad_tol: float,
     p + i h dp/dq instead take one complex Newton step from the real wave's
     theta: exact to O(h^2), and x stays the real grid.
     """
-    at = _well_nodes(p_desc, *turning_points)
+    at = _well_nodes(p_asc, *turning_points)
 
     def dx_dtheta(th):
         return np.sqrt(2.0) / at(th)[1]
@@ -257,9 +260,9 @@ def orbit_theta(p_desc, turning_points, period: float, grid, quad_tol: float,
         f"theta Newton not converged in {_NEWTON_ITERS} steps (last step {step:.3e})")
 
 
-def orbit_samples(p_desc, turning_points, theta):
+def orbit_samples(p_asc, turning_points, theta):
     """(u, u_x) at theta: u = u_- + w sin^2(theta), u_x = sqrt(2) w sin cos sqrt(g(u))."""
-    u, sqrt_g = _well_nodes(p_desc, *turning_points)(theta)
+    u, sqrt_g = _well_nodes(p_asc, *turning_points)(theta)
     width = np.asarray(turning_points[1] - turning_points[0])[..., np.newaxis]
     return u, np.sqrt(2.0) * width * np.sin(theta) * np.cos(theta) * sqrt_g
 
@@ -268,68 +271,14 @@ def orbit_samples(p_desc, turning_points, theta):
 # profile
 # ----------------------------------------------------------------------
 
-class _QuinticHermite:
-    """Piecewise-quintic interpolant from (value, d/dx, d2/dx2) node data.
-
-    Matching three derivatives at both ends of each interval gives an O(h^6)
-    local error for smooth data, comfortably above the quintic contract.
-    Uniform, periodic grid assumed.
-    """
-
-    def __init__(self, grid, y, dy, d2y):
-        self.x0 = grid[0]
-        self.period = grid[-1] - grid[0]
-        self.h = grid[1] - grid[0]
-        self.n = len(grid) - 1
-        h = self.h
-        y0, y1 = y[:-1], y[1:]
-        D0, D1 = dy[:-1] * h, dy[1:] * h
-        S0, S1 = d2y[:-1] * h * h, d2y[1:] * h * h
-        d = y1 - y0
-        coeffs = np.empty((self.n, 6))
-        coeffs[:, 0] = y0
-        coeffs[:, 1] = D0
-        coeffs[:, 2] = 0.5 * S0
-        coeffs[:, 3] = 10.0 * d - 6.0 * D0 - 4.0 * D1 - 1.5 * S0 + 0.5 * S1
-        coeffs[:, 4] = -15.0 * d + 8.0 * D0 + 7.0 * D1 + 1.5 * S0 - S1
-        coeffs[:, 5] = 6.0 * d - 3.0 * (D0 + D1) - 0.5 * (S0 - S1)
-        self.coeffs = coeffs
-        self._rows = coeffs.tolist()  # plain floats for the scalar hot path
-
-    def _locate(self, x):
-        xw = np.mod(np.asarray(x, dtype=float) - self.x0, self.period)
-        idx = np.clip((xw / self.h).astype(int), 0, self.n - 1)
-        return idx, xw / self.h - idx
-
-    def value(self, x):
-        idx, t = self._locate(x)
-        c = self.coeffs[idx]
-        out = c[..., 5]
-        for j in range(4, -1, -1):
-            out = out * t + c[..., j]
-        return out if np.ndim(x) else float(out)
-
-    def derivative(self, x):
-        idx, t = self._locate(x)
-        c = self.coeffs[idx]
-        out = 5.0 * c[..., 5]
-        for j in range(4, 0, -1):
-            out = out * t + j * c[..., j]
-        out = out / self.h
-        return out if np.ndim(x) else float(out)
-
-    def value_and_derivative_scalar(self, x: float):
-        """Fast path for ODE right-hand sides: returns (value, d/dx)."""
-        xw = (x - self.x0) % self.period
-        fi = xw / self.h
-        idx = int(fi)
-        if idx >= self.n:
-            idx = self.n - 1
-        t = fi - idx
-        c0, c1, c2, c3, c4, c5 = self._rows[idx]
-        v = ((((c5 * t + c4) * t + c3) * t + c2) * t + c1) * t + c0
-        d = (((5.0 * c5 * t + 4.0 * c4) * t + 3.0 * c3) * t + 2.0 * c2) * t + c1
-        return v, d / self.h
+def _quintic(c, t, h: float):
+    """(value, d/dx) of the quintics with ascending coefficients c[0..5] in
+    t = (x - x_i) / h, by Horner; c[j] broadcasts against t."""
+    u, du = c[5], 5.0 * c[5]
+    for j in range(4, 0, -1):
+        u = u * t + c[j]
+        du = du * t + j * c[j]
+    return u * t + c[0], du / h
 
 
 @dataclass(eq=False)
@@ -337,7 +286,11 @@ class WaveProfile:
     """One period of a traveling-wave profile on a uniform grid.
 
     Starts at the minimum turning point with zero slope (u(0) = u_-,
-    u_x(0) = 0); treated as immutable after construction.
+    u_x(0) = 0); treated as immutable after construction.  u and u_x between
+    the grid points come from the piecewise-quintic Hermite interpolant of
+    (u, u_x, u_xx) with u_xx = -V'(u): matching three derivatives at both
+    ends of an interval gives an O(h^6) local error.  Its coefficients are
+    six rows, one column per interval, ascending in t = (x - x_i) / h.
     """
 
     params: WaveParams
@@ -347,21 +300,47 @@ class WaveProfile:
     grid: np.ndarray
     u_samples: np.ndarray
     ux_samples: np.ndarray
-    _interp: _QuinticHermite = field(init=False, repr=False)
+    _coeffs: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        uxx = -polyval_ascending(self.params.V_coeffs(1), self.u_samples)
-        self._interp = _QuinticHermite(self.grid, self.u_samples, self.ux_samples, uxx)
+        h = self.h
+        y, dy = self.u_samples, self.ux_samples
+        d2y = -polyval_ascending(self.params.V_coeffs(1), y)
+        D0, D1 = dy[:-1] * h, dy[1:] * h
+        S0, S1 = d2y[:-1] * h * h, d2y[1:] * h * h
+        d = y[1:] - y[:-1]
+        self._coeffs = np.array([
+            y[:-1], D0, 0.5 * S0,
+            10.0 * d - 6.0 * D0 - 4.0 * D1 - 1.5 * S0 + 0.5 * S1,
+            -15.0 * d + 8.0 * D0 + 7.0 * D1 + 1.5 * S0 - S1,
+            6.0 * d - 3.0 * (D0 + D1) - 0.5 * (S0 - S1)])
+
+    @property
+    def h(self) -> float:
+        """The grid spacing."""
+        return self.grid[1] - self.grid[0]
+
+    def _at(self, x):
+        """(u, u_x) of the interpolant at x, wrapped into the grid's period."""
+        g = self.grid
+        t = np.mod(np.asarray(x, dtype=float) - g[0], g[-1] - g[0]) / self.h
+        idx = np.minimum(t.astype(int), len(g) - 2)   # mod may round up to the period
+        u, ux = _quintic(self._coeffs[:, idx], t - idx, self.h)
+        return (u, ux) if t.ndim else (float(u), float(ux))
 
     def u(self, x):
-        return self._interp.value(x)
+        return self._at(x)[0]
 
     def ux(self, x):
-        return self._interp.derivative(x)
+        return self._at(x)[1]
 
-    def uxx(self, x):
-        """Second derivative through the profile ODE, u'' = -V'(u)."""
-        return -eval_V(self.params, self.u(x), 1)
+    def substep_samples(self, m: int):
+        """(u, u_x) at x0 + (i + j / 2m) h for every interval i and 0 <= j < 2m,
+        point i * 2m + j, then at the periodic image x0 + T of x0."""
+        c = np.hstack([self._coeffs, self._coeffs[:, :1]])   # column n: interval 0
+        u, ux = _quintic(c, (np.arange(2 * m) / (2 * m))[:, None], self.h)
+        # point i * 2m + j sits at row j, column i; x0 + T at row 0, column n
+        return u.T.ravel()[:1 - 2 * m], ux.T.ravel()[:1 - 2 * m]
 
     def energy_residual(self) -> float:
         """sup |u_x^2/2 - (E - V(u))| over the stored grid."""
@@ -397,17 +376,17 @@ class WaveProfile:
 
 
 def integrate_profile(params: WaveParams, samples_per_period: int = 1024,
-                      bracket_hint=None, turning_points=None,
+                      bracket_hint=None,
                       quad_tol: float = DEFAULT_QUAD_TOL) -> WaveProfile:
     """The orbit from (u_-, 0) over one period on a uniform grid (theta series)."""
     if samples_per_period < 64:
         raise ValueError("samples_per_period must be at least 64")
-    tps = turning_points or find_turning_points(params, bracket_hint)
+    tps = find_turning_points(params, bracket_hint)
     u_minus, u_plus = tps
     T = compute_period(params, tps, quad_tol=quad_tol)
     grid = np.linspace(0.0, T, samples_per_period + 1)
-    p_desc = np.trim_zeros(params.energy_poly(), trim="b")[::-1]
-    u_s, ux_s = orbit_samples(p_desc, tps, orbit_theta(p_desc, tps, T, grid, quad_tol))
+    p = np.trim_zeros(params.energy_poly(), trim="b")
+    u_s, ux_s = orbit_samples(p, tps, orbit_theta(p, tps, T, grid, quad_tol))
     # pin the endpoint to the exact periodic image of the start
     u_s[-1], ux_s[-1] = u_minus, 0.0
     return WaveProfile(params, u_minus, u_plus, T, grid, u_s, ux_s)
@@ -453,14 +432,3 @@ def cnoidal_wave(u0: float, kappa: float, m, samples_per_period: int = 1024,
     E, a = np.linalg.solve(A, b)
     params = WaveParams(float(a), float(E), float(c), kdv, sigma)
     return WaveProfile(params, u0, u0 + amp, T, grid, u_s, ux_s)
-
-
-def phase_align(profile_a: WaveProfile, profile_b: WaveProfile, n: int = 512) -> float:
-    """Sup-norm difference of two profiles after aligning their troughs.
-
-    Both profile conventions already start at the trough, so alignment is a
-    straight comparison on a common grid over the shorter period.
-    """
-    T = min(profile_a.period, profile_b.period)
-    x = np.linspace(0.0, T, n)
-    return float(np.max(np.abs(profile_a.u(x) - profile_b.u(x))))

@@ -69,6 +69,26 @@ def test_unknown_key_exit_2(tmp_path):
         assert run(["profile", "--config", cfg, "--out", str(tmp_path)]) == 2
 
 
+GRID = {"kind": "geometric", "start": 0.01, "stop": 1.0, "n": 6}
+
+
+@pytest.mark.parametrize("overrides, key", [
+    ({"samples_per_period": 32}, "samples_per_period"),
+    ({"samples_per_period": "abc"}, "samples_per_period"),
+    ({"tolerances": {"quad_tol": "x"}}, "tolerances.quad_tol"),
+    ({"scan": {"mu_grid": {"kind": "list", "values": [1.0, 0.5]}}}, "scan.mu_grid"),
+    ({"scan": {"mu_grid": {"kind": "list"}}}, "mu_grid"),
+    ({"scan": {"low_freq": {"k_ladder": [0.05, 0.1]}}}, "scan.low_freq.k_ladder"),
+    ({"scan": {"mu_grid": GRID, "k": 0.1}}, "scan.k"),
+], ids=["spp-32", "spp-abc", "quad_tol-x", "mu_grid-decreasing", "mu_grid-no-values",
+        "k_ladder-2", "k-scalar"])
+def test_malformed_value_exit_2(tmp_path, capsys, overrides, key):
+    cfg = write_config(tmp_path, **overrides)
+    assert run(["scan", "--config", cfg, "--out", str(tmp_path / "s")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and key in err
+
+
 def test_separatrix_exit_3(tmp_path):
     cfg = write_config(tmp_path, E=0.0)
     assert run(["profile", "--config", cfg, "--out", str(tmp_path)]) == 3

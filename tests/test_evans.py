@@ -258,10 +258,10 @@ def test_base_table_is_grid_exact(request, wave, m):
     at x0 + (i + j / 2m) h, ending on the periodic image of x0."""
     profile = request.getfixturevalue(wave)
     ev = sys.modules["kpevans.evans"]
-    ip = profile._interp
-    t = (np.arange(ip.n)[:, None] + np.arange(2 * m) / (2 * m)).ravel()
-    x = ip.x0 + np.append(t, ip.n) * ip.h
-    table = ev._base_table(profile, m)
+    n = len(profile.grid) - 1
+    t = (np.arange(n)[:, None] + np.arange(2 * m) / (2 * m)).ravel()
+    x = profile.grid[0] + np.append(t, n) * profile.h
+    table = ev._base_coefficients(profile.params)(*profile.substep_samples(m))
     reference = ev._base_coefficients(profile.params)(profile.u(x), profile.ux(x))
     for got, want in zip(table, reference):
         assert got.shape == x.shape and got[-1] == got[0]
@@ -395,8 +395,8 @@ def test_work_counters(kdv_profile, cnoidal_mkdv_profile, documented_scans):
     """Work, not time.  The cnoidal wave misses the first (m, 2m) = (1, 2)
     pair at small mu and retries with the 4-substep map alone: 3n + 4n
     steps.  The KdV wave meets the bound with the first pair: 3n."""
-    n = cnoidal_mkdv_profile._interp.n
+    n = len(cnoidal_mkdv_profile.grid) - 1
     assert kp.monodromy(cnoidal_mkdv_profile, 1e-3, DOC_K).steps == 7 * n
-    assert kp.monodromy(kdv_profile, 1e-3, DOC_K).steps == 3 * kdv_profile._interp.n
+    assert kp.monodromy(kdv_profile, 1e-3, DOC_K).steps == 3 * (len(kdv_profile.grid) - 1)
     # measured: 5 + 5 + 7; plain bisection took 14 + 15 + 18
     assert sum(evals for _, _, evals in documented_scans) <= 24

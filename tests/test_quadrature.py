@@ -70,6 +70,6 @@ def test_adaptive_complex_parts_converge_separately():
 
 
 def test_adaptive_not_converged_raises():
+    # a jump at x = 1/3: the rule converges like 1 / n, far too slowly for the cap
     with pytest.raises(QuadratureNotConverged):
-        adaptive_gauss_legendre(lambda x: 1.0 + 1j * 1e-30 * np.sin(40.0 * x),
-                                0.0, 1.0, n_max=32)
+        adaptive_gauss_legendre(lambda x: np.where(x < 1.0 / 3.0, 0.0, 1.0), 0.0, 1.0)

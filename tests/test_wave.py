@@ -11,7 +11,7 @@ from kpevans.errors import (AmbiguousWell, DegenerateTurningPoint,
                             QuadratureNotConverged)
 from kpevans.conserved import cubic_discriminant
 
-from conftest import cardano_real_roots
+from conftest import cardano_real_roots, phase_align
 from dp5 import integrate
 
 KDV = kp.NonlinearitySpec.kdv()
@@ -198,7 +198,7 @@ def test_cnoidal_recovered_parameters():
 def test_cnoidal_matches_integrated_profile():
     prof = kp.cnoidal_wave(0.1, 1.0, 0.8)
     built = kp.integrate_profile(prof.params)
-    assert kp.phase_align(prof, built) <= 1e-12
+    assert phase_align(prof, built) <= 1e-12
     assert np.max(np.abs(prof.u_samples - built.u_samples)) <= 1e-12
     assert np.max(np.abs(prof.ux_samples - built.ux_samples)) <= 1e-12
 
@@ -226,6 +226,13 @@ def test_profile_json_round_trip(kdv_profile, tmp_path):
     assert np.array_equal(back.u_samples, kdv_profile.u_samples)
     x = 0.37 * kdv_profile.period
     assert back.u(x) == kdv_profile.u(x)
+    # the interpolant is a pure function of the stored samples
+    xs = np.linspace(-0.3, 1.7, 977) * kdv_profile.period
+    for f in ("u", "ux"):
+        assert np.array_equal(getattr(back, f)(xs), getattr(kdv_profile, f)(xs))
+    for m in (1, 3):
+        for got, want in zip(back.substep_samples(m), kdv_profile.substep_samples(m)):
+            assert np.array_equal(got, want)
     path = tmp_path / "profile.csv"
     kdv_profile.write_csv(path)
     lines = path.read_text().splitlines()
