@@ -18,8 +18,7 @@ from .conserved import (GradientSet, InvariantSet, compute_invariants,
                         kdv_jacobian_closed_form, profile_invariants)
 from .elliptic import (EllipticModulus, complete_E, complete_K,
                        jacobi_elliptic)
-from .evans import (EvansValue, Monodromy, ScanReport, coefficient_matrix,
-                    evans, evans_scan, monodromy)
+from .evans import EvansValue, Monodromy, ScanReport, evans, evans_scan, monodromy
 from .kernel import (KernelBasis, WMatrix, build_W, kernel_residuals,
                      phi_solution, variational_solutions,
                      verify_inverse_column)
@@ -42,7 +41,7 @@ __all__ = [
     "KernelBasis", "WMatrix", "variational_solutions", "phi_solution",
     "build_W", "verify_inverse_column", "kernel_residuals",
     "Monodromy", "EvansValue", "ScanReport",
-    "coefficient_matrix", "monodromy", "evans", "evans_scan",
+    "monodromy", "evans", "evans_scan",
     "HighFreqReport", "LowFreqReport", "IndexVerdict",
     "high_freq_sign", "verify_block_reduction", "lower_left_slope",
     "low_freq_coefficient", "orientation_index",

@@ -24,7 +24,7 @@ import numpy as np
 from . import asymptotics, conserved, kernel, tracking, wave
 from .errors import ConfigError, DegenerateTurningPoint, KPEvansError
 from .evans import evans as evans_value
-from .evans import DEFAULT_ODE_TOL, evans_scan, monodromy
+from .evans import DEFAULT_ODE_TOL, DEFAULT_REFINE_TOL, evans_scan, monodromy
 from .model import NonlinearitySpec, WaveParams
 
 EXIT_OK = 0
@@ -34,22 +34,46 @@ EXIT_DEGENERATE = 4
 EXIT_VERIFY_FAILED = 5
 EXIT_UNSTABLE = 10
 
-_TOL_KEYS = {"ode_tol", "quad_tol", "kernel_tol", "refine_tol"}
-_TOP_KEYS = {"nonlinearity", "a", "E", "c", "sigma", "tolerances", "scan",
-             "bracket_hint", "samples_per_period"}
-_SCAN_KEYS = {"mu_grid", "k", "lambda", "high_freq", "low_freq"}
+_TOLERANCES = {"ode_tol": DEFAULT_ODE_TOL, "quad_tol": wave.DEFAULT_QUAD_TOL,
+               "kernel_tol": 1e-6, "refine_tol": DEFAULT_REFINE_TOL}
+# the defaults of each config block; None marks a setting that is off unless given
+_TOP = {"sigma": 1, "tolerances": {}, "scan": {}, "bracket_hint": None,
+        "samples_per_period": 1024}
+_SCAN = {"mu_grid": None, "k": [0.1], "lambda": 1.0, "high_freq": None,
+         "low_freq": None}
+_HIGH_FREQ = {"k": 0.5, "mu_list": [25.0, 50.0, 100.0, 200.0]}
+_LOW_FREQ = {"k_ladder": list(asymptotics.DEFAULT_K_LADDER)}
 
 
 @dataclass
 class ProblemConfig:
+    """A checked config with its defaults filled in; scan is None without one."""
+
     params: WaveParams
     bracket_hint: tuple
     tolerances: dict
     scan: dict
     samples_per_period: int
 
-    def tol(self, name: str, default: float) -> float:
-        return self.tolerances.get(name, default)
+    def tol(self, name: str) -> float:
+        return self.tolerances[name]
+
+
+def _block(value, name: str, defaults: dict, required: tuple) -> dict:
+    """value, a JSON object holding only keys of defaults and required, with
+    the defaults filled in.  name is the block's dotted path, "" at the top."""
+    path = f"{name}." if name else ""
+    if not isinstance(value, dict):
+        raise ConfigError(f"{name or 'config'} must be a JSON object, got {value!r}")
+    allowed = set(defaults) | set(required)
+    unknown = sorted(path + key for key in set(value) - allowed)
+    if unknown:
+        raise ConfigError(f"unknown config keys: {unknown}; "
+                          f"{name or 'config'} takes {sorted(allowed)}")
+    for key in required:
+        if key not in value:
+            raise ConfigError(f"missing required config key '{path}{key}'")
+    return {**defaults, **value}
 
 
 def _number(value, key: str, kind):
@@ -66,13 +90,14 @@ def _numbers(values, key: str, at_least: int) -> list:
     return [_number(v, key, float) for v in values]
 
 
-def _mu_grid_from_spec(spec) -> list:
+def _mu_grid(spec) -> list:
     """The scan's mu grid, which must increase strictly."""
     kind = spec.get("kind") if isinstance(spec, dict) else None
-    keys = {"values"} if kind == "list" else {"start", "stop", "n"}
-    if kind not in ("list", "geometric", "linear") or keys - set(spec):
+    if kind not in ("list", "geometric", "linear"):
         raise ConfigError("mu_grid needs the kind 'list' with 'values', or 'geometric' "
                           f"or 'linear' with 'start', 'stop' and 'n'; got {spec!r}")
+    keys = ("values",) if kind == "list" else ("start", "stop", "n")
+    spec = _block(spec, "scan.mu_grid", {}, ("kind",) + keys)
     if kind == "list":
         grid = _numbers(spec["values"], "scan.mu_grid.values", 1)
     else:
@@ -85,50 +110,54 @@ def _mu_grid_from_spec(spec) -> list:
     return grid
 
 
+def _scan(block) -> dict:
+    """The scan block; mu_grid, high_freq and low_freq stay None unless given."""
+    scan = _block(block, "scan", _SCAN, ())
+    scan["k"] = _numbers(scan["k"], "scan.k", 1)
+    scan["lambda"] = _number(scan["lambda"], "scan.lambda", float)
+    if "mu_grid" in block:
+        scan["mu_grid"] = _mu_grid(block["mu_grid"])
+    if "high_freq" in block:
+        hf = scan["high_freq"] = _block(block["high_freq"], "scan.high_freq",
+                                        _HIGH_FREQ, ())
+        k = hf["k"] = _number(hf["k"], "scan.high_freq.k", float)
+        mu = hf["mu_list"] = _numbers(hf["mu_list"], "scan.high_freq.mu_list", 1)
+        if k == 0.0:
+            raise ConfigError("scan.high_freq.k must be nonzero")
+        if mu[0] <= 0.0 or any(m2 <= m1 for m1, m2 in zip(mu, mu[1:])):
+            raise ConfigError("scan.high_freq.mu_list must be positive and strictly "
+                              f"increasing, got {mu!r}")
+    if "low_freq" in block:   # the k^4, k^6 fit needs four
+        lf = scan["low_freq"] = _block(block["low_freq"], "scan.low_freq", _LOW_FREQ, ())
+        lf["k_ladder"] = _numbers(lf["k_ladder"], "scan.low_freq.k_ladder", 4)
+    return scan
+
+
 def load_config(path) -> ProblemConfig:
     try:
         raw = json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}")
-    if not isinstance(raw, dict):
-        raise ConfigError("config must be a JSON object")
-    unknown = set(raw) - _TOP_KEYS
-    if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    for key in ("nonlinearity", "a", "E", "c"):
-        if key not in raw:
-            raise ConfigError(f"missing required config key '{key}'")
+    raw = _block(raw, "", _TOP, ("nonlinearity", "a", "E", "c"))
     nl = NonlinearitySpec.from_json_dict(raw["nonlinearity"])
-    sigma = raw.get("sigma", 1)
+    sigma = raw["sigma"]
     if sigma not in (-1, 1):
         raise ConfigError(f"sigma must be +1 or -1, got {sigma!r}")
     params = WaveParams(*(_number(raw[key], key, float) for key in ("a", "E", "c")),
                         nl, int(sigma))
-    tols = raw.get("tolerances", {})
-    if not isinstance(tols, dict) or set(tols) - _TOL_KEYS:
-        raise ConfigError(f"tolerances must use keys from {sorted(_TOL_KEYS)}")
+    tols = _block(raw["tolerances"], "tolerances", _TOLERANCES, ())
     tols = {k: _number(v, f"tolerances.{k}", float) for k, v in tols.items()}
-    scan = raw.get("scan", {})
-    if not isinstance(scan, dict) or set(scan) - _SCAN_KEYS:
-        raise ConfigError(f"scan block must use keys from {sorted(_SCAN_KEYS)}")
-    if "mu_grid" in scan:
-        scan["mu_grid"] = _mu_grid_from_spec(scan["mu_grid"])
-    if "k" in scan:
-        scan["k"] = _numbers(scan["k"], "scan.k", 1)
-    lf = scan.get("low_freq", {})
-    if isinstance(lf, dict) and "k_ladder" in lf:   # the k^4, k^6 fit needs four
-        scan["low_freq"] = dict(lf, k_ladder=_numbers(lf["k_ladder"],
-                                                      "scan.low_freq.k_ladder", 4))
-    hint = raw.get("bracket_hint")
+    hint = raw["bracket_hint"]
     if hint is not None:
         if not (isinstance(hint, (list, tuple)) and len(hint) == 2):
             raise ConfigError("bracket_hint must be a [lo, hi] pair")
         hint = tuple(_number(v, "bracket_hint", float) for v in hint)
-    spp = _number(raw.get("samples_per_period", 1024), "samples_per_period", int)
+    spp = _number(raw["samples_per_period"], "samples_per_period", int)
     if spp < 64:
         raise ConfigError(f"samples_per_period must be at least 64, got {spp}")
     return ProblemConfig(params=params, bracket_hint=hint, tolerances=tols,
-                         scan=scan, samples_per_period=spp)
+                         scan=_scan(raw["scan"]) if raw["scan"] != {} else None,
+                         samples_per_period=spp)
 
 
 def _write_json(path: Path, obj) -> None:
@@ -138,7 +167,7 @@ def _write_json(path: Path, obj) -> None:
 def _build_profile(cfg: ProblemConfig) -> wave.WaveProfile:
     return wave.integrate_profile(
         cfg.params, samples_per_period=cfg.samples_per_period,
-        quad_tol=cfg.tol("quad_tol", wave.DEFAULT_QUAD_TOL),
+        quad_tol=cfg.tol("quad_tol"),
         bracket_hint=cfg.bracket_hint)
 
 
@@ -151,7 +180,7 @@ def cmd_profile(cfg: ProblemConfig, out: Path) -> int:
     profile.write_csv(out / "profile.csv")
     inv = conserved.compute_invariants(
         cfg.params, turning_points=(profile.u_minus, profile.u_plus),
-        quad_tol=cfg.tol("quad_tol", wave.DEFAULT_QUAD_TOL))
+        quad_tol=cfg.tol("quad_tol"))
     _write_json(out / "profile.json", {
         "params": {"a": cfg.params.a, "E": cfg.params.E, "c": cfg.params.c,
                    "sigma": cfg.params.sigma,
@@ -165,7 +194,7 @@ def cmd_profile(cfg: ProblemConfig, out: Path) -> int:
 
 
 def cmd_invariants(cfg: ProblemConfig, out: Path) -> int:
-    quad_tol = cfg.tol("quad_tol", wave.DEFAULT_QUAD_TOL)
+    quad_tol = cfg.tol("quad_tol")
     tps = wave.find_turning_points(cfg.params, cfg.bracket_hint)
     inv = conserved.compute_invariants(cfg.params, turning_points=tps,
                                        quad_tol=quad_tol)
@@ -189,7 +218,7 @@ def cmd_invariants(cfg: ProblemConfig, out: Path) -> int:
 def cmd_index(cfg: ProblemConfig, out: Path) -> int:
     verdict = asymptotics.orientation_index(
         cfg.params, bracket_hint=cfg.bracket_hint,
-        quad_tol=cfg.tol("quad_tol", wave.DEFAULT_QUAD_TOL))
+        quad_tol=cfg.tol("quad_tol"))
     _write_json(out / "index.json", verdict.to_json_dict())
     print(f"orientation index: {verdict.conclusion} "
           f"(jacobian {verdict.jacobian:.6e}, sigma {verdict.sigma:+d})")
@@ -201,46 +230,36 @@ def cmd_index(cfg: ProblemConfig, out: Path) -> int:
 
 
 def cmd_scan(cfg: ProblemConfig, out: Path) -> int:
-    if not cfg.scan:
+    if cfg.scan is None:
         raise ConfigError("scan command requires a 'scan' block in the config")
-    ode_tol = cfg.tol("ode_tol", DEFAULT_ODE_TOL)
-    refine_tol = cfg.tol("refine_tol", 1e-6)
+    scan, ode_tol = cfg.scan, cfg.tol("ode_tol")
     profile = _build_profile(cfg)
     consolidated = {}
 
-    if "mu_grid" in cfg.scan:
-        mu_grid = cfg.scan["mu_grid"]
-        lam = float(cfg.scan.get("lambda", 1.0))
+    if scan["mu_grid"] is not None:
         scans_json = []
-        for k in cfg.scan.get("k", [0.1]):
-            rep = evans_scan(profile, mu_grid, float(k), lam, ode_tol=ode_tol,
-                             refine_tol=refine_tol)
-            tag = f"evans_scan_k{float(k):g}".replace(".", "p").replace("-", "m")
+        for k in scan["k"]:
+            rep = evans_scan(profile, scan["mu_grid"], k, scan["lambda"],
+                             ode_tol=ode_tol, refine_tol=cfg.tol("refine_tol"))
+            tag = f"evans_scan_k{k:g}".replace(".", "p").replace("-", "m")
             rep.write_csv(out / f"{tag}.csv")
             scans_json.append(rep.to_json_dict())
-        if scans_json:
-            consolidated["evans_scans"] = scans_json
+        consolidated["evans_scans"] = scans_json
 
-    if "high_freq" in cfg.scan:
-        hf = cfg.scan["high_freq"]
-        k = float(hf.get("k", 0.5))
-        if k == 0.0:
-            raise ConfigError("high_freq scan requires k != 0")
-        mu_list = [float(m) for m in hf.get("mu_list", [25.0, 50.0, 100.0, 200.0])]
-        report = asymptotics.high_freq_sign(profile, k, mu_list, ode_tol=ode_tol)
+    if scan["high_freq"] is not None:
+        hf = scan["high_freq"]
+        report = asymptotics.high_freq_sign(profile, hf["k"], hf["mu_list"],
+                                            ode_tol=ode_tol)
         with open(out / "high_freq.csv", "w", newline="\n") as fh:
             fh.write("mu,sign,log_abs_D\n")
             for mu, s, la in report.probes:
                 fh.write(f"{mu:.17e},{s},{la:.17e}\n")
         consolidated["high_freq"] = report.to_json_dict()
 
-    if "low_freq" in cfg.scan:
-        lf = cfg.scan["low_freq"]
-        ladder = tuple(float(k) for k in lf.get("k_ladder",
-                                                asymptotics.DEFAULT_K_LADDER))
+    if scan["low_freq"] is not None:
         report = asymptotics.low_freq_coefficient(
-            profile, ladder, ode_tol=ode_tol,
-            quad_tol=cfg.tol("quad_tol", wave.DEFAULT_QUAD_TOL))
+            profile, scan["low_freq"]["k_ladder"], ode_tol=ode_tol,
+            quad_tol=cfg.tol("quad_tol"))
         with open(out / "low_freq.csv", "w", newline="\n") as fh:
             fh.write("k,D\n")
             for k, d in zip(report.k_samples, report.d_values):
@@ -251,17 +270,22 @@ def cmd_scan(cfg: ProblemConfig, out: Path) -> int:
     return EXIT_OK
 
 
+def _row(name: str, measured, tol) -> dict:
+    """One verify check as the JSON report stores it."""
+    return {"check": name, "measured": float(measured), "tolerance": float(tol),
+            "pass": bool(measured <= tol)}
+
+
 def cmd_verify(cfg: ProblemConfig, out: Path, tol_scale: float = 1.0) -> int:
     """Full invariant suite; prints a pass/fail table, writes verify.json."""
     rows = []
 
     def check(name, measured, tol):
-        rows.append({"check": name, "measured": float(measured),
-                     "tolerance": float(tol), "pass": bool(measured <= tol)})
+        rows.append(_row(name, measured, tol))
 
-    ode_tol = cfg.tol("ode_tol", DEFAULT_ODE_TOL)
-    quad_tol = cfg.tol("quad_tol", wave.DEFAULT_QUAD_TOL)
-    kernel_tol = cfg.tol("kernel_tol", 1e-6) * tol_scale
+    ode_tol = cfg.tol("ode_tol")
+    quad_tol = cfg.tol("quad_tol")
+    kernel_tol = cfg.tol("kernel_tol") * tol_scale
 
     profile = _build_profile(cfg)
     params = cfg.params
@@ -272,7 +296,7 @@ def cmd_verify(cfg: ProblemConfig, out: Path, tol_scale: float = 1.0) -> int:
     inv = conserved.compute_invariants(params, turning_points=tps, quad_tol=quad_tol)
     pinv = conserved.profile_invariants(profile)
     # int |u| dx scales the mass error: M = 0 for an odd profile
-    abs_mass = profile.period * float(np.mean(np.abs(profile.u_samples[:-1])))
+    abs_mass = profile.period * np.mean(np.abs(profile.u_samples[:-1]))
     rel = max(abs(inv.M - pinv.M) / abs_mass, abs(inv.P - pinv.P) / abs(inv.P),
               abs(inv.H - pinv.H) / max(abs(inv.H), 1.0))
     check("invariants quadrature vs profile", rel, 1e-8 * tol_scale)
@@ -288,12 +312,12 @@ def cmd_verify(cfg: ProblemConfig, out: Path, tol_scale: float = 1.0) -> int:
     residuals = kernel.kernel_residuals(basis)
     for name in ("ux", "uE", "ua", "phi"):
         check(f"kernel residual L[u]{name}", residuals[name], kernel_tol)
-    wm = kernel.build_W(profile, basis)
-    check("det W = 1", float(np.max(np.abs(wm.det_on_grid() - 1.0))),
+    wm = kernel.build_W(basis)
+    check("det W = 1", np.max(np.abs(wm.det_on_grid() - 1.0)),
           1e-8 * tol_scale)
-    dw_pred = kernel.predicted_deltaW(profile, basis, grads.dT[0], grads.dT[1])
+    dw_pred = kernel.predicted_deltaW(basis, grads.dT[0], grads.dT[1])
     scale = np.max(np.abs(dw_pred))
-    check("deltaW matches display", float(np.max(np.abs(wm.deltaW - dw_pred))) / scale,
+    check("deltaW matches display", np.max(np.abs(wm.deltaW - dw_pred)) / scale,
           1e-6 * tol_scale)
     inv_col = kernel.verify_inverse_column(wm, basis)
     check("inverse-column identity", inv_col.sup_identity, 1e-7 * tol_scale)
@@ -303,7 +327,7 @@ def cmd_verify(cfg: ProblemConfig, out: Path, tol_scale: float = 1.0) -> int:
     mono00 = monodromy(profile, 0.0, 0.0, ode_tol=ode_tol)
     WtWinv = wm.WT @ np.linalg.inv(wm.W0)
     check("monodromy vs W(T) W(0)^-1",
-          float(np.max(np.abs(mono00.full() - WtWinv))) / max(1.0, float(np.max(np.abs(WtWinv)))),
+          np.max(np.abs(mono00.full() - WtWinv)) / max(1.0, np.max(np.abs(WtWinv))),
           1e-7 * tol_scale)
     d_plus = evans_value(profile, 0.9, 0.4, 1.0, ode_tol=ode_tol).value
     d_minus = evans_value(profile, complex(-0.9), 0.4, 1.0, ode_tol=ode_tol).value
@@ -332,7 +356,7 @@ def cmd_verify(cfg: ProblemConfig, out: Path, tol_scale: float = 1.0) -> int:
         2.0, [0.0], [[[1.0, 1.0], [0.1, -1.0]]], 1, 1)
     conj = tracking.solve_conjugator(sys_const, fp_tol=1e-14)
     root = -1.0 + math.sqrt(1.1)
-    check("tracking fixed point", float(np.max(np.abs(conj.samples - root))),
+    check("tracking fixed point", np.max(np.abs(conj.samples - root)),
           1e-12 * tol_scale)
     check("tracking residual", conj.residual, 1e-10 * tol_scale)
     check("tracking periodicity", conj.periodicity_defect, 1e-10 * tol_scale)

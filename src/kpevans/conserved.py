@@ -105,7 +105,7 @@ def gradients(params: WaveParams, quad_tol: float = DEFAULT_QUAD_TOL,
     the real wave, so shallow wells need no special care.
     """
     u_minus, u_plus = find_turning_points(params, bracket_hint)
-    p = np.trim_zeros(params.energy_poly(), trim="b")
+    p = params.energy_poly()
     rows = np.tile(p + 0j, (3, 1))   # rows a, E, c: dp/da = u, dp/dE = 1, dp/dc = u^2/2
     rows[(0, 1, 2), (1, 0, 2)] += 1j * CS_STEP * np.array([1.0, 1.0, 0.5])
     roots = _newton_roots(rows, (u_minus, u_plus))

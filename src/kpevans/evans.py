@@ -11,8 +11,8 @@ Y' = H(x; mu, k) Y with the companion matrix
           -f'(u) + c,  0]].
 
 mu and sigma k^2 enter only additively, so one vectorized function,
-_base_coefficients, gives the rest of row 4 to coefficient_matrix and to the
-monodromy engine alike.
+_base_coefficients, gives the rest of row 4 to the monodromy engine and to
+the asymptotic verifiers alike.
 
 H is trace free, so the fundamental matrix has constant determinant; the
 monodromy M(mu, k) = Phi(T) is stored as a normalized matrix plus a real
@@ -45,6 +45,7 @@ from .model import _poly_derivative, polyval_ascending
 from .wave import WaveProfile
 
 DEFAULT_ODE_TOL = 1e-12     # the tolerance of monodromy
+DEFAULT_REFINE_TOL = 1e-6   # the root bracket width of evans_scan
 _LOG_MAX = 690.0  # exp() overflow guard for float64
 _SIGN_SAFETY = 30.0  # a sign read needs |Re D| above this many LU noise floors
 
@@ -53,8 +54,7 @@ def _base_coefficients(params):
     """Vectorized (u, u_x) -> (b41, b42, b43), the mu- and k-free part of H.
 
     Row 4 of H is (b41 - sigma k^2, b42 - mu, b43, 0); u_xx comes from the
-    profile ODE, u_xx = -V'(u).  The one source of these formulas, shared
-    by coefficient_matrix and the monodromy engine.
+    profile ODE, u_xx = -V'(u).  The one source of these formulas.
     """
     f = params.nonlinearity.f_coeffs
     d1, d2, d3 = (_poly_derivative(f, j) for j in (1, 2, 3))
@@ -70,27 +70,16 @@ def _base_coefficients(params):
     return base
 
 
-def coefficient_matrix(profile: WaveProfile, mu, k: float, x: float) -> np.ndarray:
-    """H(x; mu, k) with u, u_x from the interpolant and u_xx = -V'(u)."""
-    b41, b42, b43 = _base_coefficients(profile.params)(profile.u(x), profile.ux(x))
-    dtype = complex if isinstance(mu, complex) else float
-    H = np.zeros((4, 4), dtype=dtype)
-    H[0, 1] = H[1, 2] = H[2, 3] = 1.0
-    H[3, 0] = b41 - profile.params.sigma * k * k
-    H[3, 1], H[3, 2] = b42 - mu, b43
-    return H
-
-
 @dataclass(frozen=True)
 class Monodromy:
     """Normalized period map: the true monodromy is exp(log_scale) * matrix.
 
-    log_det carries the accumulated complex log of the segment-map
-    determinants: determinants are multiplicative, and each segment map has
-    moderate dynamic range, so the product evaluates det(e^{log_scale} M)
-    faithfully even when the full monodromy's eigenvalues span hundreds of
-    orders of magnitude and a direct 4x4 determinant would drown in
-    roundoff.
+    segments holds the map's segment maps, from which det_residual sums the
+    complex logs of the segment determinants: determinants are
+    multiplicative, and each segment map has moderate dynamic range, so the
+    sum evaluates det(e^{log_scale} M) faithfully even when the full
+    monodromy's eigenvalues span hundreds of orders of magnitude and a
+    direct 4x4 determinant would drown in roundoff.
 
     err_est is the Richardson estimate of the map's error relative to its
     largest entry, and steps the number of RK4 steps it took (see
@@ -99,9 +88,7 @@ class Monodromy:
 
     matrix: np.ndarray
     log_scale: float
-    log_det: complex
-    mu: complex
-    k: float
+    segments: list
     err_est: float
     steps: int
 
@@ -113,9 +100,11 @@ class Monodromy:
 
     def det_residual(self) -> float:
         """|det(e^{log_scale} M) - 1|; Liouville forces this to vanish."""
-        if abs(self.log_det.real) > _LOG_MAX:
+        log_det = sum((complex(np.log(complex(det_complete_pivot(seg))))
+                       for seg in self.segments), 0j)
+        if abs(log_det.real) > _LOG_MAX:
             raise ScaleOverflow("determinant reconstruction overflows")
-        return abs(np.exp(self.log_det) - 1.0)
+        return abs(np.exp(log_det) - 1.0)
 
 
 def det_complete_pivot(A: np.ndarray):
@@ -239,8 +228,7 @@ def monodromy(profile: WaveProfile, mu, k: float,
     at grid nodes into ceil(|mu|^{1/3} T / 5) segments; after each segment
     the running product is normalized by its max entry with the log
     accumulated, which keeps every factor well conditioned for |mu| into the
-    hundreds, and log_det sums the logs of the returned map's segment
-    determinants.
+    hundreds; the returned map keeps its segment maps for det_residual.
 
     Error certificate: one map is built with m and one with 2m substeps per
     interval, and the 2m map is returned with the Richardson estimate of its
@@ -289,11 +277,8 @@ def monodromy(profile: WaveProfile, mu, k: float,
         err_est = math.inf if abs(drift) > _LOG_MAX else \
             float(np.max(np.abs(P - math.exp(drift) * Pc))) / 15.0
         if err_est <= bound:
-            # segment determinants (theoretically 1) while well conditioned
-            log_det = sum((complex(np.log(complex(det_complete_pivot(seg))))
-                           for seg in segments), 0j)
-            return Monodromy(matrix=P, log_scale=log_scale, log_det=log_det,
-                             mu=mu_c, k=k, err_est=err_est, steps=steps)
+            return Monodromy(matrix=P, log_scale=log_scale, segments=segments,
+                             err_est=err_est, steps=steps)
         coarse, m = fine, 2 * m
 
 
@@ -448,7 +433,7 @@ def _refine(sample, s0: EvansSample, s1: EvansSample, tol: float) -> RefinedRoot
 
 def evans_scan(profile: WaveProfile, mu_grid, k: float, lam=1.0,
                ode_tol: float = DEFAULT_ODE_TOL,
-               refine_tol: float = 1e-6) -> ScanReport:
+               refine_tol: float = DEFAULT_REFINE_TOL) -> ScanReport:
     """Evaluate D along a real mu grid, bracket sign changes, refine roots.
 
     Each sign change of Re D between neighbouring grid points (both read

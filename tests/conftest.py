@@ -1,5 +1,6 @@
 """Shared fixtures: the standard test waves, built once per session."""
 
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -38,8 +39,8 @@ def kdv_basis(kdv_profile):
 
 
 @pytest.fixture(scope="session")
-def kdv_wmatrix(kdv_profile, kdv_basis):
-    return kp.build_W(kdv_profile, kdv_basis)
+def kdv_wmatrix(kdv_basis):
+    return kp.build_W(kdv_basis)
 
 
 @pytest.fixture(scope="session")
@@ -100,6 +101,29 @@ def phase_align(profile_a, profile_b, n=512):
     return float(np.max(np.abs(profile_a.u(x) - profile_b.u(x))))
 
 
+def coefficient_matrix(profile):
+    """(mu, k, x) -> H(x; mu, k), the scalar evaluation the DP5 references
+    integrate through.
+
+    u and u_x come from the profile interpolant.  Row 4 comes from
+    evans._base_coefficients, looked up on each call of coefficient_matrix,
+    so a patch of it reaches the next call, and built once for every H the
+    call returns.
+    """
+    base = sys.modules["kpevans.evans"]._base_coefficients(profile.params)
+    sigma = profile.params.sigma
+
+    def H(mu, k, x):
+        b41, b42, b43 = base(profile.u(x), profile.ux(x))
+        out = np.zeros((4, 4), dtype=complex if isinstance(mu, complex) else float)
+        out[0, 1] = out[1, 2] = out[2, 3] = 1.0
+        out[3, 0] = b41 - sigma * k * k
+        out[3, 1], out[3, 2] = b42 - mu, b43
+        return out
+
+    return H
+
+
 def tabulate(period, full, n):
     """BlockSystem of 1x1 blocks from n uniform samples of the 2x2 matrix full(x)."""
     grid = np.arange(n) * (period / n)
@@ -151,7 +175,7 @@ def seeded_turning_points(params, seed, simplicity_tol=1e-8):
     base-wave roots tracks the same well; StencilLeftRegion when it cannot.
     """
     p = params.energy_poly()
-    desc = np.trim_zeros(p, trim="b")[::-1]
+    desc = p[::-1]
     d1 = np.polyder(desc)
     out = []
     for s in seed:

@@ -133,8 +133,7 @@ def test_criterion_09_kernel_residuals(kdv_profile, kdv_basis, kdv_wmatrix,
                                        kdv_grads):
     res = kp.kernel_residuals(kdv_basis)
     worst_kernel = max(res.values())
-    pred = predicted_deltaW(kdv_profile, kdv_basis, kdv_grads.dT[0],
-                            kdv_grads.dT[1])
+    pred = predicted_deltaW(kdv_basis, kdv_grads.dT[0], kdv_grads.dT[1])
     dw_err = np.max(np.abs(kdv_wmatrix.deltaW - pred)) / np.max(np.abs(pred))
     ok = worst_kernel <= 1e-6 and dw_err <= 1e-6
     report(9, ok, f"kernel residuals worst {worst_kernel:.2e}; deltaW vs "

@@ -63,13 +63,22 @@ def test_missing_key_exit_2(tmp_path):
     assert run(["profile", "--config", str(path), "--out", str(tmp_path)]) == 2
 
 
-def test_unknown_key_exit_2(tmp_path):
-    for overrides in ({"bogus": 1}, {"tolerances": {"simplicity_tol": 1e-8}}):
+GRID = {"kind": "geometric", "start": 0.01, "stop": 1.0, "n": 6}
+
+
+def test_unknown_key_exit_2(tmp_path, capsys):
+    # every block is checked when the config is read, whatever the command
+    for overrides, key in (
+            ({"bogus": 1}, "bogus"),
+            ({"tolerances": {"simplicity_tol": 1e-8}}, "tolerances.simplicity_tol"),
+            ({"scan": {"high_freq": {"mu_lsit": [25.0]}}}, "scan.high_freq.mu_lsit"),
+            ({"scan": {"low_freq": {"k_lader": [0.04, 0.08, 0.12, 0.16]}}},
+             "scan.low_freq.k_lader"),
+            ({"scan": {"mu_grid": dict(GRID, values=[1.0])}}, "scan.mu_grid.values")):
         cfg = write_config(tmp_path, **overrides)
         assert run(["profile", "--config", cfg, "--out", str(tmp_path)]) == 2
-
-
-GRID = {"kind": "geometric", "start": 0.01, "stop": 1.0, "n": 6}
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and key in err
 
 
 @pytest.mark.parametrize("overrides, key", [
@@ -80,8 +89,15 @@ GRID = {"kind": "geometric", "start": 0.01, "stop": 1.0, "n": 6}
     ({"scan": {"mu_grid": {"kind": "list"}}}, "mu_grid"),
     ({"scan": {"low_freq": {"k_ladder": [0.05, 0.1]}}}, "scan.low_freq.k_ladder"),
     ({"scan": {"mu_grid": GRID, "k": 0.1}}, "scan.k"),
+    ({"scan": {"mu_grid": GRID, "lambda": "x"}}, "scan.lambda"),
+    ({"scan": {"high_freq": {"mu_list": 5}}}, "scan.high_freq.mu_list"),
+    ({"scan": {"high_freq": {"k": "x"}}}, "scan.high_freq.k"),
+    ({"scan": {"high_freq": [1]}}, "scan.high_freq"),
+    ({"scan": {"low_freq": [1]}}, "scan.low_freq"),
+    ({"scan": {"high_freq": {"mu_list": [50.0, 25.0]}}}, "scan.high_freq.mu_list"),
 ], ids=["spp-32", "spp-abc", "quad_tol-x", "mu_grid-decreasing", "mu_grid-no-values",
-        "k_ladder-2", "k-scalar"])
+        "k_ladder-2", "k-scalar", "lambda-x", "mu_list-scalar", "high_freq_k-x",
+        "high_freq-list", "low_freq-list", "mu_list-decreasing"])
 def test_malformed_value_exit_2(tmp_path, capsys, overrides, key):
     cfg = write_config(tmp_path, **overrides)
     assert run(["scan", "--config", cfg, "--out", str(tmp_path / "s")]) == 2

@@ -10,6 +10,7 @@ import pytest
 import kpevans as kp
 from kpevans.evans import EvansValue, det_complete_pivot
 
+from conftest import coefficient_matrix
 from dp5 import integrate
 
 
@@ -32,8 +33,8 @@ def char_poly_coeffs(mono):
 def test_coefficient_matrix_trace_free(kdv_profile):
     rng = np.random.default_rng(11)
     for _ in range(8):
-        H = kp.coefficient_matrix(kdv_profile, rng.uniform(-5, 5),
-                                  rng.uniform(-1, 1), rng.uniform(0, 9))
+        H = coefficient_matrix(kdv_profile)(rng.uniform(-5, 5), rng.uniform(-1, 1),
+                                            rng.uniform(0, 9))
         assert np.trace(H) == 0.0
         assert np.allclose(H[0, 1], 1.0) and np.allclose(H[2, 3], 1.0)
 
@@ -46,8 +47,8 @@ def test_coefficient_matrix_k_shift(kdv_profile):
     # at x = 1.3 the base -u_xx ~ -0.417 is exact, but adding -0.25 crosses
     # into [0.5, 1) and rounds away its odd last bit (half an ulp off).
     k = 0.5
-    H0 = kp.coefficient_matrix(kdv_profile, 0.7, 0.0, 1.3)
-    H5 = kp.coefficient_matrix(kdv_profile, 0.7, k, 1.3)
+    H = coefficient_matrix(kdv_profile)
+    H0, H5 = H(0.7, 0.0, 1.3), H(0.7, k, 1.3)
     shift = -kdv_profile.params.sigma * k**2
     ulp = np.spacing(max(abs(H0[3, 0]), abs(H5[3, 0])))
     assert H5[3, 0] - H0[3, 0] == pytest.approx(shift, rel=0, abs=2 * ulp)
@@ -62,13 +63,34 @@ def test_monodromy_determinant(kdv_profile):
     assert mono.det_residual() <= 1e-8
 
 
+def test_liouville_certificate_on_demand(kdv_profile, monkeypatch):
+    """monodromy takes no segment determinant; det_residual takes one per
+    segment of the returned map."""
+    ev = sys.modules["kpevans.evans"]
+    calls = []
+
+    def counted(A):
+        calls.append(A)
+        return det_complete_pivot(A)
+
+    monkeypatch.setattr(ev, "det_complete_pivot", counted)
+    mono = kp.monodromy(kdv_profile, 60.0, 0.3)
+    assert calls == []
+    residual = mono.det_residual()
+    assert len(calls) == len(mono.segments) > 1
+    monkeypatch.undo()
+    assert residual == mono.det_residual() <= 1e-8
+
+
 def test_group_property(kdv_profile):
     """Two-segment oracle: Phi(T) = Phi(T/2 -> T) Phi(0 -> T/2)."""
     mu, k = 1.7, 0.3
     T = kdv_profile.period
 
+    H = coefficient_matrix(kdv_profile)
+
     def rhs(x, Y):
-        return kp.coefficient_matrix(kdv_profile, mu, k, x) @ Y
+        return H(mu, k, x) @ Y
 
     half1, _ = integrate(rhs, 0.0, 0.5 * T, np.eye(4), rtol=1e-12, atol=1e-12)
     half2, _ = integrate(rhs, 0.5 * T, T, np.eye(4), rtol=1e-12, atol=1e-12)
@@ -198,8 +220,10 @@ def test_engine_against_dp5_oracle(request, wave, mu):
     k, ode_tol = 0.3, 1e-12
     dtype = complex if isinstance(mu, complex) else float
 
+    H = coefficient_matrix(profile)
+
     def rhs(x, Y):
-        return kp.coefficient_matrix(profile, mu, k, x) @ Y
+        return H(mu, k, x) @ Y
 
     oracle, _ = integrate(rhs, 0.0, profile.period, np.eye(4, dtype=dtype),
                           rtol=1e-12, atol=1e-12)
@@ -220,7 +244,8 @@ def test_engine_unreachable_tolerance_fails_fast(kdv_profile):
 
 
 def test_single_coefficient_source(kdv_profile, monkeypatch):
-    """coefficient_matrix and monodromy both take row 4 of H from one place.
+    """conftest.coefficient_matrix, the DP5 references' H, and monodromy both
+    take row 4 of H from one place.
 
     Adding -sigma k^2 to b41 in _base_coefficients must reproduce k exactly
     as both consumers see it, so the k-shift test above guards the engine.
@@ -229,7 +254,7 @@ def test_single_coefficient_source(kdv_profile, monkeypatch):
     assert not hasattr(ev, "integrate")
     assert not hasattr(ev, "_horner") and not hasattr(ev, "_poly_rows")
     mu, k, x = 0.7, 0.5, 1.3
-    H_k = kp.coefficient_matrix(kdv_profile, mu, k, x)
+    H_k = coefficient_matrix(kdv_profile)(mu, k, x)
     mono_k = kp.monodromy(kdv_profile, mu, k)
     shift = -kdv_profile.params.sigma * k * k
     base_of = ev._base_coefficients
@@ -243,7 +268,7 @@ def test_single_coefficient_source(kdv_profile, monkeypatch):
         return fields
 
     monkeypatch.setattr(ev, "_base_coefficients", shifted)
-    H_0 = kp.coefficient_matrix(kdv_profile, mu, 0.0, x)
+    H_0 = coefficient_matrix(kdv_profile)(mu, 0.0, x)
     mono_0 = kp.monodromy(kdv_profile, mu, 0.0)
     assert np.array_equal(H_0, H_k)
     assert np.max(np.abs(mono_0.full() - mono_k.full())) \

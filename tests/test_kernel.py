@@ -95,7 +95,8 @@ def test_basis_against_dp5(dp5_reference):
     profile, ref = dp5_reference
     basis = kp.variational_solutions(profile)
     for name, vals in ref.items():
-        assert np.max(np.abs(getattr(basis, name) - vals)) <= 1e-10, name
+        field = "ux" if name == "up" else name   # the basis holds u' once, as u_x
+        assert np.max(np.abs(getattr(basis, field) - vals)) <= 1e-10, name
 
 
 @pytest.mark.parametrize("wave", ["kdv", "dnoidal", "cnoidal_mkdv"])
@@ -132,8 +133,8 @@ def test_det_W_is_one(kdv_wmatrix):
     assert np.max(np.abs(dets - 1.0)) <= 1e-8
 
 
-def test_W0_matches_display(kdv_profile, kdv_basis, kdv_wmatrix):
-    pred = predicted_W0(kdv_profile, kdv_basis)
+def test_W0_matches_display(kdv_basis, kdv_wmatrix):
+    pred = predicted_W0(kdv_basis)
     assert np.max(np.abs(kdv_wmatrix.W0 - pred)) <= 1e-12
 
 
@@ -146,8 +147,8 @@ def test_deltaW_entry_22(kdv_params, kdv_profile, kdv_wmatrix, kdv_grads):
     assert kdv_wmatrix.deltaW[1, 1] == pytest.approx(Vm * kdv_grads.dT[0], rel=1e-6)
 
 
-def test_deltaW_matches_display(kdv_profile, kdv_basis, kdv_wmatrix, kdv_grads):
-    pred = predicted_deltaW(kdv_profile, kdv_basis, kdv_grads.dT[0], kdv_grads.dT[1])
+def test_deltaW_matches_display(kdv_basis, kdv_wmatrix, kdv_grads):
+    pred = predicted_deltaW(kdv_basis, kdv_grads.dT[0], kdv_grads.dT[1])
     scale = np.max(np.abs(pred))
     assert np.max(np.abs(kdv_wmatrix.deltaW - pred)) <= 1e-6 * scale
     # rows 1 and 3 of columns 2-3 vanish; the (a, E) block is rank one
@@ -171,7 +172,7 @@ def displayed_deltaW(profile, basis, T_a, T_E):
 
 def test_deltaW_column_reduction(kdv_profile, kdv_basis, kdv_grads):
     """The displayed variant differs by a column operation only."""
-    pred = predicted_deltaW(kdv_profile, kdv_basis, kdv_grads.dT[0], kdv_grads.dT[1])
+    pred = predicted_deltaW(kdv_basis, kdv_grads.dT[0], kdv_grads.dT[1])
     disp = displayed_deltaW(kdv_profile, kdv_basis, kdv_grads.dT[0], kdv_grads.dT[1])
     Ix = kdv_basis.I_sx[-1]
     assert np.allclose(disp[:, 3], pred[:, 3] + Ix * pred[:, 2], rtol=0, atol=1e-12)

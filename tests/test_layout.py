@@ -1,6 +1,7 @@
 """Layout guards: the package solves no ODE adaptively, evaluates polynomials
-one way, reads every tolerance key it accepts, and the tests stay
-independent of the benchmark."""
+one way, reads every tolerance key it accepts and converts config values
+only where it loads them, and the tests stay independent of the
+benchmark."""
 
 import ast
 from pathlib import Path
@@ -51,7 +52,25 @@ def test_cli_reads_every_tolerance_key():
     read = {node.args[0].value for node in nodes(SRC / "cli.py", ast.Call)
             if isinstance(node.func, ast.Attribute) and node.func.attr == "tol"
             and isinstance(node.args[0], ast.Constant)}
-    assert read == cli._TOL_KEYS
+    assert read == set(cli._TOLERANCES)
+
+
+def test_commands_only_compute():
+    """load_config converts, checks and defaults every config value, so no
+    cmd_* function in cli calls float, int or .get, or passes cfg.tol a
+    default."""
+    for fn in nodes(SRC / "cli.py", ast.FunctionDef):
+        if not fn.name.startswith("cmd_"):
+            continue
+        for node in ast.walk(fn):
+            if not isinstance(node, ast.Call):
+                continue
+            if isinstance(node.func, ast.Name):
+                assert node.func.id not in ("float", "int"), (fn.name, node.func.id)
+            elif isinstance(node.func, ast.Attribute):
+                assert node.func.attr != "get", fn.name
+                assert node.func.attr != "tol" or \
+                    len(node.args) + len(node.keywords) == 1, fn.name
 
 
 def test_tests_do_not_import_perfbench():
