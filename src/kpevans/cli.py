@@ -25,7 +25,8 @@ from . import asymptotics, conserved, kernel, tracking, wave
 from .errors import ConfigError, DegenerateTurningPoint, KPEvansError
 from .evans import evans as evans_value
 from .evans import DEFAULT_ODE_TOL, DEFAULT_REFINE_TOL, evans_scan, monodromy
-from .model import NonlinearitySpec, WaveParams
+from .model import (NonlinearitySpec, WaveParams, read_block, read_number,
+                    read_numbers)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -59,37 +60,6 @@ class ProblemConfig:
         return self.tolerances[name]
 
 
-def _block(value, name: str, defaults: dict, required: tuple) -> dict:
-    """value, a JSON object holding only keys of defaults and required, with
-    the defaults filled in.  name is the block's dotted path, "" at the top."""
-    path = f"{name}." if name else ""
-    if not isinstance(value, dict):
-        raise ConfigError(f"{name or 'config'} must be a JSON object, got {value!r}")
-    allowed = set(defaults) | set(required)
-    unknown = sorted(path + key for key in set(value) - allowed)
-    if unknown:
-        raise ConfigError(f"unknown config keys: {unknown}; "
-                          f"{name or 'config'} takes {sorted(allowed)}")
-    for key in required:
-        if key not in value:
-            raise ConfigError(f"missing required config key '{path}{key}'")
-    return {**defaults, **value}
-
-
-def _number(value, key: str, kind):
-    try:
-        return kind(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{key} must be a number, got {value!r}") from None
-
-
-def _numbers(values, key: str, at_least: int) -> list:
-    if not isinstance(values, list) or len(values) < at_least:
-        raise ConfigError(f"{key} must be a list of at least {at_least} numbers, "
-                          f"got {values!r}")
-    return [_number(v, key, float) for v in values]
-
-
 def _mu_grid(spec) -> list:
     """The scan's mu grid, which must increase strictly."""
     kind = spec.get("kind") if isinstance(spec, dict) else None
@@ -97,14 +67,14 @@ def _mu_grid(spec) -> list:
         raise ConfigError("mu_grid needs the kind 'list' with 'values', or 'geometric' "
                           f"or 'linear' with 'start', 'stop' and 'n'; got {spec!r}")
     keys = ("values",) if kind == "list" else ("start", "stop", "n")
-    spec = _block(spec, "scan.mu_grid", {}, ("kind",) + keys)
+    spec = read_block(spec, "scan.mu_grid", {}, ("kind",) + keys)
     if kind == "list":
-        grid = _numbers(spec["values"], "scan.mu_grid.values", 1)
+        grid = read_numbers(spec["values"], "scan.mu_grid.values", 1)
     else:
         space = np.geomspace if kind == "geometric" else np.linspace
-        grid = list(space(_number(spec["start"], "scan.mu_grid.start", float),
-                          _number(spec["stop"], "scan.mu_grid.stop", float),
-                          _number(spec["n"], "scan.mu_grid.n", int)))
+        grid = list(space(read_number(spec["start"], "scan.mu_grid.start", float),
+                          read_number(spec["stop"], "scan.mu_grid.stop", float),
+                          read_number(spec["n"], "scan.mu_grid.n", int)))
     if any(m2 <= m1 for m1, m2 in zip(grid, grid[1:])):
         raise ConfigError("scan.mu_grid must be strictly increasing")
     return grid
@@ -112,24 +82,25 @@ def _mu_grid(spec) -> list:
 
 def _scan(block) -> dict:
     """The scan block; mu_grid, high_freq and low_freq stay None unless given."""
-    scan = _block(block, "scan", _SCAN, ())
-    scan["k"] = _numbers(scan["k"], "scan.k", 1)
-    scan["lambda"] = _number(scan["lambda"], "scan.lambda", float)
+    scan = read_block(block, "scan", _SCAN, ())
+    scan["k"] = read_numbers(scan["k"], "scan.k", 1)
+    scan["lambda"] = read_number(scan["lambda"], "scan.lambda", float)
     if "mu_grid" in block:
         scan["mu_grid"] = _mu_grid(block["mu_grid"])
     if "high_freq" in block:
-        hf = scan["high_freq"] = _block(block["high_freq"], "scan.high_freq",
-                                        _HIGH_FREQ, ())
-        k = hf["k"] = _number(hf["k"], "scan.high_freq.k", float)
-        mu = hf["mu_list"] = _numbers(hf["mu_list"], "scan.high_freq.mu_list", 1)
+        hf = scan["high_freq"] = read_block(block["high_freq"], "scan.high_freq",
+                                            _HIGH_FREQ, ())
+        k = hf["k"] = read_number(hf["k"], "scan.high_freq.k", float)
+        mu = hf["mu_list"] = read_numbers(hf["mu_list"], "scan.high_freq.mu_list", 1)
         if k == 0.0:
             raise ConfigError("scan.high_freq.k must be nonzero")
         if mu[0] <= 0.0 or any(m2 <= m1 for m1, m2 in zip(mu, mu[1:])):
             raise ConfigError("scan.high_freq.mu_list must be positive and strictly "
                               f"increasing, got {mu!r}")
     if "low_freq" in block:   # the k^4, k^6 fit needs four
-        lf = scan["low_freq"] = _block(block["low_freq"], "scan.low_freq", _LOW_FREQ, ())
-        lf["k_ladder"] = _numbers(lf["k_ladder"], "scan.low_freq.k_ladder", 4)
+        lf = scan["low_freq"] = read_block(block["low_freq"], "scan.low_freq",
+                                           _LOW_FREQ, ())
+        lf["k_ladder"] = read_numbers(lf["k_ladder"], "scan.low_freq.k_ladder", 4)
     return scan
 
 
@@ -138,21 +109,20 @@ def load_config(path) -> ProblemConfig:
         raw = json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}")
-    raw = _block(raw, "", _TOP, ("nonlinearity", "a", "E", "c"))
-    nl = NonlinearitySpec.from_json_dict(raw["nonlinearity"])
-    sigma = raw["sigma"]
+    raw = read_block(raw, "", _TOP, ("nonlinearity", "a", "E", "c"))
+    sigma = read_number(raw["sigma"], "sigma", int)
     if sigma not in (-1, 1):
         raise ConfigError(f"sigma must be +1 or -1, got {sigma!r}")
-    params = WaveParams(*(_number(raw[key], key, float) for key in ("a", "E", "c")),
-                        nl, int(sigma))
-    tols = _block(raw["tolerances"], "tolerances", _TOLERANCES, ())
-    tols = {k: _number(v, f"tolerances.{k}", float) for k, v in tols.items()}
+    params = WaveParams(*(read_number(raw[key], key, float) for key in ("a", "E", "c")),
+                        NonlinearitySpec.from_json_dict(raw["nonlinearity"]), sigma)
+    tols = read_block(raw["tolerances"], "tolerances", _TOLERANCES, ())
+    tols = {k: read_number(v, f"tolerances.{k}", float) for k, v in tols.items()}
     hint = raw["bracket_hint"]
     if hint is not None:
         if not (isinstance(hint, (list, tuple)) and len(hint) == 2):
             raise ConfigError("bracket_hint must be a [lo, hi] pair")
-        hint = tuple(_number(v, "bracket_hint", float) for v in hint)
-    spp = _number(raw["samples_per_period"], "samples_per_period", int)
+        hint = tuple(read_number(v, "bracket_hint", float) for v in hint)
+    spp = read_number(raw["samples_per_period"], "samples_per_period", int)
     if spp < 64:
         raise ConfigError(f"samples_per_period must be at least 64, got {spp}")
     return ProblemConfig(params=params, bracket_hint=hint, tolerances=tols,

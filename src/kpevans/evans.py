@@ -17,14 +17,17 @@ the asymptotic verifiers alike.
 H is trace free, so the fundamental matrix has constant determinant; the
 monodromy M(mu, k) = Phi(T) is stored as a normalized matrix plus a real
 log of the factored-out scale.  It is a product of classical RK4 step
-propagators (_rk4_steps) aligned with the profile's quintic-Hermite grid
-(m substeps per grid interval, so H is polynomial inside every step), built
-and multiplied as numpy stacks from one table of H over the period at
-WaveProfile.substep_samples.  One map is built per substep count: the map
+propagators aligned with the profile's quintic-Hermite grid (m substeps
+per grid interval, so H is polynomial inside every step).  Because H is a
+companion matrix, each propagator is a closed form in row 4 of H at the
+step's start, midpoint and end (_companion_steps), written as numpy stacks
+and multiplied pairwise.  One map is built per substep count: the map
 with 2m substeps is returned with the Richardson estimate err_est of its
 error against the map with m, and m doubles, each retry reusing the last
 fine map as its coarse one, until err_est meets the bound that ode_tol sets
-(see monodromy).  The Evans function is
+(see monodromy).  Each fine map builds one table of row 4 of H over the
+period, at WaveProfile.substep_samples, and the first coarse map reads
+every other point of it.  The Evans function is
 
     D(mu, k, lambda) = det(M(mu, k) - lambda I),
 
@@ -154,10 +157,9 @@ def det_with_noise(A: np.ndarray):
     return (complex(det) if complex_in else float(det)), noise
 
 
-_CHUNK = 256           # RK4 steps per propagator stack
+_CHUNK = 1024          # RK4 steps per propagator stack
 _MAX_STEPS = 1 << 16   # step budget of one period map
 _TOL_FACTOR = 1e3      # err_est <= _TOL_FACTOR * ode_tol * (1 + |mu|)
-_SHIFT = np.eye(4, k=1)
 
 
 def _ordered_product(P: np.ndarray) -> np.ndarray:
@@ -169,43 +171,78 @@ def _ordered_product(P: np.ndarray) -> np.ndarray:
     return P[0]
 
 
-def _rk4_steps(A: np.ndarray, h: float) -> np.ndarray:
-    """Classical RK4 step propagators of the linear flow Y' = A(x) Y.
+def _companion_steps(rows, h: float) -> np.ndarray:
+    """Classical RK4 step propagators of Y' = A(x) Y for companion A.
 
-    A holds the coefficient matrices at every half step, A[2j], A[2j + 1]
-    and A[2j + 2] being step j's start, midpoint and end; h is the step.
-    Returns the stack of the n = (len(A) - 1) / 2 one-step maps.
+    A = S + e_4 d^T, with S the shift (ones above the diagonal) and
+    d = (d0, d1, d2, 0) the data row; rows = (d0, d1, d2) holds it at every
+    half step, entries 2j, 2j + 1 and 2j + 2 being step j's start p,
+    midpoint q and end r.  RK4's one-step map
+
+        I + h/6 (A0 + 4 Ah + A1) + h^2/6 (Ah A0 + Ah^2 + A1 Ah)
+          + h^3/12 (Ah^2 A0 + A1 Ah^2) + h^4/24 A1 Ah^2 A0
+
+    expands, since S e_4 = e_3 and d^T e_4 = 0, to the Taylor matrix
+    I + h S + h^2 S^2 / 2 + h^3 S^3 / 6 plus, by rows, with v> the row v
+    shifted one place right, (v0, v1, v2, 0)> = (0, v0, v1, v2):
+
+        0: h^4/24 p
+        1: h^3/12 (p + q) + h^4/24 q>
+        2: h^2/6 (p + 2q) + h^3/6 q> + h^4/24 (q>> + q2 p)
+        3: h/6 (p + 4q + r) + h^2/6 (2q + r)> + h^3/12 ((q + r)>> + q2 p
+           + r2 q) + h^4/24 (r>>> + r1 p + r2 q>).
+
+    The entries below collect these terms, the factors of p in w2 and w3
+    and those of q in u and v.  Returns the stack of the
+    n = (len(d0) - 1) / 2 one-step maps, in the dtype the rows promote to.
     """
-    A0, Ah, A1 = A[0:-1:2], A[1::2], A[2::2]
-    k2 = Ah + (0.5 * h) * (Ah @ A0)
-    k3 = Ah + (0.5 * h) * (Ah @ k2)
-    k4 = A1 + h * (A1 @ k3)
-    return np.eye(A.shape[-1]) + (h / 6.0) * (A0 + 2.0 * (k2 + k3) + k4)
+    (p0, q0, r0), (p1, q1, r1), (p2, q2, r2) = ((d[0:-1:2], d[1::2], d[2::2])
+                                                for d in rows)
+    c1, c2, c3, c4 = h / 6.0, h * h / 6.0, h ** 3 / 12.0, h ** 4 / 24.0
+    w2, w3 = c2 + c4 * q2, c1 + c3 * q2 + c4 * r1
+    u, v = 4.0 * c1 + c3 * r2, 2.0 * c2 + c4 * r2
+    P = np.empty((len(p0), 4, 4), dtype=np.result_type(*rows))
+    P[:, 0, 0] = 1.0 + c4 * p0
+    P[:, 0, 1] = h + c4 * p1
+    P[:, 0, 2] = h * h / 2.0 + c4 * p2
+    P[:, 0, 3] = h ** 3 / 6.0
+    P[:, 1, 0] = c3 * (p0 + q0)
+    P[:, 1, 1] = 1.0 + c3 * (p1 + q1) + c4 * q0
+    P[:, 1, 2] = h + c3 * (p2 + q2) + c4 * q1
+    P[:, 1, 3] = h * h / 2.0 + c4 * q2
+    P[:, 2, 0] = w2 * p0 + 2.0 * c2 * q0
+    P[:, 2, 1] = w2 * p1 + 2.0 * c2 * q1 + 2.0 * c3 * q0
+    P[:, 2, 2] = 1.0 + w2 * p2 + 2.0 * c2 * q2 + 2.0 * c3 * q1 + c4 * q0
+    P[:, 2, 3] = h + 2.0 * c3 * q2 + c4 * q1
+    P[:, 3, 0] = w3 * p0 + u * q0 + c1 * r0
+    P[:, 3, 1] = w3 * p1 + u * q1 + c1 * r1 + v * q0 + c2 * r0
+    P[:, 3, 2] = w3 * p2 + u * q2 + c1 * r2 + v * q1 + c2 * r1 + c3 * (q0 + r0)
+    P[:, 3, 3] = 1.0 + v * q2 + c2 * r2 + c3 * (q1 + r1) + c4 * r0
+    return P
 
 
-def _period_map(profile: WaveProfile, edges, mu, sigma_k2: float, m: int, dtype):
-    """One normalized period map with m RK4 substeps per grid interval.
-
-    Returns (matrix, log_scale, segment maps), segment i mapping grid node
-    edges[i] to edges[i + 1]; H comes from one table of the period, at the
-    half steps of the m RK4 substeps of every interval.
-    """
+def _table(profile: WaveProfile, m: int, mu, sigma_k2: float):
+    """(b41 - sigma k^2, b42 - mu, b43), row 4 of H at the half steps of m
+    RK4 substeps per grid interval: at WaveProfile.substep_samples(m)."""
     b41, b42, b43 = _base_coefficients(profile.params)(*profile.substep_samples(m))
-    b41, b42 = b41 - sigma_k2, b42 - mu
-    h = profile.h / m
-    P = np.eye(4, dtype=dtype)
+    return b41 - sigma_k2, b42 - mu, b43
+
+
+def _period_map(table, edges, h: float, m: int):
+    """One normalized period map, m RK4 substeps of length h per grid interval.
+
+    table is _table's with the same m: point 2 m i + j lies in interval i.
+    Returns (matrix, log_scale, segment maps), segment i mapping grid node
+    edges[i] to edges[i + 1].
+    """
+    P = np.eye(4, dtype=np.result_type(*table))
     log_scale = 0.0
     segments = []
     for lo, hi in zip(edges[:-1], edges[1:]):
-        seg = np.eye(4, dtype=dtype)
+        seg = np.eye(4, dtype=P.dtype)
         for s0 in range(2 * m * lo, 2 * m * hi, 2 * _CHUNK):
             s1 = min(s0 + 2 * _CHUNK, 2 * m * hi) + 1
-            A = np.empty((s1 - s0, 4, 4), dtype=dtype)
-            A[:] = _SHIFT
-            A[:, 3, 0] = b41[s0:s1]
-            A[:, 3, 1] = b42[s0:s1]
-            A[:, 3, 2] = b43[s0:s1]
-            seg = _ordered_product(_rk4_steps(A, h)) @ seg
+            seg = _ordered_product(_companion_steps([d[s0:s1] for d in table], h)) @ seg
         segments.append(seg)
         P = seg @ P
         s = float(np.max(np.abs(P)))
@@ -223,8 +260,10 @@ def monodromy(profile: WaveProfile, mu, k: float,
 
     The profile interpolant is one quintic per grid interval, so H is
     polynomial inside each of the m classical RK4 substeps an interval
-    gets.  The per-step 4x4 propagators are built as numpy stacks, at
-    most _CHUNK steps at a time, and multiplied pairwise.  [0, T] is split
+    gets.  H is a companion matrix, so each step's 4x4 propagator is a
+    closed form in row 4 of H at the step's start, midpoint and end
+    (_companion_steps); the propagators are written as numpy stacks of at
+    most _CHUNK steps and multiplied pairwise.  [0, T] is split
     at grid nodes into ceil(|mu|^{1/3} T / 5) segments; after each segment
     the running product is normalized by its max entry with the log
     accumulated, which keeps every factor well conditioned for |mu| into the
@@ -241,15 +280,17 @@ def monodromy(profile: WaveProfile, mu, k: float,
         err_est <= 1e3 * ode_tol * (1 + |mu|);
 
     on a miss the 2m map becomes the next attempt's coarse map, so each
-    retry builds one map.  If the budget of 2^16 steps per map runs out
-    first, IntegrationFailure is raised, so an uncertified map is never
-    returned.  steps counts every RK4 step of every map built, m n for a
-    map with m substeps on the n grid intervals.
+    retry builds one map.  Each fine map builds one table of row 4 of H,
+    at WaveProfile.substep_samples(2m); the first coarse map reads every
+    other point of it, which are bit for bit the m table's points, since
+    j / 2m and 2j / 4m round to the same float.  If the budget of 2^16
+    steps per map runs out first, IntegrationFailure is raised, so an
+    uncertified map is never returned.  steps counts every RK4 step of
+    every map built, m n for a map with m substeps on the n grid intervals.
     """
     mu_c = complex(mu)
     real_mode = mu_c.imag == 0.0
     mu_val = mu_c.real if real_mode else mu_c
-    dtype = float if real_mode else complex
     sigma_k2 = profile.params.sigma * k * k
     n = len(profile.grid) - 1
     nseg = min(n, max(1, math.ceil(abs(mu_c) ** (1.0 / 3.0) * profile.period / 5.0)))
@@ -267,11 +308,13 @@ def monodromy(profile: WaveProfile, mu, k: float,
             raise IntegrationFailure(
                 f"RK4 step budget {_MAX_STEPS} exhausted before the Richardson "
                 f"estimate met {bound:.3g} (mu={mu_c:.6g}, k={k:.6g})")
+        table = _table(profile, 2 * m, mu_val, sigma_k2)
         if coarse is None:
-            coarse = _period_map(profile, edges, mu_val, sigma_k2, m, dtype)
+            coarse = _period_map([d[::2] for d in table], edges, profile.h / m, m)
             steps += m * n
-        fine = _period_map(profile, edges, mu_val, sigma_k2, 2 * m, dtype)
+        fine = _period_map(table, edges, profile.h / (2 * m), 2 * m)
         steps += 2 * m * n
+        del table   # a retry's table is twice as long; never hold both
         (P, log_scale, segments), (Pc, log_scale_c, _) = fine, coarse
         drift = log_scale_c - log_scale
         err_est = math.inf if abs(drift) > _LOG_MAX else \

@@ -9,11 +9,15 @@ oscillator u_x^2/2 = E - V(u; a, c) with
 Everything here is exact polynomial arithmetic: coefficients are stored in
 ascending order and differentiated symbolically, so derivative checks
 downstream carry no truncation error from this layer.
+
+read_block, read_number and read_numbers check JSON input (configs and
+saved profiles) and name a malformed value by its dotted key.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,6 +25,41 @@ import numpy as np
 from .errors import ConfigError
 
 _MAX_ORDER = 3
+
+
+def read_block(value, name: str, defaults: dict, required: tuple) -> dict:
+    """value, a JSON object holding only keys of defaults and required, with
+    the defaults filled in.  name is the block's dotted path, "" at the top."""
+    path = f"{name}." if name else ""
+    if not isinstance(value, dict):
+        raise ConfigError(f"{name or 'config'} must be a JSON object, got {value!r}")
+    allowed = set(defaults) | set(required)
+    unknown = sorted(path + key for key in set(value) - allowed)
+    if unknown:
+        raise ConfigError(f"unknown config keys: {unknown}; "
+                          f"{name or 'config'} takes {sorted(allowed)}")
+    for key in required:
+        if key not in value:
+            raise ConfigError(f"missing required config key '{path}{key}'")
+    return {**defaults, **value}
+
+
+def read_number(value, key: str, kind):
+    """A JSON number as kind, float or int; an int must be integral."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{key} must be a number, got {value!r}")
+    if isinstance(value, float) and not math.isfinite(value):   # JSON NaN, Infinity
+        raise ConfigError(f"{key} must be a finite number, got {value!r}")
+    if kind is int and isinstance(value, float) and not value.is_integer():
+        raise ConfigError(f"{key} must be an integer, got {value!r}")
+    return kind(value)
+
+
+def read_numbers(values, key: str, at_least: int) -> list:
+    if not isinstance(values, list) or len(values) < at_least:
+        raise ConfigError(f"{key} must be a list of at least {at_least} numbers, "
+                          f"got {values!r}")
+    return [read_number(v, key, float) for v in values]
 
 
 def _poly_derivative(coeffs: np.ndarray, order: int) -> np.ndarray:
@@ -100,20 +139,20 @@ class NonlinearitySpec:
 
     @staticmethod
     def from_json_dict(d: dict) -> "NonlinearitySpec":
-        if not isinstance(d, dict) or "kind" not in d:
-            raise ConfigError("nonlinearity must be an object with a 'kind'")
-        kind = d["kind"]
-        if kind == "power":
-            extra = set(d) - {"kind", "coef", "exponent"}
-            if extra:
-                raise ConfigError(f"unknown nonlinearity keys: {sorted(extra)}")
-            return NonlinearitySpec.power(d["coef"], d["exponent"])
+        """The spec a JSON object names: kind "power" with coef and exponent,
+        or "poly" with coeffs; malformed input names its nonlinearity.* key."""
+        kind = d.get("kind") if isinstance(d, dict) else None
+        if kind not in ("power", "poly"):
+            raise ConfigError("nonlinearity needs the kind 'power' with 'coef' and "
+                              f"'exponent', or 'poly' with 'coeffs'; got {d!r}")
+        keys = ("coef", "exponent") if kind == "power" else ("coeffs",)
+        d = read_block(d, "nonlinearity", {}, ("kind",) + keys)
         if kind == "poly":
-            extra = set(d) - {"kind", "coeffs"}
-            if extra:
-                raise ConfigError(f"unknown nonlinearity keys: {sorted(extra)}")
-            return NonlinearitySpec.polynomial(d["coeffs"])
-        raise ConfigError(f"unknown nonlinearity kind {kind!r}")
+            return NonlinearitySpec.polynomial(
+                read_numbers(d["coeffs"], "nonlinearity.coeffs", 1))
+        return NonlinearitySpec.power(
+            read_number(d["coef"], "nonlinearity.coef", float),
+            read_number(d["exponent"], "nonlinearity.exponent", int))
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), sort_keys=True)

@@ -35,7 +35,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import IntegrationFailure, NoContraction, PeriodMapSingular
-from .evans import _rk4_steps
 
 
 class TrigInterp:
@@ -145,6 +144,20 @@ def _sylvester_generators(M1: np.ndarray, M2: np.ndarray) -> np.ndarray:
     L = (np.einsum("xik,jl->xijkl", M2, np.eye(n1))
          - np.einsum("ik,xlj->xijkl", np.eye(n2), M1))
     return L.reshape(n, n2 * n1, n2 * n1)
+
+
+def _rk4_steps(A: np.ndarray, h: float) -> np.ndarray:
+    """Classical RK4 step propagators of the linear flow Y' = A(x) Y.
+
+    A holds the coefficient matrices at every half step, A[2j], A[2j + 1]
+    and A[2j + 2] being step j's start, midpoint and end; h is the step.
+    Returns the stack of the n = (len(A) - 1) / 2 one-step maps.
+    """
+    A0, Ah, A1 = A[0:-1:2], A[1::2], A[2::2]
+    k2 = Ah + (0.5 * h) * (Ah @ A0)
+    k3 = Ah + (0.5 * h) * (Ah @ k2)
+    k4 = A1 + h * (A1 @ k3)
+    return np.eye(A.shape[-1]) + (h / 6.0) * (A0 + 2.0 * (k2 + k3) + k4)
 
 
 class _PeriodicRK4:

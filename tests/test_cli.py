@@ -74,7 +74,8 @@ def test_unknown_key_exit_2(tmp_path, capsys):
             ({"scan": {"high_freq": {"mu_lsit": [25.0]}}}, "scan.high_freq.mu_lsit"),
             ({"scan": {"low_freq": {"k_lader": [0.04, 0.08, 0.12, 0.16]}}},
              "scan.low_freq.k_lader"),
-            ({"scan": {"mu_grid": dict(GRID, values=[1.0])}}, "scan.mu_grid.values")):
+            ({"scan": {"mu_grid": dict(GRID, values=[1.0])}}, "scan.mu_grid.values"),
+            ({"nonlinearity": dict(KDV_NL, junk=1)}, "nonlinearity.junk")):
         cfg = write_config(tmp_path, **overrides)
         assert run(["profile", "--config", cfg, "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err
@@ -95,9 +96,21 @@ def test_unknown_key_exit_2(tmp_path, capsys):
     ({"scan": {"high_freq": [1]}}, "scan.high_freq"),
     ({"scan": {"low_freq": [1]}}, "scan.low_freq"),
     ({"scan": {"high_freq": {"mu_list": [50.0, 25.0]}}}, "scan.high_freq.mu_list"),
+    ({"samples_per_period": 100.9}, "samples_per_period must be an integer"),
+    ({"scan": {"mu_grid": dict(GRID, n=6.5)}}, "scan.mu_grid.n must be an integer"),
+    ({"a": "0.0"}, "a must be a number"),
+    ({"a": True}, "a must be a number"),
+    ({"sigma": True}, "sigma must be a number"),
+    ({"nonlinearity": dict(KDV_NL, coef="x")}, "nonlinearity.coef"),
+    ({"nonlinearity": {"kind": "power", "coef": 0.5}}, "nonlinearity.exponent"),
+    ({"nonlinearity": {"kind": "poly", "coeffs": 5}}, "nonlinearity.coeffs"),
+    ({"E": float("nan")}, "E must be a finite number"),
+    ({"tolerances": {"ode_tol": float("inf")}}, "tolerances.ode_tol must be a finite"),
 ], ids=["spp-32", "spp-abc", "quad_tol-x", "mu_grid-decreasing", "mu_grid-no-values",
         "k_ladder-2", "k-scalar", "lambda-x", "mu_list-scalar", "high_freq_k-x",
-        "high_freq-list", "low_freq-list", "mu_list-decreasing"])
+        "high_freq-list", "low_freq-list", "mu_list-decreasing", "spp-fraction",
+        "mu_grid_n-fraction", "a-string", "a-bool", "sigma-bool", "coef-x",
+        "power-no-exponent", "coeffs-scalar", "E-nan", "ode_tol-inf"])
 def test_malformed_value_exit_2(tmp_path, capsys, overrides, key):
     cfg = write_config(tmp_path, **overrides)
     assert run(["scan", "--config", cfg, "--out", str(tmp_path / "s")]) == 2

@@ -293,6 +293,65 @@ def test_base_table_is_grid_exact(request, wave, m):
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
+@pytest.mark.parametrize("dtype", [float, complex])
+@pytest.mark.parametrize("h", [0.5, 0.05])
+def test_companion_steps_match_general_kernel(dtype, h):
+    """The closed-form companion propagators equal the general RK4 kernel
+    to rounding.  Both evaluate one polynomial in h and the data in a
+    different order, so each entry differs by at most a few rounding units
+    of that polynomial with every term taken in absolute value, which is
+    the closed form on |d| (all its coefficients are positive); 16 units
+    is the bound, the measured worst is under 3.  As in the engine, a
+    complex mu makes only the middle row complex."""
+    rng = np.random.default_rng(11)
+    rows = [20.0 * rng.standard_normal(2049) for _ in range(3)]
+    if dtype is complex:
+        rows[1] = rows[1] + 20j * rng.standard_normal(2049)
+    A = np.zeros((2049, 4, 4), dtype=dtype)
+    A[:] = np.eye(4, k=1)
+    for j, d in enumerate(rows):
+        A[:, 3, j] = d
+    ev, tr = sys.modules["kpevans.evans"], sys.modules["kpevans.tracking"]
+    closed, general = ev._companion_steps(rows, h), tr._rk4_steps(A, h)
+    assert closed.shape == (1024, 4, 4) and closed.dtype == np.dtype(dtype)
+    magnitude = ev._companion_steps([np.abs(d) for d in rows], h)
+    assert np.all(np.abs(closed - general) <= 16 * np.finfo(float).eps * magnitude)
+
+
+@pytest.mark.parametrize("wave", ["kdv_profile", "dnoidal_profile",
+                                  "cnoidal_mkdv_profile"])
+@pytest.mark.parametrize("m", [1, 3])
+def test_coarse_table_is_fine_table_stride_2(request, wave, m):
+    """The m table is every other point of the 2m table, bit for bit:
+    j / 2m and 2j / 4m round to the same float."""
+    profile = request.getfixturevalue(wave)
+    ev = sys.modules["kpevans.evans"]
+    for mu in (0.7, 3 + 4j):
+        coarse = ev._table(profile, m, mu, 0.01)
+        fine = ev._table(profile, 2 * m, mu, 0.01)
+        for c, f in zip(coarse, fine):
+            assert np.array_equal(c, f[::2])
+
+
+def test_one_table_per_fine_map(kdv_profile, cnoidal_mkdv_profile, monkeypatch):
+    """A monodromy call samples the profile once per fine map: the KdV wave
+    builds its (1, 2) pair from one table, the cnoidal wave's retry adds
+    the 4-substep table."""
+    built = []
+    sample = kp.WaveProfile.substep_samples
+
+    def counted(self, m):
+        built.append(m)
+        return sample(self, m)
+
+    monkeypatch.setattr(kp.WaveProfile, "substep_samples", counted)
+    kp.monodromy(kdv_profile, 1e-3, 0.1)
+    assert built == [2]
+    built.clear()
+    kp.monodromy(cnoidal_mkdv_profile, 1e-3, 0.1)
+    assert built == [2, 4]
+
+
 # ----------------------------------------------------------------------
 # root refinement and work counters
 # ----------------------------------------------------------------------

@@ -110,3 +110,11 @@ def test_nonlinearity_rejects_bad_input():
     with pytest.raises(ConfigError):
         kp.NonlinearitySpec.from_json_dict({"kind": "power", "coef": 1.0,
                                             "exponent": 2, "junk": 1})
+    for bad, key in (({"kind": "power", "coef": "0.5", "exponent": 2},
+                      "nonlinearity.coef"),
+                     ({"kind": "power", "coef": 0.5}, "nonlinearity.exponent"),
+                     ({"kind": "power", "coef": 0.5, "exponent": 2.5},
+                      "nonlinearity.exponent"),
+                     ({"kind": "poly", "coeffs": 5}, "nonlinearity.coeffs")):
+        with pytest.raises(ConfigError, match=key):
+            kp.NonlinearitySpec.from_json_dict(bad)
