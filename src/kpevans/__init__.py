@@ -16,13 +16,12 @@ from .asymptotics import (HighFreqReport, IndexVerdict, LowFreqReport,
 from .conserved import (GradientSet, InvariantSet, compute_invariants,
                         gradient_identity_residual, gradients, jacobian_TM,
                         kdv_jacobian_closed_form, profile_invariants)
-from .elliptic import (EllipticModulus, complete_E, complete_K,
-                       jacobi_elliptic)
+from .elliptic import EllipticModulus, complete_K, jacobi_elliptic
 from .evans import EvansValue, Monodromy, ScanReport, evans, evans_scan, monodromy
 from .kernel import (KernelBasis, WMatrix, build_W, kernel_residuals,
                      phi_solution, variational_solutions,
                      verify_inverse_column)
-from .model import NonlinearitySpec, WaveParams, eval_V, eval_f
+from .model import NonlinearitySpec, WaveParams, eval_V
 from .tracking import (BlockSystem, Conjugator, conjugation_residual,
                        solve_conjugator, triangularized_blocks)
 from .wave import (WaveProfile, cnoidal_wave, compute_period,
@@ -31,10 +30,10 @@ from .wave import (WaveProfile, cnoidal_wave, compute_period,
 __version__ = "0.1.0"
 
 __all__ = [
-    "NonlinearitySpec", "WaveParams", "eval_f", "eval_V",
+    "NonlinearitySpec", "WaveParams", "eval_V",
     "WaveProfile", "find_turning_points", "compute_period",
     "integrate_profile", "cnoidal_wave",
-    "EllipticModulus", "jacobi_elliptic", "complete_K", "complete_E",
+    "EllipticModulus", "jacobi_elliptic", "complete_K",
     "InvariantSet", "GradientSet", "compute_invariants", "profile_invariants",
     "gradients", "gradient_identity_residual", "jacobian_TM",
     "kdv_jacobian_closed_form",

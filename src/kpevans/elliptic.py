@@ -1,9 +1,9 @@
-"""Jacobi elliptic functions and complete integrals via AGM.
+"""Jacobi elliptic functions and the complete integral K via AGM.
 
 Implements the descending Landen transformation of DLMF 22.20(ii) /
 Abramowitz & Stegun 16.4: run the arithmetic-geometric mean to convergence,
 unwind the amplitude by the backward recurrence, and read off sn, cn, dn.
-K(k) and E(k) come from the same AGM tables (A&S 17.6).  Modulus convention
+K(k) comes from the same AGM tables (A&S 17.6).  Modulus convention
 throughout: k (not the parameter m = k^2), with 0 <= k < 1.
 """
 
@@ -52,14 +52,6 @@ def complete_K(m) -> float:
     """Complete elliptic integral of the first kind, K(k) = pi/(2*agm(1, k'))."""
     a, _, _ = _agm_tables(_as_k(m))
     return np.pi / (2.0 * a[-1])
-
-
-def complete_E(m) -> float:
-    """Complete elliptic integral of the second kind via A&S 17.6.4."""
-    k = _as_k(m)
-    a, _, c = _agm_tables(k)
-    s = sum(2.0 ** (n - 1) * c[n] ** 2 for n in range(len(c)))
-    return complete_K(k) * (1.0 - s)
 
 
 def jacobi_elliptic(x, m):

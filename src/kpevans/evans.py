@@ -25,9 +25,12 @@ and multiplied pairwise.  One map is built per substep count: the map
 with 2m substeps is returned with the Richardson estimate err_est of its
 error against the map with m, and m doubles, each retry reusing the last
 fine map as its coarse one, until err_est meets the bound that ode_tol sets
-(see monodromy).  Each fine map builds one table of row 4 of H over the
+(see monodromy).  Each fine map reads one table of row 4 of H over the
 period, at WaveProfile.substep_samples, and the first coarse map reads
-every other point of it.  The Evans function is
+every other point of it.  The mu- and k-free part of a table is built once
+per profile and substep count and kept on the profile, so a scan at many
+mu on one wave builds a handful of tables, not one per evaluation.  The
+Evans function is
 
     D(mu, k, lambda) = det(M(mu, k) - lambda I),
 
@@ -192,39 +195,84 @@ def _companion_steps(rows, h: float) -> np.ndarray:
         3: h/6 (p + 4q + r) + h^2/6 (2q + r)> + h^3/12 ((q + r)>> + q2 p
            + r2 q) + h^4/24 (r>>> + r1 p + r2 q>).
 
-    The entries below collect these terms, the factors of p in w2 and w3
-    and those of q in u and v.  Returns the stack of the
-    n = (len(d0) - 1) / 2 one-step maps, in the dtype the rows promote to.
+    Collecting these terms, with c1, c2, c3, c4 = h/6, h^2/6, h^3/12,
+    h^4/24, w2 = c2 + c4 q2, w3 = c1 + c3 q2 + c4 r1, u = 4 c1 + c3 r2 and
+    v = 2 c2 + c4 r2, entry (i, j) for j = 0, 1, 2 is, dropping the terms
+    whose index is negative,
+
+        (0, j): (1, h, h^2/2)_j + c4 p_j
+        (1, j): (0, 1, h)_j + c3 (p_j + q_j) + c4 q_{j-1}
+        (2, j): w2 p_j + (0, 0, 1)_j + 2 c2 q_j + 2 c3 q_{j-1} + c4 q_{j-2}
+        (3, j): w3 p_j + u q_j + c1 r_j + v q_{j-1} + c2 r_{j-1}
+                + c3 (q_{j-2} + r_{j-2}),
+
+    and column 3 is h^3/6, h^2/2 + c4 q2, h + 2 c3 q2 + c4 q1 and
+    1 + v q2 + c2 r2 + c3 (q1 + r1) + c4 r0.  Each sum is evaluated left to
+    right.  p, q and r are (3, n) arrays, row j holding d_j, copied out of
+    rows so that every operand is contiguous, and one operation adds a term
+    to up to three entries of a row.  P is written entry-major, (4, 4, n),
+    one contiguous row per entry.  Returns the stack of the
+    n = (len(d0) - 1) / 2 one-step maps, one contiguous (n, 4, 4) copy of
+    P, in the dtype the rows promote to.
     """
-    (p0, q0, r0), (p1, q1, r1), (p2, q2, r2) = ((d[0:-1:2], d[1::2], d[2::2])
-                                                for d in rows)
+    D = np.array(rows)
+    ends, q = D[:, 0::2].copy(), D[:, 1::2].copy()
+    p, r = ends[:, :-1], ends[:, 1:]
     c1, c2, c3, c4 = h / 6.0, h * h / 6.0, h ** 3 / 12.0, h ** 4 / 24.0
-    w2, w3 = c2 + c4 * q2, c1 + c3 * q2 + c4 * r1
-    u, v = 4.0 * c1 + c3 * r2, 2.0 * c2 + c4 * r2
-    P = np.empty((len(p0), 4, 4), dtype=np.result_type(*rows))
-    P[:, 0, 0] = 1.0 + c4 * p0
-    P[:, 0, 1] = h + c4 * p1
-    P[:, 0, 2] = h * h / 2.0 + c4 * p2
-    P[:, 0, 3] = h ** 3 / 6.0
-    P[:, 1, 0] = c3 * (p0 + q0)
-    P[:, 1, 1] = 1.0 + c3 * (p1 + q1) + c4 * q0
-    P[:, 1, 2] = h + c3 * (p2 + q2) + c4 * q1
-    P[:, 1, 3] = h * h / 2.0 + c4 * q2
-    P[:, 2, 0] = w2 * p0 + 2.0 * c2 * q0
-    P[:, 2, 1] = w2 * p1 + 2.0 * c2 * q1 + 2.0 * c3 * q0
-    P[:, 2, 2] = 1.0 + w2 * p2 + 2.0 * c2 * q2 + 2.0 * c3 * q1 + c4 * q0
-    P[:, 2, 3] = h + 2.0 * c3 * q2 + c4 * q1
-    P[:, 3, 0] = w3 * p0 + u * q0 + c1 * r0
-    P[:, 3, 1] = w3 * p1 + u * q1 + c1 * r1 + v * q0 + c2 * r0
-    P[:, 3, 2] = w3 * p2 + u * q2 + c1 * r2 + v * q1 + c2 * r1 + c3 * (q0 + r0)
-    P[:, 3, 3] = 1.0 + v * q2 + c2 * r2 + c3 * (q1 + r1) + c4 * r0
-    return P
+    c4q = c4 * q
+    w2, w3 = c2 + c4q[2], c1 + c3 * q[2] + c4 * r[1]
+    u, v = 4.0 * c1 + c3 * r[2], 2.0 * c2 + c4 * r[2]
+    P = np.empty((4, 4, q.shape[1]), dtype=D.dtype)
+    # row 0
+    np.multiply(c4, p, out=P[0, :3])
+    P[0, :3] += np.array([[1.0], [h], [h * h / 2.0]])
+    P[0, 3] = h ** 3 / 6.0
+    # row 1
+    np.add(p, q, out=P[1, :3])
+    P[1, :3] *= c3
+    P[1, 1:3] += np.array([[1.0], [h]])
+    P[1, 1:3] += c4q[:2]
+    np.add(c4q[2], h * h / 2.0, out=P[1, 3])
+    # row 2
+    wp = w2 * p
+    wp[2] += 1.0
+    np.add(wp, 2.0 * c2 * q, out=P[2, :3])
+    t = 2.0 * c3 * q
+    P[2, 1:3] += t[:2]
+    np.add(t[2], h, out=P[2, 3])
+    P[2, 2:4] += c4q[:2]
+    # row 3
+    np.multiply(w3, p, out=P[3, :3])
+    P[3, :3] += u * q
+    P[3, :3] += c1 * r
+    t = v * q
+    P[3, 1:3] += t[:2]
+    np.add(t[2], 1.0, out=P[3, 3])
+    t = c2 * r
+    P[3, 1:3] += t[:2]
+    P[3, 3] += t[2]
+    t = q + r
+    t *= c3
+    P[3, 2:4] += t[:2]
+    P[3, 3] += c4 * r[0]
+    return np.ascontiguousarray(P.transpose(2, 0, 1))
 
 
 def _table(profile: WaveProfile, m: int, mu, sigma_k2: float):
     """(b41 - sigma k^2, b42 - mu, b43), row 4 of H at the half steps of m
-    RK4 substeps per grid interval: at WaveProfile.substep_samples(m)."""
-    b41, b42, b43 = _base_coefficients(profile.params)(*profile.substep_samples(m))
+    RK4 substeps per grid interval: at WaveProfile.substep_samples(m).
+
+    The base rows (b41, b42, b43) depend on the profile and m alone; they
+    are built on a profile's first call with m, kept read-only in its
+    _evans_tables, and every call after that only subtracts.
+    """
+    base = profile._evans_tables.get(m)
+    if base is None:
+        base = _base_coefficients(profile.params)(*profile.substep_samples(m))
+        for d in base:
+            d.flags.writeable = False
+        profile._evans_tables[m] = base
+    b41, b42, b43 = base
     return b41 - sigma_k2, b42 - mu, b43
 
 
@@ -280,13 +328,18 @@ def monodromy(profile: WaveProfile, mu, k: float,
         err_est <= 1e3 * ode_tol * (1 + |mu|);
 
     on a miss the 2m map becomes the next attempt's coarse map, so each
-    retry builds one map.  Each fine map builds one table of row 4 of H,
+    retry builds one map.  Each fine map reads one table of row 4 of H,
     at WaveProfile.substep_samples(2m); the first coarse map reads every
     other point of it, which are bit for bit the m table's points, since
-    j / 2m and 2j / 4m round to the same float.  If the budget of 2^16
-    steps per map runs out first, IntegrationFailure is raised, so an
-    uncertified map is never returned.  steps counts every RK4 step of
-    every map built, m n for a map with m substeps on the n grid intervals.
+    j / 2m and 2j / 4m round to the same float.  The mu- and k-free part of
+    that table is built once per profile and substep count and kept on the
+    profile (_table), so later calls at any mu and k only subtract
+    sigma k^2 and mu.  The profile keeps one table per substep count s it
+    has used: three float64 rows of 2 s n + 1 points, about 48 s n bytes
+    on the n grid intervals.  If the budget of 2^16 steps per map runs out
+    first, IntegrationFailure is raised, so an uncertified map is never
+    returned.  steps counts every RK4 step of every map built, m n for a
+    map with m substeps on the n grid intervals.
     """
     mu_c = complex(mu)
     real_mode = mu_c.imag == 0.0
@@ -314,7 +367,6 @@ def monodromy(profile: WaveProfile, mu, k: float,
             steps += m * n
         fine = _period_map(table, edges, profile.h / (2 * m), 2 * m)
         steps += 2 * m * n
-        del table   # a retry's table is twice as long; never hold both
         (P, log_scale, segments), (Pc, log_scale_c, _) = fine, coarse
         drift = log_scale_c - log_scale
         err_est = math.inf if abs(drift) > _LOG_MAX else \

@@ -16,7 +16,6 @@ saved profiles) and name a malformed value by its dotted key.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -153,16 +152,6 @@ class NonlinearitySpec:
         return NonlinearitySpec.power(
             read_number(d["coef"], "nonlinearity.coef", float),
             read_number(d["exponent"], "nonlinearity.exponent", int))
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
-
-
-def eval_f(spec: NonlinearitySpec, u, order: int = 0):
-    """order-th derivative of f at u (exact for polynomials), order in 0..3."""
-    if order not in range(_MAX_ORDER + 1):
-        raise ValueError(f"unsupported derivative order {order}")
-    return polyval_ascending(_poly_derivative(spec.f_coeffs, order), u)
 
 
 @dataclass(frozen=True)

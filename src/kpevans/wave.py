@@ -291,6 +291,8 @@ class WaveProfile:
     (u, u_x, u_xx) with u_xx = -V'(u): matching three derivatives at both
     ends of an interval gives an O(h^6) local error.  Its coefficients are
     six rows, one column per interval, ascending in t = (x - x_i) / h.
+    _evans_tables holds evans' mu- and k-free rows of H per substep count,
+    built on first use.
     """
 
     params: WaveParams
@@ -301,6 +303,7 @@ class WaveProfile:
     u_samples: np.ndarray
     ux_samples: np.ndarray
     _coeffs: np.ndarray = field(init=False, repr=False)
+    _evans_tables: dict = field(init=False, repr=False, default_factory=dict)
 
     def __post_init__(self):
         h = self.h

@@ -9,7 +9,6 @@ from kpevans.errors import ModulusOutOfRange
 # frozen AGM oracle values (independently iterated arithmetic-geometric
 # mean, cross-checked against the ascending series for small k)
 K_HALF = 1.6857503548125960429
-E_HALF = 1.4674622093394271383
 
 
 def agm_oracle(a, b):
@@ -31,11 +30,6 @@ def test_complete_K_values():
     k = 0.01
     series = np.pi / 2.0 * (1 + k ** 2 / 4 + 9 * k ** 4 / 64 + 25 * k ** 6 / 256)
     assert kp.complete_K(k) == pytest.approx(series, abs=1e-12)
-
-
-def test_complete_E_value():
-    assert kp.complete_E(0.5) == pytest.approx(E_HALF, abs=1e-13)
-    assert kp.complete_E(0.0) == pytest.approx(np.pi / 2.0, abs=1e-15)
 
 
 def test_values_at_origin():

@@ -243,12 +243,19 @@ def test_engine_unreachable_tolerance_fails_fast(kdv_profile):
     assert time.perf_counter() - t0 < 2.0
 
 
+def fresh(profile):
+    """A copy of profile with no H tables built yet."""
+    return kp.WaveProfile.from_json_dict(profile.to_json_dict())
+
+
 def test_single_coefficient_source(kdv_profile, monkeypatch):
     """conftest.coefficient_matrix, the DP5 references' H, and monodromy both
     take row 4 of H from one place.
 
     Adding -sigma k^2 to b41 in _base_coefficients must reproduce k exactly
     as both consumers see it, so the k-shift test above guards the engine.
+    The patched map runs on a copy with no tables yet, so monodromy builds
+    its table through the patch.
     """
     ev = sys.modules["kpevans.evans"]
     assert not hasattr(ev, "integrate")
@@ -269,7 +276,7 @@ def test_single_coefficient_source(kdv_profile, monkeypatch):
 
     monkeypatch.setattr(ev, "_base_coefficients", shifted)
     H_0 = coefficient_matrix(kdv_profile)(mu, 0.0, x)
-    mono_0 = kp.monodromy(kdv_profile, mu, 0.0)
+    mono_0 = kp.monodromy(fresh(kdv_profile), mu, 0.0)
     assert np.array_equal(H_0, H_k)
     assert np.max(np.abs(mono_0.full() - mono_k.full())) \
         <= 1e-12 * np.max(np.abs(mono_k.full()))
@@ -318,6 +325,53 @@ def test_companion_steps_match_general_kernel(dtype, h):
     assert np.all(np.abs(closed - general) <= 16 * np.finfo(float).eps * magnitude)
 
 
+def companion_entries(rows, h):
+    """The companion propagators entry by entry, one numpy expression per
+    entry, with every sum in _companion_steps' order: the reference the
+    engine's grouped evaluation must equal bit for bit."""
+    (p0, q0, r0), (p1, q1, r1), (p2, q2, r2) = ((d[0:-1:2], d[1::2], d[2::2])
+                                                for d in rows)
+    c1, c2, c3, c4 = h / 6.0, h * h / 6.0, h ** 3 / 12.0, h ** 4 / 24.0
+    w2, w3 = c2 + c4 * q2, c1 + c3 * q2 + c4 * r1
+    u, v = 4.0 * c1 + c3 * r2, 2.0 * c2 + c4 * r2
+    P = np.empty((len(p0), 4, 4), dtype=np.result_type(*rows))
+    P[:, 0, 0] = 1.0 + c4 * p0
+    P[:, 0, 1] = h + c4 * p1
+    P[:, 0, 2] = h * h / 2.0 + c4 * p2
+    P[:, 0, 3] = h ** 3 / 6.0
+    P[:, 1, 0] = c3 * (p0 + q0)
+    P[:, 1, 1] = 1.0 + c3 * (p1 + q1) + c4 * q0
+    P[:, 1, 2] = h + c3 * (p2 + q2) + c4 * q1
+    P[:, 1, 3] = h * h / 2.0 + c4 * q2
+    P[:, 2, 0] = w2 * p0 + 2.0 * c2 * q0
+    P[:, 2, 1] = w2 * p1 + 2.0 * c2 * q1 + 2.0 * c3 * q0
+    P[:, 2, 2] = 1.0 + w2 * p2 + 2.0 * c2 * q2 + 2.0 * c3 * q1 + c4 * q0
+    P[:, 2, 3] = h + 2.0 * c3 * q2 + c4 * q1
+    P[:, 3, 0] = w3 * p0 + u * q0 + c1 * r0
+    P[:, 3, 1] = w3 * p1 + u * q1 + c1 * r1 + v * q0 + c2 * r0
+    P[:, 3, 2] = w3 * p2 + u * q2 + c1 * r2 + v * q1 + c2 * r1 + c3 * (q0 + r0)
+    P[:, 3, 3] = 1.0 + v * q2 + c2 * r2 + c3 * (q1 + r1) + c4 * r0
+    return P
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+@pytest.mark.parametrize("n", [1, 37, 1024])
+def test_companion_steps_equal_entry_formulas(dtype, n):
+    """_companion_steps groups the entries of a row into one operation per
+    term but keeps each entry's arithmetic, so its stack is bit for bit the
+    entry-by-entry reference, C-contiguous, for real data and for a complex
+    middle row (complex mu), at a coarse and a fine step."""
+    rng = np.random.default_rng(n)
+    rows = [20.0 * rng.standard_normal(2 * n + 1) for _ in range(3)]
+    if dtype is complex:
+        rows[1] = rows[1] + 20j * rng.standard_normal(2 * n + 1)
+    ev = sys.modules["kpevans.evans"]
+    for h in (0.5, 0.013):
+        got, want = ev._companion_steps(rows, h), companion_entries(rows, h)
+        assert got.flags.c_contiguous and got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("wave", ["kdv_profile", "dnoidal_profile",
                                   "cnoidal_mkdv_profile"])
 @pytest.mark.parametrize("m", [1, 3])
@@ -333,10 +387,14 @@ def test_coarse_table_is_fine_table_stride_2(request, wave, m):
             assert np.array_equal(c, f[::2])
 
 
-def test_one_table_per_fine_map(kdv_profile, cnoidal_mkdv_profile, monkeypatch):
-    """A monodromy call samples the profile once per fine map: the KdV wave
-    builds its (1, 2) pair from one table, the cnoidal wave's retry adds
-    the 4-substep table."""
+def test_one_table_per_fine_map(kdv_profile, dnoidal_profile, cnoidal_mkdv_profile,
+                                monkeypatch):
+    """A profile samples its H table once per substep count.  The first
+    monodromy call on a fresh profile samples it once per fine map: the KdV
+    wave builds its (1, 2) pair from one table, the cnoidal wave's retry
+    adds the 4-substep table.  A later call at another mu and k builds
+    none, and the three documented scans build 5 tables in all, not one per
+    Evans evaluation (137) or per fine map (167)."""
     built = []
     sample = kp.WaveProfile.substep_samples
 
@@ -345,11 +403,47 @@ def test_one_table_per_fine_map(kdv_profile, cnoidal_mkdv_profile, monkeypatch):
         return sample(self, m)
 
     monkeypatch.setattr(kp.WaveProfile, "substep_samples", counted)
-    kp.monodromy(kdv_profile, 1e-3, 0.1)
+    kdv, cnoidal = fresh(kdv_profile), fresh(cnoidal_mkdv_profile)
+    kp.monodromy(kdv, 1e-3, 0.1)
     assert built == [2]
     built.clear()
-    kp.monodromy(cnoidal_mkdv_profile, 1e-3, 0.1)
+    kp.monodromy(cnoidal, 1e-3, 0.1)
     assert built == [2, 4]
+    built.clear()
+    kp.monodromy(kdv, 0.5, 0.3)
+    kp.monodromy(cnoidal, 0.2, 0.0)
+    assert built == []
+    for profile in (kdv_profile, dnoidal_profile, cnoidal_mkdv_profile):
+        kp.evans_scan(fresh(profile), DOC_GRID, DOC_K)
+    assert sorted(built) == [2, 2, 2, 4, 4]
+
+
+@pytest.mark.parametrize("wave", ["kdv_profile", "dnoidal_profile",
+                                  "cnoidal_mkdv_profile"])
+def test_warm_tables_give_cold_maps(request, wave):
+    """A map read from tables another mu and k built equals, bit for bit,
+    the map from tables built for it.  The mu cover the cnoidal wave's
+    retry (1e-3), one and several segments, and complex mu; the warm-up
+    points (0.02, 7, 150 at k = 0.3) build every substep count these use,
+    so no compared call builds a table."""
+    profile = request.getfixturevalue(wave)
+    warm = fresh(profile)
+    for mu in (0.02, 7.0, 150.0):
+        kp.monodromy(warm, mu, 0.3)
+    built = set(warm._evans_tables)
+    for mu in (1e-3, 0.5, 60.0, 200.0, 3 + 4j):
+        for k in (0.0, 0.1):
+            cold = fresh(profile)
+            want = kp.monodromy(cold, mu, k)
+            assert set(cold._evans_tables) <= built
+            got = kp.monodromy(warm, mu, k)
+            assert got.matrix.dtype == want.matrix.dtype
+            assert np.array_equal(got.matrix, want.matrix)
+            assert got.log_scale == want.log_scale
+            assert len(got.segments) == len(want.segments)
+            assert all(np.array_equal(g, w) for g, w in zip(got.segments, want.segments))
+            assert (got.err_est, got.steps) == (want.err_est, want.steps)
+    assert set(warm._evans_tables) == built
 
 
 # ----------------------------------------------------------------------

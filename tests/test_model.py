@@ -7,28 +7,15 @@ import pytest
 
 import kpevans as kp
 from kpevans.errors import ConfigError
+from kpevans.model import _poly_derivative, polyval_ascending
 
 KDV = kp.NonlinearitySpec.kdv()
 MKDV = kp.NonlinearitySpec.mkdv()
 
 
-def test_eval_f_kdv_values():
-    assert kp.eval_f(KDV, 2.0, 0) == pytest.approx(2.0, abs=0)
-    assert kp.eval_f(KDV, 3.0, 1) == pytest.approx(3.0, abs=0)   # f'(u) = u
-    assert kp.eval_f(KDV, 5.0, 2) == 1.0
-    assert kp.eval_f(KDV, 5.0, 3) == 0.0
-
-
-def test_eval_f_mkdv_second_derivative():
-    # f(u) = u^3/3 so f''(u) = 2u
-    assert kp.eval_f(MKDV, 2.0, 2) == pytest.approx(4.0, abs=0)
-
-
-def test_eval_f_rejects_bad_order():
-    with pytest.raises(ValueError):
-        kp.eval_f(KDV, 1.0, 4)
-    with pytest.raises(ValueError):
-        kp.eval_f(KDV, 1.0, -1)
+def f_derivative(spec, u, order):
+    """order-th derivative of f at u, as the Evans coefficients take it."""
+    return polyval_ascending(_poly_derivative(spec.f_coeffs, order), u)
 
 
 def test_eval_V_vanishes_at_zero():
@@ -51,11 +38,11 @@ def test_fd_derivative_consistency():
     for spec in specs:
         for u in rng.uniform(-2.0, 3.0, 6):
             for order in range(3):
-                exact = kp.eval_f(spec, u, order + 1)
+                exact = f_derivative(spec, u, order + 1)
                 errs = []
                 for h in (1e-4, 5e-5):
-                    fd = (kp.eval_f(spec, u + h, order)
-                          - kp.eval_f(spec, u - h, order)) / (2.0 * h)
+                    fd = (f_derivative(spec, u + h, order)
+                          - f_derivative(spec, u - h, order)) / (2.0 * h)
                     errs.append(abs(fd - exact))
                 # O(h^2): quartering h halves... the error by ~4
                 assert errs[0] <= 1e-6 * (1.0 + abs(exact))
@@ -67,7 +54,7 @@ def test_V_second_derivative_is_fprime_minus_c():
     params = kp.WaveParams(0.2, -0.1, 1.4, MKDV)
     grid = np.linspace(-2.0, 3.0, 41)
     lhs = np.array([kp.eval_V(params, u, 2) for u in grid])
-    rhs = np.array([kp.eval_f(MKDV, u, 1) - params.c for u in grid])
+    rhs = np.array([f_derivative(MKDV, u, 1) - params.c for u in grid])
     assert np.max(np.abs(lhs - rhs)) == 0.0
 
 
@@ -89,9 +76,10 @@ def test_wave_params_validation():
 
 def test_nonlinearity_json_round_trip():
     for spec in (KDV, kp.NonlinearitySpec.polynomial([0.0, 0.0, 0.5])):
-        back = kp.NonlinearitySpec.from_json_dict(json.loads(spec.to_json()))
+        text = json.dumps(spec.to_json_dict())
+        back = kp.NonlinearitySpec.from_json_dict(json.loads(text))
         assert np.allclose(back.f_coeffs, spec.f_coeffs)
-    d = json.loads(KDV.to_json())
+    d = json.loads(json.dumps(KDV.to_json_dict()))
     assert d == {"kind": "power", "coef": 0.5, "exponent": 2}
 
 
@@ -99,7 +87,7 @@ def test_power_and_poly_agree():
     poly = kp.NonlinearitySpec.polynomial([0.0, 0.0, 0.5])
     for u in (-1.3, 0.0, 2.7):
         for order in range(4):
-            assert kp.eval_f(poly, u, order) == kp.eval_f(KDV, u, order)
+            assert f_derivative(poly, u, order) == f_derivative(KDV, u, order)
 
 
 def test_nonlinearity_rejects_bad_input():
