@@ -19,18 +19,19 @@ monodromy M(mu, k) = Phi(T) is stored as a normalized matrix plus a real
 log of the factored-out scale.  It is a product of classical RK4 step
 propagators aligned with the profile's quintic-Hermite grid (m substeps
 per grid interval, so H is polynomial inside every step).  Because H is a
-companion matrix, each propagator is a closed form in row 4 of H at the
-step's start, midpoint and end (_companion_steps), written as numpy stacks
-and multiplied pairwise.  One map is built per substep count: the map
-with 2m substeps is returned with the Richardson estimate err_est of its
-error against the map with m, and m doubles, each retry reusing the last
-fine map as its coarse one, until err_est meets the bound that ode_tol sets
-(see monodromy).  Each fine map reads one table of row 4 of H over the
-period, at WaveProfile.substep_samples, and the first coarse map reads
-every other point of it.  The mu- and k-free part of a table is built once
-per profile and substep count and kept on the profile, so a scan at many
-mu on one wave builds a handful of tables, not one per evaluation.  The
-Evans function is
+companion matrix, each propagator entry is a fixed linear combination of
+19 monomials in row 4 of H at the step's start, midpoint and end, so a
+stack of propagators is one matrix product against a constant table
+(_companion_steps), multiplied pairwise.  One map is built per substep
+count: the map with 2m substeps is returned with the Richardson estimate
+err_est of its error against the map with m, and m doubles, each retry
+reusing the last fine map as its coarse one, until err_est meets the
+bound that ode_tol sets (see monodromy).  Each fine map reads one table
+of row 4 of H over the period, at WaveProfile.substep_samples, and the
+first coarse map reads every other point of it.  The mu- and k-free part
+of a table is built once per profile and substep count and kept on the
+profile, so a scan at many mu on one wave builds a handful of tables, not
+one per evaluation.  The Evans function is
 
     D(mu, k, lambda) = det(M(mu, k) - lambda I),
 
@@ -127,35 +128,46 @@ def det_with_noise(A: np.ndarray):
     sits well below the structurally tiny determinants that arise at large
     spectral frequency.  noise estimates that floor: extended-precision
     epsilon times the product of all but the smallest pivot magnitudes.
+    The LU runs on lists of longdouble scalars, which for a 4x4 matrix is
+    cheaper than numpy calls on arrays; the pivot is the first largest
+    magnitude in row-major order.
     """
     complex_in = np.iscomplexobj(A)
-    A = np.array(A, dtype=np.clongdouble if complex_in else np.longdouble)
-    n = A.shape[0]
-    det = A.dtype.type(1.0)
+    dtype = np.clongdouble if complex_in else np.longdouble
+    A = np.array(A, dtype=dtype).tolist()
+    n = len(A)
+    det = dtype(1.0)
     sign = 1.0
     eps = float(np.finfo(np.longdouble).eps)
-    scale0 = float(np.max(np.abs(A))) or 1.0
+    scale0 = float(max(abs(a) for row in A for a in row)) or 1.0
     pivots = []
     for p in range(n - 1):
-        sub = np.abs(A[p:, p:])
-        i, j = np.unravel_index(np.argmax(sub), sub.shape)
-        if i != 0:
-            A[[p, p + i]] = A[[p + i, p]]
+        big, i, j = -1.0, p, p
+        for r in range(p, n):
+            for c in range(p, n):
+                if abs(A[r][c]) > big:
+                    big, i, j = abs(A[r][c]), r, c
+        if i != p:
+            A[p], A[i] = A[i], A[p]
             sign = -sign
-        if j != 0:
-            A[:, [p, p + j]] = A[:, [p + j, p]]
+        if j != p:
+            for row in A:
+                row[p], row[j] = row[j], row[p]
             sign = -sign
-        piv = A[p, p]
+        piv = A[p][p]
         if piv == 0.0:
-            noise = eps * scale0 * float(np.prod(pivots)) if pivots else eps
+            noise = eps * scale0 * math.prod(pivots) if pivots else eps
             return (complex(det) * 0.0 if complex_in else 0.0), noise
         det *= piv
         pivots.append(float(abs(piv)))
-        A[p + 1:, p:] -= np.outer(A[p + 1:, p] / piv, A[p, p:])
-    det *= A[n - 1, n - 1]
-    pivots.append(float(abs(A[n - 1, n - 1])))
+        for row in A[p + 1:]:
+            lead = row[p] / piv
+            for c in range(p + 1, n):
+                row[c] -= lead * A[p][c]
+    det *= A[n - 1][n - 1]
+    pivots.append(float(abs(A[n - 1][n - 1])))
     pivots.sort()
-    noise = eps * scale0 * float(np.prod(pivots[1:]))
+    noise = eps * scale0 * math.prod(pivots[1:])
     det = det * sign
     return (complex(det) if complex_in else float(det)), noise
 
@@ -172,6 +184,35 @@ def _ordered_product(P: np.ndarray) -> np.ndarray:
         Q = P[1:n2:2] @ P[0:n2:2]
         P = np.concatenate([Q, P[n2:]]) if n2 < len(P) else Q
     return P[0]
+
+
+# RK4's companion step map less its Taylor matrix, by the rows of
+# _companion_steps' docstring: (row, k, w, block, shifts) is the term
+# h^k w/24 v, v the feature block 0-5 (p, q, r, q2 p, r1 p, r2 q) shifted
+# right `shifts` places.
+_RK4_TERMS = ((0, 4, 1, 0, 0),
+              (1, 3, 2, 0, 0), (1, 3, 2, 1, 0), (1, 4, 1, 1, 1),
+              (2, 2, 4, 0, 0), (2, 2, 8, 1, 0), (2, 3, 4, 1, 1), (2, 4, 1, 1, 2),
+              (2, 4, 1, 3, 0),
+              (3, 1, 4, 0, 0), (3, 1, 16, 1, 0), (3, 1, 4, 2, 0), (3, 2, 8, 1, 1),
+              (3, 2, 4, 2, 1), (3, 3, 2, 1, 2), (3, 3, 2, 2, 2), (3, 3, 2, 3, 0),
+              (3, 3, 2, 5, 0), (3, 4, 1, 2, 3), (3, 4, 1, 4, 0), (3, 4, 1, 5, 1))
+
+
+def _rk4_weights() -> np.ndarray:
+    """24 B_k as one (5, 19, 16) integer table: entry [k, f, 4 i + j]
+    weighs feature f in entry (i, j) of the step map, with h^k / 24."""
+    B = np.zeros((5, 19, 16))
+    for i in range(4):   # the Taylor matrix, on feature 1
+        for k in range(4 - i):
+            B[k, 0, 5 * i + k] = 24 // math.factorial(k)
+    for i, k, w, block, shifts in _RK4_TERMS:
+        for j in range(min(3, 4 - shifts)):
+            B[k, 1 + 3 * block + j, 4 * i + j + shifts] = w
+    return B
+
+
+_RK4_B = _rk4_weights()
 
 
 def _companion_steps(rows, h: float) -> np.ndarray:
@@ -195,67 +236,24 @@ def _companion_steps(rows, h: float) -> np.ndarray:
         3: h/6 (p + 4q + r) + h^2/6 (2q + r)> + h^3/12 ((q + r)>> + q2 p
            + r2 q) + h^4/24 (r>>> + r1 p + r2 q>).
 
-    Collecting these terms, with c1, c2, c3, c4 = h/6, h^2/6, h^3/12,
-    h^4/24, w2 = c2 + c4 q2, w3 = c1 + c3 q2 + c4 r1, u = 4 c1 + c3 r2 and
-    v = 2 c2 + c4 r2, entry (i, j) for j = 0, 1, 2 is, dropping the terms
-    whose index is negative,
-
-        (0, j): (1, h, h^2/2)_j + c4 p_j
-        (1, j): (0, 1, h)_j + c3 (p_j + q_j) + c4 q_{j-1}
-        (2, j): w2 p_j + (0, 0, 1)_j + 2 c2 q_j + 2 c3 q_{j-1} + c4 q_{j-2}
-        (3, j): w3 p_j + u q_j + c1 r_j + v q_{j-1} + c2 r_{j-1}
-                + c3 (q_{j-2} + r_{j-2}),
-
-    and column 3 is h^3/6, h^2/2 + c4 q2, h + 2 c3 q2 + c4 q1 and
-    1 + v q2 + c2 r2 + c3 (q1 + r1) + c4 r0.  Each sum is evaluated left to
-    right.  p, q and r are (3, n) arrays, row j holding d_j, copied out of
-    rows so that every operand is contiguous, and one operation adds a term
-    to up to three entries of a row.  P is written entry-major, (4, 4, n),
-    one contiguous row per entry.  Returns the stack of the
-    n = (len(d0) - 1) / 2 one-step maps, one contiguous (n, 4, 4) copy of
-    P, in the dtype the rows promote to.
+    So every entry is a fixed linear combination of 19 features of the
+    step, 1, p_j, q_j, r_j, q2 p_j, r1 p_j and r2 q_j (j = 0, 1, 2, in
+    that order), with weights K(h) = sum_{k=0..4} h^k B_k: the constant
+    24 B_k are _RK4_B, integers with 68 nonzeros, read off the rows above
+    (_RK4_TERMS).  The features X are built as (19, n) rows and the stack
+    is X^T K(h), one matrix product, C-contiguous, of the
+    n = (len(d0) - 1) / 2 one-step maps, in the dtype the rows promote to.
     """
-    D = np.array(rows)
-    ends, q = D[:, 0::2].copy(), D[:, 1::2].copy()
-    p, r = ends[:, :-1], ends[:, 1:]
-    c1, c2, c3, c4 = h / 6.0, h * h / 6.0, h ** 3 / 12.0, h ** 4 / 24.0
-    c4q = c4 * q
-    w2, w3 = c2 + c4q[2], c1 + c3 * q[2] + c4 * r[1]
-    u, v = 4.0 * c1 + c3 * r[2], 2.0 * c2 + c4 * r[2]
-    P = np.empty((4, 4, q.shape[1]), dtype=D.dtype)
-    # row 0
-    np.multiply(c4, p, out=P[0, :3])
-    P[0, :3] += np.array([[1.0], [h], [h * h / 2.0]])
-    P[0, 3] = h ** 3 / 6.0
-    # row 1
-    np.add(p, q, out=P[1, :3])
-    P[1, :3] *= c3
-    P[1, 1:3] += np.array([[1.0], [h]])
-    P[1, 1:3] += c4q[:2]
-    np.add(c4q[2], h * h / 2.0, out=P[1, 3])
-    # row 2
-    wp = w2 * p
-    wp[2] += 1.0
-    np.add(wp, 2.0 * c2 * q, out=P[2, :3])
-    t = 2.0 * c3 * q
-    P[2, 1:3] += t[:2]
-    np.add(t[2], h, out=P[2, 3])
-    P[2, 2:4] += c4q[:2]
-    # row 3
-    np.multiply(w3, p, out=P[3, :3])
-    P[3, :3] += u * q
-    P[3, :3] += c1 * r
-    t = v * q
-    P[3, 1:3] += t[:2]
-    np.add(t[2], 1.0, out=P[3, 3])
-    t = c2 * r
-    P[3, 1:3] += t[:2]
-    P[3, 3] += t[2]
-    t = q + r
-    t *= c3
-    P[3, 2:4] += t[:2]
-    P[3, 3] += c4 * r[0]
-    return np.ascontiguousarray(P.transpose(2, 0, 1))
+    D = np.asarray(rows)
+    p, q, r = D[:, 0:-1:2], D[:, 1::2], D[:, 2::2]
+    X = np.empty((19, q.shape[1]), dtype=D.dtype)
+    X[0] = 1.0
+    X[1:4], X[4:7], X[7:10] = p, q, r
+    np.multiply(q[2], p, out=X[10:13])
+    np.multiply(r[1], p, out=X[13:16])
+    np.multiply(r[2], q, out=X[16:19])
+    K = (np.array([1.0, h, h * h, h ** 3, h ** 4]) / 24.0) @ _RK4_B.reshape(5, -1)
+    return (X.T @ K.reshape(19, 16)).reshape(-1, 4, 4)
 
 
 def _table(profile: WaveProfile, m: int, mu, sigma_k2: float):
@@ -310,8 +308,8 @@ def monodromy(profile: WaveProfile, mu, k: float,
     polynomial inside each of the m classical RK4 substeps an interval
     gets.  H is a companion matrix, so each step's 4x4 propagator is a
     closed form in row 4 of H at the step's start, midpoint and end
-    (_companion_steps); the propagators are written as numpy stacks of at
-    most _CHUNK steps and multiplied pairwise.  [0, T] is split
+    (_companion_steps); each stack of at most _CHUNK propagators is one
+    matrix product, and the stack is multiplied pairwise.  [0, T] is split
     at grid nodes into ceil(|mu|^{1/3} T / 5) segments; after each segment
     the running product is normalized by its max entry with the log
     accumulated, which keeps every factor well conditioned for |mu| into the

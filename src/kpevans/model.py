@@ -191,10 +191,15 @@ class WaveParams:
         """Ascending coefficients of p(u) = E - V(u; a, c), trailing zeros trimmed."""
         p = -self.F_minus_quadratic()
         p[0] += self.E
-        n = len(p)
-        while n > 1 and p[n - 1] == 0.0:   # np.trim_zeros takes 30 times longer
-            n -= 1
-        return p[:n]
+        return _trim_trailing_zeros(p)
+
+
+def _trim_trailing_zeros(c: np.ndarray) -> np.ndarray:
+    """c less its trailing zeros, keeping at least one entry."""
+    n = len(c)
+    while n > 1 and c[n - 1] == 0.0:   # np.trim_zeros takes 30 times longer
+        n -= 1
+    return c[:n]
 
 
 def eval_V(params: WaveParams, u, order: int = 0):

@@ -25,8 +25,8 @@ import numpy as np
 from .elliptic import EllipticModulus, complete_K, jacobi_elliptic
 from .errors import (AmbiguousWell, DegenerateTurningPoint, ModulusOutOfRange,
                      NoPeriodicOrbit, QuadratureNotConverged)
-from .model import (NonlinearitySpec, WaveParams, _poly_derivative, eval_V,
-                    polyval_ascending)
+from .model import (NonlinearitySpec, WaveParams, _poly_derivative,
+                    _trim_trailing_zeros, eval_V, polyval_ascending)
 from .quadrature import _parts, adaptive_gauss_legendre
 
 DEFAULT_QUAD_TOL = 1e-13
@@ -39,7 +39,7 @@ SIMPLICITY_TOL = 1e-8
 
 def _real_roots(asc_coeffs: np.ndarray):
     """Sorted, deduplicated real roots of an ascending-coefficient polynomial."""
-    c = np.trim_zeros(np.asarray(asc_coeffs, dtype=float), trim="b")
+    c = _trim_trailing_zeros(np.asarray(asc_coeffs, dtype=float))
     if len(c) <= 1:
         return []
     raw = np.roots(c[::-1])

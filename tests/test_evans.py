@@ -3,6 +3,7 @@
 import math
 import sys
 import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -327,8 +328,8 @@ def test_companion_steps_match_general_kernel(dtype, h):
 
 def companion_entries(rows, h):
     """The companion propagators entry by entry, one numpy expression per
-    entry, with every sum in _companion_steps' order: the reference the
-    engine's grouped evaluation must equal bit for bit."""
+    entry, from the entry formulas the RK4 step map expands to: the float
+    reference for _companion_steps."""
     (p0, q0, r0), (p1, q1, r1), (p2, q2, r2) = ((d[0:-1:2], d[1::2], d[2::2])
                                                 for d in rows)
     c1, c2, c3, c4 = h / 6.0, h * h / 6.0, h ** 3 / 12.0, h ** 4 / 24.0
@@ -354,13 +355,59 @@ def companion_entries(rows, h):
     return P
 
 
+def fraction_matmul(A, B):
+    return [[sum(A[i][k] * B[k][j] for k in range(4)) for j in range(4)]
+            for i in range(4)]
+
+
+def test_rk4_weights_are_the_rk4_stages():
+    """In exact arithmetic the feature weights K(h) = sum_k h^k B_k give
+    I + h/6 (K1 + 2 K2 + 2 K3 + K4), RK4's four stages for the companion
+    A at the step's start, midpoint and end, on random rational data."""
+    ev = sys.modules["kpevans.evans"]
+    B = ev._RK4_B
+    assert B.shape == (5, 19, 16) and np.count_nonzero(B) == 68
+    assert np.array_equal(B, np.round(B))
+    rng = np.random.default_rng(17)
+
+    def rational():
+        return Fraction(int(rng.integers(-60, 61)), int(rng.integers(1, 13)))
+
+    eye = [[Fraction(int(i == j)) for j in range(4)] for i in range(4)]
+
+    def companion(d):
+        return [[Fraction(int(j == i + 1)) for j in range(4)] for i in range(3)] \
+            + [list(d) + [Fraction(0)]]
+
+    def stage(A, K, c):   # A (I + c K)
+        return fraction_matmul(A, [[eye[i][j] + c * K[i][j] for j in range(4)]
+                                   for i in range(4)])
+
+    for _ in range(25):
+        h = rational()
+        p, q, r = ([rational() for _ in range(3)] for _ in range(3))
+        A0, Ah, A1 = companion(p), companion(q), companion(r)
+        K1 = A0
+        K2 = stage(Ah, K1, h / 2)
+        K3 = stage(Ah, K2, h / 2)
+        K4 = stage(A1, K3, h)
+        want = [[eye[i][j] + h / 6 * (K1[i][j] + 2 * K2[i][j] + 2 * K3[i][j] + K4[i][j])
+                 for j in range(4)] for i in range(4)]
+        X = [Fraction(1)] + p + q + r + [q[2] * v for v in p] + [r[1] * v for v in p] \
+            + [r[2] * v for v in q]
+        K = [[sum(h ** k * Fraction(int(B[k, f, e]), 24) for k in range(5))
+              for e in range(16)] for f in range(19)]
+        got = [sum(X[f] * K[f][e] for f in range(19)) for e in range(16)]
+        assert got == [want[e // 4][e % 4] for e in range(16)]
+
+
 @pytest.mark.parametrize("dtype", [float, complex])
 @pytest.mark.parametrize("n", [1, 37, 1024])
-def test_companion_steps_equal_entry_formulas(dtype, n):
-    """_companion_steps groups the entries of a row into one operation per
-    term but keeps each entry's arithmetic, so its stack is bit for bit the
-    entry-by-entry reference, C-contiguous, for real data and for a complex
-    middle row (complex mu), at a coarse and a fine step."""
+def test_companion_steps_near_entry_formulas(dtype, n):
+    """The one-product stack is C-contiguous and within 4 rounding units of
+    the |d| magnitude stack of the entry-by-entry reference, for real data
+    and a complex middle row (complex mu), at a coarse and a fine step; the
+    measured worst is 2 units."""
     rng = np.random.default_rng(n)
     rows = [20.0 * rng.standard_normal(2 * n + 1) for _ in range(3)]
     if dtype is complex:
@@ -368,8 +415,10 @@ def test_companion_steps_equal_entry_formulas(dtype, n):
     ev = sys.modules["kpevans.evans"]
     for h in (0.5, 0.013):
         got, want = ev._companion_steps(rows, h), companion_entries(rows, h)
-        assert got.flags.c_contiguous and got.dtype == want.dtype
-        assert got.tobytes() == want.tobytes()
+        magnitude = ev._companion_steps([np.abs(d) for d in rows], h)
+        assert got.shape == (n, 4, 4) and got.flags.c_contiguous
+        assert got.dtype == want.dtype
+        assert np.all(np.abs(got - want) <= 4 * np.finfo(float).eps * magnitude)
 
 
 @pytest.mark.parametrize("wave", ["kdv_profile", "dnoidal_profile",
@@ -578,3 +627,80 @@ def test_work_counters(kdv_profile, cnoidal_mkdv_profile, documented_scans):
     assert kp.monodromy(kdv_profile, 1e-3, DOC_K).steps == 3 * (len(kdv_profile.grid) - 1)
     # measured: 5 + 5 + 7; plain bisection took 14 + 15 + 18
     assert sum(evals for _, _, evals in documented_scans) <= 24
+
+
+def det_with_noise_arrays(A):
+    """The complete-pivot LU on longdouble arrays: the reference the
+    list-based det_with_noise must equal byte for byte."""
+    complex_in = np.iscomplexobj(A)
+    A = np.array(A, dtype=np.clongdouble if complex_in else np.longdouble)
+    n = A.shape[0]
+    det = A.dtype.type(1.0)
+    sign = 1.0
+    eps = float(np.finfo(np.longdouble).eps)
+    scale0 = float(np.max(np.abs(A))) or 1.0
+    pivots = []
+    for p in range(n - 1):
+        sub = np.abs(A[p:, p:])
+        i, j = np.unravel_index(np.argmax(sub), sub.shape)
+        if i != 0:
+            A[[p, p + i]] = A[[p + i, p]]
+            sign = -sign
+        if j != 0:
+            A[:, [p, p + j]] = A[:, [p + j, p]]
+            sign = -sign
+        piv = A[p, p]
+        if piv == 0.0:
+            noise = eps * scale0 * float(np.prod(pivots)) if pivots else eps
+            return (complex(det) * 0.0 if complex_in else 0.0), noise
+        det *= piv
+        pivots.append(float(abs(piv)))
+        A[p + 1:, p:] -= np.outer(A[p + 1:, p] / piv, A[p, p:])
+    det *= A[n - 1, n - 1]
+    pivots.append(float(abs(A[n - 1, n - 1])))
+    pivots.sort()
+    noise = eps * scale0 * float(np.prod(pivots[1:]))
+    det = det * sign
+    return (complex(det) if complex_in else float(det)), noise
+
+
+def test_det_with_noise_equals_array_lu(kdv_profile, dnoidal_profile,
+                                        cnoidal_mkdv_profile, monkeypatch):
+    """(det, noise) equal the array LU's byte for byte on the 137 matrices of
+    the documented scans, the Evans matrices at mu = 3+4i and 200 on each
+    wave, 250 random real and complex matrices over 16 decades, 40 of small
+    integers, where the first of tied pivots (row-major) must win, and
+    singular ones, which stop at an exact zero pivot."""
+    ev = sys.modules["kpevans.evans"]
+    real_det, seen = ev.det_with_noise, []
+
+    def recorded(A):
+        seen.append(np.array(A))
+        return real_det(A)
+
+    monkeypatch.setattr(ev, "det_with_noise", recorded)
+    for profile in (kdv_profile, dnoidal_profile, cnoidal_mkdv_profile):
+        kp.evans_scan(profile, DOC_GRID, DOC_K)
+    assert len(seen) == 137
+    for profile in (kdv_profile, dnoidal_profile, cnoidal_mkdv_profile):
+        for mu in (3 + 4j, 200.0):
+            kp.evans(profile, mu, DOC_K)
+    assert len(seen) == 143 and np.iscomplexobj(seen[-2])
+    rng = np.random.default_rng(23)
+    for _ in range(125):
+        scale = 10.0 ** rng.uniform(-8.0, 8.0, size=(4, 4))
+        A = scale * rng.standard_normal((4, 4))
+        seen += [A, A + 1j * scale * rng.standard_normal((4, 4))]
+    for _ in range(20):   # small integers tie in magnitude at most pivots
+        A = rng.integers(-3, 4, size=(4, 4)).astype(float)
+        seen += [A, A + 1j * rng.integers(-3, 4, size=(4, 4))]
+    u = np.array([1.0, -2.0, 0.5, 4.0])
+    seen += [np.outer(u, u[::-1]), np.zeros((4, 4))]
+
+    def as_bytes(result):
+        return [(type(v), np.asarray(v).tobytes()) for v in result]
+
+    for A in seen:
+        assert as_bytes(real_det(A)) == as_bytes(det_with_noise_arrays(A)), A
+    # the rank-one matrix stops at its second pivot: noise is eps times 16 * 16
+    assert real_det(seen[-2]) == (0.0, float(np.finfo(np.longdouble).eps) * 256.0)

@@ -1,9 +1,10 @@
-"""Layout guards: the package solves no ODE adaptively, evaluates polynomials
-one way, reads every tolerance key it accepts and converts config values
-only where it loads them, and the tests stay independent of the
-benchmark."""
+"""Layout guards: the package imports only numpy and the standard library,
+solves no ODE adaptively, evaluates polynomials one way, reads every
+tolerance key it accepts and converts config values only where it loads
+them, and the tests stay independent of the benchmark."""
 
 import ast
+import sys
 from pathlib import Path
 
 import kpevans
@@ -80,3 +81,19 @@ def test_tests_do_not_import_perfbench():
             modules = ([alias.name for alias in node.names] if isinstance(node, ast.Import)
                        else [node.module or ""])
             assert not any(m.split(".")[0] in banned for m in modules), path.name
+
+
+def test_src_imports_numpy_and_stdlib_only():
+    """src stays numpy-only: every absolute import names numpy or a module
+    of the standard library (no scipy, not even its BLAS wrappers)."""
+    allowed = set(sys.stdlib_module_names) | {"numpy"}
+    for path in SRC.glob("*.py"):
+        for node in nodes(path, (ast.Import, ast.ImportFrom)):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif node.level == 0:
+                modules = [node.module]
+            else:   # relative: inside the package
+                continue
+            for module in modules:
+                assert module.split(".")[0] in allowed, (path.name, module)
