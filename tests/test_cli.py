@@ -118,9 +118,11 @@ def test_malformed_value_exit_2(tmp_path, capsys, overrides, key):
     assert err.startswith("config error:") and key in err
 
 
-def test_separatrix_exit_3(tmp_path):
+def test_separatrix_exit_3(tmp_path, capsys):
     cfg = write_config(tmp_path, E=0.0)
     assert run(["profile", "--config", cfg, "--out", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: DegenerateTurningPoint: ")
 
 
 def test_index_exit_codes(tmp_path):
@@ -195,9 +197,24 @@ def cnoidal_verify(tmp_path):
     return code, {row["check"]: row["pass"] for row in report["checks"]}
 
 
+# verify's rows in report order; E != 0 on the cnoidal wave, so it has the
+# gradient identity row
+VERIFY_ROWS = [
+    "profile energy residual", "invariants quadrature vs profile",
+    "Jensen margin P*T - M^2 > 0", "gradient identity",
+    "kernel residual L[u]ux", "kernel residual L[u]uE", "kernel residual L[u]ua",
+    "kernel residual L[u]phi", "det W = 1", "deltaW matches display",
+    "inverse-column identity", "monodromy det = 1", "monodromy vs W(T) W(0)^-1",
+    "evenness in mu", "translation-mode zero", "low-frequency c4 match",
+    "Q diagonalization", "averaging int A1_x", "averaging int A1 A1_x",
+    "reduced lower-left order", "lower-left eps^3 slope",
+    "high-frequency sign = sigma",
+]
+
+
 def test_verify_passes_on_mkdv_cnoidal(tmp_path):
     code, rows = cnoidal_verify(tmp_path)
-    assert code == 0 and len(rows) == 25 and all(rows.values())
+    assert code == 0 and list(rows) == VERIFY_ROWS and all(rows.values())
 
 
 def test_verify_cnoidal_catches_mass_defect(tmp_path, monkeypatch):

@@ -1,7 +1,8 @@
 """Layout guards: the package imports only numpy and the standard library,
 solves no ODE adaptively, evaluates polynomials one way, reads every
 tolerance key it accepts and converts config values only where it loads
-them, and the tests stay independent of the benchmark."""
+them, the CLI leaves the tracking module alone, and the tests stay
+independent of the benchmark."""
 
 import ast
 import sys
@@ -72,6 +73,20 @@ def test_commands_only_compute():
                 assert node.func.attr != "get", fn.name
                 assert node.func.attr != "tol" or \
                     len(node.args) + len(node.keywords) == 1, fn.name
+
+
+def test_cli_imports_no_tracking():
+    """cli neither imports the tracking module nor refers to it: every
+    command, verify included, works on the config's wave only."""
+    for node in nodes(SRC / "cli.py", (ast.Import, ast.ImportFrom, ast.Name,
+                                       ast.Attribute)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module or ""] + [alias.name for alias in node.names]
+        else:
+            names = [node.id if isinstance(node, ast.Name) else node.attr]
+        assert not any("tracking" in name.split(".") for name in names), names
 
 
 def test_tests_do_not_import_perfbench():
