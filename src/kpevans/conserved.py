@@ -105,17 +105,22 @@ def gradients(params: WaveParams, quad_tol: float = DEFAULT_QUAD_TOL,
     the real wave, so shallow wells need no special care.
     """
     u_minus, u_plus = find_turning_points(params, bracket_hint)
-    p = params.energy_poly()
-    rows = np.tile(p + 0j, (3, 1))   # rows a, E, c: dp/da = u, dp/dE = 1, dp/dc = u^2/2
+    p, F = params.energy_poly(), params.nonlinearity.F_coeffs
+    rows = p + np.zeros((3, 1), dtype=complex)   # rows a, E, c
     rows[(0, 1, 2), (1, 0, 2)] += 1j * CS_STEP * np.array([1.0, 1.0, 0.5])
     roots = _newton_roots(rows, (u_minus, u_plus))
     at = _well_nodes(rows, roots[:, 0], roots[:, 1])
-    p_cols, F = rows.T[..., np.newaxis], params.nonlinearity.F_coeffs
+    # p and F as one coefficient stack, each padded with top zeros
+    cols = np.zeros((max(len(p), len(F)), 2, 3, 1), dtype=complex)
+    cols[:len(p), 0, :, 0], cols[:len(F), 1] = rows.T, F[:, None, None]
 
     def integrand(theta):
         u, sqrt_g = at(theta)
-        ham = polyval_ascending(p_cols, u) - polyval_ascending(F, u)   # E - V - F
-        return np.stack((np.ones_like(u), u, u * u, ham), axis=1) * (2.0 / sqrt_g)[:, None, :]
+        out = np.empty((3, 4) + u.shape[1:], dtype=complex)
+        out[:, 0], out[:, 1], out[:, 2] = 1.0, u, u * u
+        np.subtract(*polyval_ascending(cols, u), out=out[:, 3])   # E - V - F
+        out *= (2.0 / sqrt_g)[:, None, :]
+        return out
 
     stack = adaptive_gauss_legendre(integrand, 0.0, np.pi / 2.0, rel_tol=quad_tol)
     dT, dM, dP, dH = np.sqrt(2.0) * stack.imag.T / CS_STEP

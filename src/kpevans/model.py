@@ -77,10 +77,13 @@ def _poly_antiderivative(coeffs: np.ndarray) -> np.ndarray:
     return np.concatenate(([0.0], c / np.arange(1, len(c) + 1)))
 
 
-def polyval_ascending(coeffs: np.ndarray, u):
-    """Horner evaluation of ascending-order coefficients."""
-    result = 0.0 * np.asarray(u) if np.ndim(u) else 0.0
-    for ck in coeffs[::-1]:
+def polyval_ascending(coeffs, u):
+    """Horner evaluation of ascending-order coefficients (a list, or an array
+    with the degree on its first axis) at a number or array u.  Started from
+    the top coefficient, it is bit for bit Horner from 0, save the sign of a
+    zero that a -0.0 top coefficient can leave."""
+    result = coeffs[-1] + 0.0 * u
+    for ck in coeffs[-2::-1]:
         result = result * u + ck
     return result
 

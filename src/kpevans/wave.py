@@ -25,8 +25,8 @@ import numpy as np
 from .elliptic import EllipticModulus, complete_K, jacobi_elliptic
 from .errors import (AmbiguousWell, DegenerateTurningPoint, ModulusOutOfRange,
                      NoPeriodicOrbit, QuadratureNotConverged)
-from .model import (NonlinearitySpec, WaveParams, _poly_derivative,
-                    _trim_trailing_zeros, eval_V, polyval_ascending)
+from .model import (NonlinearitySpec, WaveParams, _trim_trailing_zeros,
+                    polyval_ascending)
 from .quadrature import _parts, adaptive_gauss_legendre
 
 DEFAULT_QUAD_TOL = 1e-13
@@ -38,18 +38,26 @@ SIMPLICITY_TOL = 1e-8
 # ----------------------------------------------------------------------
 
 def _real_roots(asc_coeffs: np.ndarray):
-    """Sorted, deduplicated real roots of an ascending-coefficient polynomial."""
-    c = _trim_trailing_zeros(np.asarray(asc_coeffs, dtype=float))
+    """Sorted, deduplicated real roots of ascending coefficients, as Python
+    floats: np.roots' own (the eigenvalues of its companion matrix, and a 0
+    per leading zero), each real one polished by Newton on Python lists."""
+    c = _trim_trailing_zeros(np.asarray(asc_coeffs, dtype=float)).tolist()
     if len(c) <= 1:
         return []
-    raw = np.roots(c[::-1])
-    scale = 1.0 + np.max(np.abs(raw)) if len(raw) else 1.0
-    d1 = _poly_derivative(c, 1)
+    zeros = next(i for i, ck in enumerate(c) if ck != 0.0)
+    desc = c[zeros:][::-1]
+    raw = [0.0] * zeros
+    if len(desc) > 1:
+        A = np.eye(len(desc) - 1, k=-1)
+        A[0] = [-ck / desc[0] for ck in desc[1:]]
+        raw = np.linalg.eigvals(A).tolist() + raw
+    scale = 1.0 + max(map(abs, raw))
+    d1 = [k * ck for k, ck in enumerate(c)][1:]
     out = []
     for r in raw:
         if abs(r.imag) > 1e-7 * scale:
             continue
-        x = float(r.real)
+        x = r.real
         for _ in range(3):  # Newton polish; skipped near multiple roots
             dp = polyval_ascending(d1, x)
             if abs(dp) < 1e-12 * scale:
@@ -78,11 +86,9 @@ def find_turning_points(params: WaveParams, bracket_hint=None):
     search refuses to guess and raises AmbiguousWell.
     """
     p = params.energy_poly()
-    roots = _real_roots(p)
-    wells = []
-    for lo, hi in zip(roots[:-1], roots[1:]):
-        if polyval_ascending(p, 0.5 * (lo + hi)) > 0.0:
-            wells.append((lo, hi))
+    roots, p = _real_roots(p), p.tolist()
+    wells = [(lo, hi) for lo, hi in zip(roots[:-1], roots[1:])
+             if polyval_ascending(p, 0.5 * (lo + hi)) > 0.0]
     if bracket_hint is not None:
         lo_h, hi_h = float(bracket_hint[0]), float(bracket_hint[1])
         wells = [w for w in wells if w[1] > lo_h and w[0] < hi_h]
@@ -93,10 +99,12 @@ def find_turning_points(params: WaveParams, bracket_hint=None):
         raise AmbiguousWell(
             f"{len(wells)} disjoint wells admit periodic orbits; pass bracket_hint")
     u_minus, u_plus = wells[0]
+    dV = params.V_coeffs(1).tolist()
     for u in (u_minus, u_plus):
-        if abs(eval_V(params, u, 1)) <= SIMPLICITY_TOL * (1.0 + abs(u) + abs(params.E)):
+        slope = abs(polyval_ascending(dV, u))
+        if slope <= SIMPLICITY_TOL * (1.0 + abs(u) + abs(params.E)):
             raise DegenerateTurningPoint(
-                f"|V'({u:.6g})| = {abs(eval_V(params, u, 1)):.3e} below simplicity "
+                f"|V'({u:.6g})| = {slope:.3e} below simplicity "
                 "tolerance (separatrix or equilibrium boundary)")
     return u_minus, u_plus
 
@@ -107,13 +115,16 @@ def _newton_roots(asc_rows, seeds):
     Returns the roots as (rows, seeds).  Complex rows carry a complex step
     p + i h dp/dq; with no abs, comparison or ordering the iteration stays
     analytic, and the imaginary parts are h times the root derivatives.  The
-    seeds are real roots, so one step already gives those to rounding.
+    seeds are real roots, so one step already gives those to rounding.  p
+    and p' come from one Horner pass, p' stacked with a top coefficient 0.
     """
-    d_rows = asc_rows[:, 1:] * np.arange(1, asc_rows.shape[1])
-    p_cols, d_cols = asc_rows.T[..., np.newaxis], d_rows.T[..., np.newaxis]
-    r = np.broadcast_to(np.asarray(seeds, dtype=float), (len(asc_rows), len(seeds)))
+    n = asc_rows.shape[1]
+    cols = np.zeros((n, 2, len(asc_rows), 1), dtype=asc_rows.dtype)
+    cols[:, 0, :, 0], cols[:-1, 1, :, 0] = asc_rows.T, (asc_rows[:, 1:] * np.arange(1, n)).T
+    r = np.array([seeds] * len(asc_rows), dtype=float)
     for _ in range(3):
-        r = r - polyval_ascending(p_cols, r) / polyval_ascending(d_cols, r)
+        p, dp = polyval_ascending(cols, r)
+        r = r - p / dp
     return r
 
 
@@ -141,14 +152,14 @@ def _well_nodes(p_asc: np.ndarray, u_minus, u_plus):
     test reads the real part.  g <= 0 means no well: NoPeriodicOrbit.
     """
     g = -_deflate(_deflate(p_asc, u_minus), u_plus)
-    g_cols = np.moveaxis(g, -1, 0)[..., np.newaxis]
+    g_cols = g.T[..., np.newaxis]
     lo = np.asarray(u_minus)[..., np.newaxis]
     width = np.asarray(u_plus)[..., np.newaxis] - lo
 
     def at(theta):
         u = lo + width * np.sin(theta) ** 2
         g = polyval_ascending(g_cols, u)
-        if np.any(g.real <= 0.0):
+        if (g.real <= 0.0).any():
             raise NoPeriodicOrbit("deflated energy polynomial not positive on the well")
         return u, np.sqrt(g)
 
@@ -347,7 +358,7 @@ class WaveProfile:
 
     def energy_residual(self) -> float:
         """sup |u_x^2/2 - (E - V(u))| over the stored grid."""
-        V = eval_V(self.params, self.u_samples, 0)
+        V = polyval_ascending(self.params.V_coeffs(), self.u_samples)
         return float(np.max(np.abs(0.5 * self.ux_samples ** 2 - (self.params.E - V))))
 
     def to_json_dict(self) -> dict:

@@ -146,6 +146,15 @@ def gauss_legendre(fn, a, b, n):
     return half * float(np.dot(w, fn(mid + half * x)))
 
 
+def horner_from_zero(coeffs, u):
+    """The Horner sum started from 0, as polyval_ascending once ran it: the
+    reference of the bit-identity tests."""
+    result = 0.0 * np.asarray(u) if np.ndim(u) else 0.0
+    for ck in coeffs[::-1]:
+        result = result * u + ck
+    return result
+
+
 def cardano_real_roots(p3, p2, p1, p0):
     """Closed-form real roots of p3 u^3 + p2 u^2 + p1 u + p0 (oracle).
 

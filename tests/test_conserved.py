@@ -13,7 +13,10 @@ from kpevans import conserved
 from kpevans.conserved import cubic_discriminant, invariants_csv_row
 from kpevans.errors import NoPeriodicOrbit, NotKdV, StencilLeftRegion
 
-from conftest import DNOIDAL_HINT, fd_gradients, gauss_legendre, seeded_turning_points
+from kpevans.wave import _newton_roots
+
+from conftest import (DNOIDAL_HINT, fd_gradients, gauss_legendre, horner_from_zero,
+                      seeded_turning_points)
 
 KDV = kp.NonlinearitySpec.kdv()
 MKDV = kp.NonlinearitySpec.mkdv()
@@ -302,3 +305,26 @@ def test_wrong_turning_points_raise_typed_error(dnoidal_params, monkeypatch):
     monkeypatch.setattr(conserved, "find_turning_points", lambda *args: wrong)
     with pytest.raises(NoPeriodicOrbit, match="not positive on the well"):
         kp.gradients(dnoidal_params)
+
+
+def newton_two_polyvals(asc_rows, seeds):
+    """Three Newton steps with p and p' each from its own Horner sum from 0:
+    the reference _newton_roots must equal bit for bit."""
+    d_rows = asc_rows[:, 1:] * np.arange(1, asc_rows.shape[1])
+    p_cols, d_cols = asc_rows.T[..., np.newaxis], d_rows.T[..., np.newaxis]
+    r = np.broadcast_to(np.asarray(seeds, dtype=float), (len(asc_rows), len(seeds)))
+    for _ in range(3):
+        r = r - horner_from_zero(p_cols, r) / horner_from_zero(d_cols, r)
+    return r
+
+
+@pytest.mark.parametrize("f, E, hint", [(KDV, -0.05, None), (MKDV, -0.5, DNOIDAL_HINT),
+                                        (MKDV, 0.3, None), (MIXED, 0.05, None)])
+def test_newton_roots_equal_two_polyval_iteration(f, E, hint):
+    params = kp.WaveParams(0.0, E, 1.0, f)
+    rows = np.tile(params.energy_poly() + 0j, (3, 1))   # the complex-step rows
+    rows[(0, 1, 2), (1, 0, 2)] += 1j * conserved.CS_STEP * np.array([1.0, 1.0, 0.5])
+    seeds = kp.find_turning_points(params, hint)
+    got = _newton_roots(rows, seeds)
+    assert got.tobytes() == newton_two_polyvals(rows, seeds).tobytes()
+    assert np.all(got.imag != 0.0)

@@ -9,6 +9,8 @@ import kpevans as kp
 from kpevans.errors import ConfigError
 from kpevans.model import _poly_derivative, polyval_ascending
 
+from conftest import horner_from_zero
+
 KDV = kp.NonlinearitySpec.kdv()
 MKDV = kp.NonlinearitySpec.mkdv()
 
@@ -106,3 +108,29 @@ def test_nonlinearity_rejects_bad_input():
                      ({"kind": "poly", "coeffs": 5}, "nonlinearity.coeffs")):
         with pytest.raises(ConfigError, match=key):
             kp.NonlinearitySpec.from_json_dict(bad)
+
+
+def test_polyval_ascending_equals_horner_from_zero():
+    """Starting from the top coefficient changes no bit of the value."""
+    rng = np.random.default_rng(20)
+    special = [-0.0, 0.0, np.inf, -np.inf, 1e300, -1e-300, 2.0, -3.5]
+    u_real = np.concatenate([special, rng.normal(size=40) * 10.0 ** rng.integers(-5, 5, 40)])
+    u_cplx = np.empty(len(u_real) + 3, dtype=complex)
+    u_cplx.real = np.concatenate([u_real, [-0.0, 3.0, -2.0]])
+    u_cplx.imag = np.concatenate([rng.permutation(u_real), [-0.0, -0.0, np.inf]])
+    stack = rng.normal(size=(6, 2, 3, 1)) + 1j * rng.normal(size=(6, 2, 3, 1))
+    stack[-1, 1] = 0.0            # a row whose top coefficient is 0, as for p'
+    cases = [
+        ([0.3, -1.0, 0.25, 0.1], u_real), ([0.3, -1.0, 0.25, 0.1], u_cplx),
+        ([0.5, 0.0, 0.0], u_real), ([1.0, -2.0, 0.0], u_cplx),     # zero top coefficient
+        ([-0.0, 1.0, -1.0 / 6.0], u_real), ([2.0], u_real),
+        (np.array([0.0, 0.0, 0.5, 1.0 / 3.0]), u_real),
+        (np.array([1.5, -0.5j, 0.25 + 1e-30j]), u_cplx),
+        (stack, u_cplx.reshape(3, -1)), (stack, u_real.reshape(3, -1)),
+    ]
+    with np.errstate(invalid="ignore", over="ignore"):
+        for coeffs, u in cases:
+            for x in [u, *u[..., :6].ravel()]:       # arrays, then numbers
+                want, got = horner_from_zero(coeffs, x), polyval_ascending(coeffs, x)
+                assert np.shape(got) == np.shape(want)
+                assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), (coeffs, x)

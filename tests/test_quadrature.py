@@ -5,7 +5,10 @@ import numpy as np
 import pytest
 
 from kpevans.errors import QuadratureNotConverged
-from kpevans.quadrature import _nodes, adaptive_gauss_legendre
+import kpevans as kp
+from kpevans.conserved import CS_STEP
+from kpevans.quadrature import _MAX_NODES, _nodes, _parts, adaptive_gauss_legendre
+from kpevans.wave import _newton_roots, _well_nodes
 
 from conftest import gauss_legendre
 
@@ -73,3 +76,69 @@ def test_adaptive_not_converged_raises():
     # a jump at x = 1/3: the rule converges like 1 / n, far too slowly for the cap
     with pytest.raises(QuadratureNotConverged):
         adaptive_gauss_legendre(lambda x: np.where(x < 1.0 / 3.0, 0.0, 1.0), 0.0, 1.0)
+
+
+def two_call_rule(fn, a, b, rel_tol=1e-13):
+    """The adaptive rule with one call of fn per rule: the reference the
+    shared first call must equal bit for bit."""
+    x, w = _nodes(16)
+    mid, half = 0.5 * (a + b), 0.5 * (b - a)
+    vals = fn(mid + half * x)
+    prev = half * np.dot(vals, w)
+    scale_ref = half * np.dot(np.abs(_parts(vals)), w)
+    n = 32
+    while n <= _MAX_NODES:
+        x, w = _nodes(n)
+        cur = half * np.dot(fn(mid + half * x), w)
+        diff = np.abs(_parts(cur - prev))
+        scale = np.maximum(np.maximum(np.abs(_parts(cur)), scale_ref), 1e-300)
+        if np.all(diff <= rel_tol * scale):
+            return cur
+        prev = cur
+        n *= 2
+    raise QuadratureNotConverged("no convergence")
+
+
+def well_integrands():
+    """Real and complex-step integrands of the mKdV dnoidal well, (3, nodes)."""
+    params = kp.WaveParams(0.0, -0.5, 1.0, kp.NonlinearitySpec.mkdv())
+    p, tps = params.energy_poly(), kp.find_turning_points(params, (0.5, 3.0))
+    rows = np.tile(p + 0j, (3, 1))
+    rows[(0, 1, 2), (1, 0, 2)] += 1j * CS_STEP * np.array([1.0, 1.0, 0.5])
+    roots = _newton_roots(rows, tps)
+    real, cplx = _well_nodes(p, *tps), _well_nodes(rows, roots[:, 0], roots[:, 1])
+
+    def moments(at):
+        def fn(theta):
+            u, sqrt_g = at(theta)
+            return np.stack(np.broadcast_arrays(1.0, u, u * u)) * (2.0 / sqrt_g)
+        return fn
+
+    return moments(real), moments(cplx)
+
+
+def test_adaptive_equals_two_call_rule():
+    h = 1e-30
+    fns = [np.exp, lambda x: np.stack((np.exp(x), np.cos(3.0 * x), x ** 3)),
+           lambda x: 1.0 + 1j * h * np.sin(40.0 * x), lambda x: 1.0 / (1.01 + x),
+           *well_integrands()]
+    for fn in fns:
+        for a, b, tol in [(-1.0, 1.0, 1e-13), (0.0, np.pi / 2.0, 1e-13), (-1.0, 0.5, 1e-6)]:
+            got, want = adaptive_gauss_legendre(fn, a, b, tol), two_call_rule(fn, a, b, tol)
+            assert type(got) is type(want)
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
+def test_first_two_rules_share_one_call():
+    calls = []
+
+    def fn(x):
+        calls.append(x.shape)
+        return np.exp(x)
+
+    adaptive_gauss_legendre(fn, -1.0, 1.0)     # converged at 32 nodes
+    assert calls == [(48,)]
+    del calls[:]
+    adaptive_gauss_legendre(lambda x: fn(x) / (1.01 + x), -1.0, 1.0)
+    assert calls[0] == (48,) and len(calls) > 1
+    assert [n for n, in calls[1:]] == [64 * 2 ** i for i in range(len(calls) - 1)]

@@ -11,7 +11,9 @@ from kpevans.errors import (AmbiguousWell, DegenerateTurningPoint,
                             QuadratureNotConverged)
 from kpevans.conserved import cubic_discriminant
 
-from conftest import cardano_real_roots, phase_align
+from kpevans.wave import _real_roots
+
+from conftest import cardano_real_roots, horner_from_zero, phase_align
 from dp5 import integrate
 
 KDV = kp.NonlinearitySpec.kdv()
@@ -238,3 +240,57 @@ def test_profile_json_round_trip(kdv_profile, tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0] == "x,u,ux"
     assert len(lines) == len(kdv_profile.grid) + 1
+
+
+def np_roots_polished(asc):
+    """The real roots by np.roots and a scalar Newton polish, merged: the
+    reference _real_roots must equal bit for bit."""
+    c = np.asarray(asc, dtype=float)
+    while len(c) > 1 and c[-1] == 0.0:
+        c = c[:-1]
+    if len(c) <= 1:
+        return []
+    raw = np.roots(c[::-1])
+    scale = 1.0 + np.max(np.abs(raw)) if len(raw) else 1.0
+    d1 = c[1:] * np.arange(1, len(c))
+    out = []
+    for r in raw:
+        if abs(r.imag) > 1e-7 * scale:
+            continue
+        x = float(r.real)
+        for _ in range(3):
+            dp = horner_from_zero(d1, x)
+            if abs(dp) < 1e-12 * scale:
+                break
+            step = horner_from_zero(c, x) / dp
+            x -= step
+            if abs(step) < 1e-16 * (1.0 + abs(x)):
+                break
+        out.append(x)
+    merged = []
+    for x in sorted(out):
+        if merged and abs(x - merged[-1][0] / merged[-1][1]) <= 1e-7 * (1.0 + abs(x)):
+            merged[-1] = (merged[-1][0] + x, merged[-1][1] + 1)
+        else:
+            merged.append((x, 1))
+    return [s / n for s, n in merged]
+
+
+def test_real_roots_equal_np_roots_and_polish():
+    rng = np.random.default_rng(20)
+    polys = [
+        [0.0, -1.0, 0.0, 1.0],            # u^3 - u: a root at 0
+        [0.0, 0.0, 1.0, -1.0],            # a double root at 0 and 1
+        [2.0, -3.0, 0.0, 1.0],            # (u - 1)^2 (u + 2): a double root
+        [-1.0, 0.0, 1.0, 0.0, 0.0],       # trailing zeros
+        [0.5, 2.0], [3.0], [0.0, 0.0], [0.0, 0.0, 0.0, 2.0],
+    ]
+    polys += [rng.normal(size=rng.integers(2, 8)) for _ in range(300)]
+    for f, E, a, c in [(KDV, -0.05, 0.0, 1.0), (MKDV, -0.5, 0.0, 1.0), (MKDV, 0.3, 0.0, 1.0),
+                       (KDV, 0.2, -0.3, 0.7), (MKDV, 1e-6, 0.1, 1.3)]:
+        polys.append(kp.WaveParams(a, E, c, f).energy_poly())
+    for asc in polys:
+        got, want = _real_roots(np.asarray(asc, dtype=float)), np_roots_polished(asc)
+        assert all(type(x) is float for x in got), asc
+        assert np.array(got).tobytes() == np.array(want).tobytes(), (asc, got, want)
+    assert _real_roots(np.array([0.0, -1.0, 0.0, 1.0]))[1] == 0.0
