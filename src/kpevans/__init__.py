@@ -5,7 +5,7 @@ u_t = u_xxx + f(u)_x from its integration constants (a, E, c), evaluate the
 periodic Evans function D(mu, k, lambda) of the transverse spectral
 problem, and decide long-wavelength transverse instability from the
 orientation index sigma * {T, M}_{a,E}, with every supporting identity
-(kernel relations, low/high frequency asymptotics, block conjugation)
+(kernel relations, low/high frequency asymptotics, block reduction)
 verifiable numerically.
 """
 
@@ -15,28 +15,22 @@ from .asymptotics import (HighFreqReport, IndexVerdict, LowFreqReport,
                           verify_block_reduction)
 from .conserved import (GradientSet, InvariantSet, compute_invariants,
                         gradient_identity_residual, gradients, jacobian_TM,
-                        kdv_jacobian_closed_form, profile_invariants)
-from .elliptic import EllipticModulus, complete_K, jacobi_elliptic
+                        profile_invariants)
 from .evans import EvansValue, Monodromy, ScanReport, evans, evans_scan, monodromy
 from .kernel import (KernelBasis, WMatrix, build_W, kernel_residuals,
                      phi_solution, variational_solutions,
                      verify_inverse_column)
 from .model import NonlinearitySpec, WaveParams, eval_V
-from .tracking import (BlockSystem, Conjugator, conjugation_residual,
-                       solve_conjugator, triangularized_blocks)
-from .wave import (WaveProfile, cnoidal_wave, compute_period,
-                   find_turning_points, integrate_profile)
+from .wave import WaveProfile, compute_period, find_turning_points, integrate_profile
 
 __version__ = "0.1.0"
 
 __all__ = [
     "NonlinearitySpec", "WaveParams", "eval_V",
     "WaveProfile", "find_turning_points", "compute_period",
-    "integrate_profile", "cnoidal_wave",
-    "EllipticModulus", "jacobi_elliptic", "complete_K",
+    "integrate_profile",
     "InvariantSet", "GradientSet", "compute_invariants", "profile_invariants",
     "gradients", "gradient_identity_residual", "jacobian_TM",
-    "kdv_jacobian_closed_form",
     "KernelBasis", "WMatrix", "variational_solutions", "phi_solution",
     "build_W", "verify_inverse_column", "kernel_residuals",
     "Monodromy", "EvansValue", "ScanReport",
@@ -44,6 +38,4 @@ __all__ = [
     "HighFreqReport", "LowFreqReport", "IndexVerdict",
     "high_freq_sign", "verify_block_reduction", "lower_left_slope",
     "low_freq_coefficient", "orientation_index",
-    "BlockSystem", "Conjugator", "solve_conjugator", "triangularized_blocks",
-    "conjugation_residual",
 ]

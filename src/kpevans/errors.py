@@ -25,20 +25,12 @@ class IntegrationFailure(KPEvansError):
     """An RK4 step product misses its tolerance within its step budget."""
 
 
-class ModulusOutOfRange(KPEvansError):
-    """Elliptic modulus outside [0, 1)."""
-
-
 class WronskianDegenerate(KPEvansError):
     """Wronskian normalization of (u_x, u_E) lost; exceptional parameters."""
 
 
 class StencilLeftRegion(KPEvansError):
     """A finite-difference stencil point has no periodic orbit."""
-
-
-class NotKdV(KPEvansError):
-    """Operation requires the KdV nonlinearity f(u) = u^2/2."""
 
 
 class ScaleOverflow(KPEvansError):
@@ -51,14 +43,6 @@ class NonRealEvans(KPEvansError):
 
 class FitIllConditioned(KPEvansError):
     """Least-squares fit of the low-frequency model is ill conditioned."""
-
-
-class NoContraction(KPEvansError):
-    """Conjugator fixed-point iteration diverges (delta/eta too large)."""
-
-
-class PeriodMapSingular(KPEvansError):
-    """I - P singular for the homogeneous Sylvester flow; gap failure."""
 
 
 class ConfigError(KPEvansError):

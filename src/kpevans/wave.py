@@ -11,9 +11,6 @@ closed form; Newton in theta finds the grid points, where u and
 u_x = sqrt(2) w sin(theta) cos(theta) sqrt(g(u)) are exact.  WaveProfile
 interpolates them by piecewise-quintic Hermite, evaluated by one Horner
 routine, _quintic.  Energy polynomials are rows of ascending coefficients.
-
-Also hosts the Jacobi-elliptic layer consumers: the closed-form KdV cnoidal
-wave together with recovery of its (a, E, c) parameters.
 """
 
 from __future__ import annotations
@@ -22,9 +19,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .elliptic import EllipticModulus, complete_K, jacobi_elliptic
-from .errors import (AmbiguousWell, DegenerateTurningPoint, ModulusOutOfRange,
-                     NoPeriodicOrbit, QuadratureNotConverged)
+from .errors import (AmbiguousWell, DegenerateTurningPoint, NoPeriodicOrbit,
+                     QuadratureNotConverged)
 from .model import (NonlinearitySpec, WaveParams, _trim_trailing_zeros,
                     polyval_ascending)
 from .quadrature import _parts, adaptive_gauss_legendre
@@ -404,45 +400,3 @@ def integrate_profile(params: WaveParams, samples_per_period: int = 1024,
     # pin the endpoint to the exact periodic image of the start
     u_s[-1], ux_s[-1] = u_minus, 0.0
     return WaveProfile(params, u_minus, u_plus, T, grid, u_s, ux_s)
-
-
-# ----------------------------------------------------------------------
-# the cnoidal closed form
-# ----------------------------------------------------------------------
-
-def cnoidal_wave(u0: float, kappa: float, m, samples_per_period: int = 1024,
-                 sigma: int = 1) -> WaveProfile:
-    """KdV cnoidal wave u = u0 + 12 k^2 kappa^2 cn^2(kappa x + K(k), k) at t = 0.
-
-    The phase shift by the quarter period K(k) starts the profile at its
-    trough, matching the u(0) = u_- normalization of integrated profiles.
-    Wave parameters are recovered from the traveling frame x + c t, which
-    forces c = 8 k^2 kappa^2 - 4 kappa^2 + u0, and then (E, a) by inserting
-    the closed form into the oscillator equation at two sample points.
-    """
-    k = m.k if isinstance(m, EllipticModulus) else float(m)
-    if not (0.0 < k < 1.0):
-        raise ModulusOutOfRange(f"cnoidal modulus must lie in (0, 1), got {k}")
-    if kappa <= 0.0:
-        raise ValueError("kappa must be positive")
-    K = complete_K(k)
-    T = 2.0 * K / kappa
-    amp = 12.0 * k * k * kappa * kappa
-    c = 8.0 * k * k * kappa * kappa - 4.0 * kappa * kappa + u0
-
-    grid = np.linspace(0.0, T, samples_per_period + 1)
-    sn, cn, dn = jacobi_elliptic(kappa * grid + K, k)
-    u_s = u0 + amp * cn ** 2
-    ux_s = -2.0 * amp * kappa * cn * sn * dn
-    u_s[0] = u_s[-1] = u0
-    ux_s[0] = ux_s[-1] = 0.0
-
-    kdv = NonlinearitySpec.kdv()
-    # quad1 at two generic points: u_x^2/2 = E + a u + (c/2) u^2 - F(u)
-    idx = [int(0.13 * samples_per_period), int(0.37 * samples_per_period)]
-    A = np.array([[1.0, u_s[i]] for i in idx])
-    b = np.array([0.5 * ux_s[i] ** 2 + polyval_ascending(kdv.F_coeffs, u_s[i])
-                  - 0.5 * c * u_s[i] ** 2 for i in idx])
-    E, a = np.linalg.solve(A, b)
-    params = WaveParams(float(a), float(E), float(c), kdv, sigma)
-    return WaveProfile(params, u0, u0 + amp, T, grid, u_s, ux_s)

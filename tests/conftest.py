@@ -12,6 +12,7 @@ from kpevans.model import polyval_ascending
 from kpevans.quadrature import _nodes
 
 from dp5 import kernel_reference
+from tracking import BlockSystem
 
 # canonical KdV test wave: near-separatrix well around u = 2
 KDV_A, KDV_E, KDV_C = 0.0, -0.05, 1.0
@@ -127,7 +128,7 @@ def coefficient_matrix(profile):
 def tabulate(period, full, n):
     """BlockSystem of 1x1 blocks from n uniform samples of the 2x2 matrix full(x)."""
     grid = np.arange(n) * (period / n)
-    return kp.BlockSystem.from_tables(period, grid, [full(x) for x in grid], 1, 1)
+    return BlockSystem.from_tables(period, grid, [full(x) for x in grid], 1, 1)
 
 
 def interpolant(system):

@@ -1,4 +1,6 @@
-"""Jacobi elliptic functions and the complete integral K via AGM.
+"""Jacobi elliptic functions, the complete integral K via AGM, and the KdV
+cnoidal wave in closed form: an oracle of the tests, independent of the
+package's theta-series profile.
 
 Implements the descending Landen transformation of DLMF 22.20(ii) /
 Abramowitz & Stegun 16.4: run the arithmetic-geometric mean to convergence,
@@ -13,7 +15,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ModulusOutOfRange
+from kpevans.errors import KPEvansError
+from kpevans.model import NonlinearitySpec, WaveParams, polyval_ascending
+from kpevans.wave import WaveProfile
+
+class ModulusOutOfRange(KPEvansError):
+    """Elliptic modulus outside [0, 1)."""
+
 
 _AGM_TOL = 1e-17
 _AGM_MAX = 40
@@ -81,3 +89,42 @@ def jacobi_elliptic(x, m):
     if np.ndim(x) == 0:
         return float(sn), float(cn), float(dn)
     return sn, cn, dn
+
+
+
+def cnoidal_wave(u0: float, kappa: float, m, samples_per_period: int = 1024,
+                 sigma: int = 1) -> WaveProfile:
+    """KdV cnoidal wave u = u0 + 12 k^2 kappa^2 cn^2(kappa x + K(k), k) at t = 0.
+
+    The phase shift by the quarter period K(k) starts the profile at its
+    trough, matching the u(0) = u_- normalization of integrated profiles.
+    Wave parameters are recovered from the traveling frame x + c t, which
+    forces c = 8 k^2 kappa^2 - 4 kappa^2 + u0, and then (E, a) by inserting
+    the closed form into the oscillator equation at two sample points.
+    """
+    k = m.k if isinstance(m, EllipticModulus) else float(m)
+    if not (0.0 < k < 1.0):
+        raise ModulusOutOfRange(f"cnoidal modulus must lie in (0, 1), got {k}")
+    if kappa <= 0.0:
+        raise ValueError("kappa must be positive")
+    K = complete_K(k)
+    T = 2.0 * K / kappa
+    amp = 12.0 * k * k * kappa * kappa
+    c = 8.0 * k * k * kappa * kappa - 4.0 * kappa * kappa + u0
+
+    grid = np.linspace(0.0, T, samples_per_period + 1)
+    sn, cn, dn = jacobi_elliptic(kappa * grid + K, k)
+    u_s = u0 + amp * cn ** 2
+    ux_s = -2.0 * amp * kappa * cn * sn * dn
+    u_s[0] = u_s[-1] = u0
+    ux_s[0] = ux_s[-1] = 0.0
+
+    kdv = NonlinearitySpec.kdv()
+    # quad1 at two generic points: u_x^2/2 = E + a u + (c/2) u^2 - F(u)
+    idx = [int(0.13 * samples_per_period), int(0.37 * samples_per_period)]
+    A = np.array([[1.0, u_s[i]] for i in idx])
+    b = np.array([0.5 * ux_s[i] ** 2 + polyval_ascending(kdv.F_coeffs, u_s[i])
+                  - 0.5 * c * u_s[i] ** 2 for i in idx])
+    E, a = np.linalg.solve(A, b)
+    params = WaveParams(float(a), float(E), float(c), kdv, sigma)
+    return WaveProfile(params, u0, u0 + amp, T, grid, u_s, ux_s)

@@ -13,6 +13,9 @@ from kpevans.kernel import predicted_deltaW
 
 from conftest import DNOIDAL_HINT, interpolant, phase_align, tabulate
 from dp5 import period_map
+from elliptic import cnoidal_wave, complete_K, jacobi_elliptic
+from kdv_closed_form import kdv_jacobian_closed_form
+from tracking import conjugation_residual, solve_conjugator, triangularized_blocks
 
 
 def report(num, ok, text):
@@ -108,7 +111,7 @@ def test_criterion_07_kdv_closed_form():
     for a, E, c in points:
         params = kp.WaveParams(a, E, c, kp.NonlinearitySpec.kdv())
         cs = kp.jacobian_TM(params)
-        cf = kp.kdv_jacobian_closed_form(params)
+        cf = kdv_jacobian_closed_form(params)
         worst = max(worst, abs(cs - cf) / abs(cf))
         all_positive = all_positive and cs > 0 and cf > 0
     report(7, worst <= 1e-12 and all_positive,
@@ -161,22 +164,22 @@ def test_criterion_11_block_reduction(kdv_profile):
 def test_criterion_12_tracking():
     import math
     const = tabulate(2.0, lambda x: [[1.0, 1.0], [0.1, -1.0]], 1)
-    conj = kp.solve_conjugator(const, fp_tol=1e-14)
+    conj = solve_conjugator(const, fp_tol=1e-14)
     err_const = float(np.max(np.abs(conj.samples - (-1.0 + math.sqrt(1.1)))))
 
     T, m1, m2, th, eps = 3.0, 0.7, -0.9, 1.3, 0.05
     om = 2.0 * np.pi / T
     fourier = tabulate(T, lambda x: [[m1, 0.0], [eps * th * np.cos(om * x), m2]], 16)
-    conj_f = kp.solve_conjugator(fourier, fp_tol=1e-13)
+    conj_f = solve_conjugator(fourier, fp_tol=1e-13)
     coef = eps * th / (1j * om - (m2 - m1))
     err_fourier = float(np.max(np.abs(
         conj_f.samples[:, 0, 0] - np.real(coef * np.exp(1j * om * conj_f.grid)))))
 
     synth = tabulate(2.0, lambda x: [[0.8, 0.4 + 0.1 * np.cos(np.pi * x)],
                                      [0.08 * (1.0 + 0.5 * np.sin(np.pi * x)), -1.1]], 16)
-    conj_s = kp.solve_conjugator(synth, fp_tol=1e-14)
-    resid = kp.conjugation_residual(synth, conj_s)
-    tri = interpolant(kp.triangularized_blocks(synth, conj_s))
+    conj_s = solve_conjugator(synth, fp_tol=1e-14)
+    resid = conjugation_residual(synth, conj_s)
+    tri = interpolant(triangularized_blocks(synth, conj_s))
     full = period_map(interpolant(synth), 2, 2.0)
     p1 = period_map(lambda x: tri(x)[:1, :1], 1, 2.0)
     p2 = period_map(lambda x: tri(x)[1:, 1:], 1, 2.0)
@@ -195,13 +198,13 @@ def test_criterion_13_elliptic_layer():
     x = np.linspace(-6.0, 6.0, 101)
     worst_id = 0.0
     for k in (0.2, 0.5, 0.8, 0.95):
-        sn, cn, dn = kp.jacobi_elliptic(x, k)
+        sn, cn, dn = jacobi_elliptic(x, k)
         worst_id = max(worst_id, float(np.max(np.abs(sn ** 2 + cn ** 2 - 1.0))),
                        float(np.max(np.abs(dn ** 2 + k * k * sn ** 2 - 1.0))))
-    prof = kp.cnoidal_wave(0.1, 1.0, 0.8)
+    prof = cnoidal_wave(0.1, 1.0, 0.8)
     built = kp.integrate_profile(prof.params)
     sup_diff = phase_align(prof, built)
-    per_err = abs(prof.period - 2.0 * kp.complete_K(0.8))
+    per_err = abs(prof.period - 2.0 * complete_K(0.8))
     ok = worst_id <= 1e-12 and sup_diff <= 1e-12 and per_err <= 1e-10
     report(13, ok, f"elliptic identities {worst_id:.1e}; cnoidal vs profile "
            f"{sup_diff:.1e}; period vs 2K/kappa {per_err:.1e}")

@@ -10,13 +10,14 @@ from scipy.optimize import brentq
 
 import kpevans as kp
 from kpevans import conserved
-from kpevans.conserved import cubic_discriminant, invariants_csv_row
-from kpevans.errors import NoPeriodicOrbit, NotKdV, StencilLeftRegion
+from kpevans.conserved import invariants_csv_row
+from kpevans.errors import NoPeriodicOrbit, StencilLeftRegion
 
 from kpevans.wave import _newton_roots
 
 from conftest import (DNOIDAL_HINT, fd_gradients, gauss_legendre, horner_from_zero,
                       seeded_turning_points)
+from kdv_closed_form import NotKdV, cubic_discriminant, kdv_jacobian_closed_form
 
 KDV = kp.NonlinearitySpec.kdv()
 MKDV = kp.NonlinearitySpec.mkdv()
@@ -134,7 +135,7 @@ def test_closed_form_matches_fd():
     for a, E, c in KDV_POINTS:
         params = kp.WaveParams(a, E, c, KDV)
         cs = kp.jacobian_TM(params)
-        cf = kp.kdv_jacobian_closed_form(params)
+        cf = kdv_jacobian_closed_form(params)
         assert cf == pytest.approx(cs, rel=1e-12)
         assert cf > 0
 
@@ -171,7 +172,7 @@ def test_discriminant_positive_for_periodic_kdv():
 
 def test_closed_form_rejects_non_kdv(dnoidal_params):
     with pytest.raises(NotKdV):
-        kp.kdv_jacobian_closed_form(dnoidal_params)
+        kdv_jacobian_closed_form(dnoidal_params)
 
 
 def test_mkdv_branch_signs(dnoidal_params, dnoidal_grads,

@@ -3,8 +3,7 @@
 import numpy as np
 import pytest
 
-import kpevans as kp
-from kpevans.errors import ModulusOutOfRange
+from elliptic import EllipticModulus, ModulusOutOfRange, complete_K, jacobi_elliptic
 
 # frozen AGM oracle values (independently iterated arithmetic-geometric
 # mean, cross-checked against the ascending series for small k)
@@ -20,21 +19,21 @@ def agm_oracle(a, b):
 
 
 def test_complete_K_values():
-    assert kp.complete_K(0.0) == pytest.approx(np.pi / 2.0, abs=1e-15)
-    assert kp.complete_K(0.5) == pytest.approx(K_HALF, abs=1e-13)
+    assert complete_K(0.0) == pytest.approx(np.pi / 2.0, abs=1e-15)
+    assert complete_K(0.5) == pytest.approx(K_HALF, abs=1e-13)
     # independent AGM iteration
     k = 0.73
-    assert kp.complete_K(k) == pytest.approx(
+    assert complete_K(k) == pytest.approx(
         np.pi / (2.0 * agm_oracle(1.0, np.sqrt(1 - k * k))), abs=1e-13)
     # ascending series K = pi/2 (1 + k^2/4 + 9 k^4/64 + ...) for small k
     k = 0.01
     series = np.pi / 2.0 * (1 + k ** 2 / 4 + 9 * k ** 4 / 64 + 25 * k ** 6 / 256)
-    assert kp.complete_K(k) == pytest.approx(series, abs=1e-12)
+    assert complete_K(k) == pytest.approx(series, abs=1e-12)
 
 
 def test_values_at_origin():
     for k in (0.0, 0.3, 0.8, 0.99):
-        sn, cn, dn = kp.jacobi_elliptic(0.0, k)
+        sn, cn, dn = jacobi_elliptic(0.0, k)
         assert sn == pytest.approx(0.0, abs=1e-15)
         assert cn == pytest.approx(1.0, abs=1e-15)
         assert dn == pytest.approx(1.0, abs=1e-15)
@@ -42,7 +41,7 @@ def test_values_at_origin():
 
 def test_degenerate_modulus_is_trigonometric():
     x = np.linspace(-5.0, 5.0, 37)
-    sn, cn, dn = kp.jacobi_elliptic(x, 0.0)
+    sn, cn, dn = jacobi_elliptic(x, 0.0)
     assert np.max(np.abs(sn - np.sin(x))) <= 1e-14
     assert np.max(np.abs(cn - np.cos(x))) <= 1e-14
     assert np.max(np.abs(dn - 1.0)) <= 1e-14
@@ -51,15 +50,15 @@ def test_degenerate_modulus_is_trigonometric():
 def test_pythagorean_identities():
     x = np.linspace(-6.0, 6.0, 101)
     for k in (0.1, 0.5, 0.8, 0.95):
-        sn, cn, dn = kp.jacobi_elliptic(x, k)
+        sn, cn, dn = jacobi_elliptic(x, k)
         assert np.max(np.abs(sn ** 2 + cn ** 2 - 1.0)) <= 1e-12
         assert np.max(np.abs(dn ** 2 + k * k * sn ** 2 - 1.0)) <= 1e-12
 
 
 def test_quarter_period():
     for k in (0.2, 0.6, 0.9):
-        K = kp.complete_K(k)
-        sn, cn, dn = kp.jacobi_elliptic(K, k)
+        K = complete_K(k)
+        sn, cn, dn = jacobi_elliptic(K, k)
         assert sn == pytest.approx(1.0, abs=1e-12)
         assert cn == pytest.approx(0.0, abs=1e-12)
         assert dn == pytest.approx(np.sqrt(1 - k * k), abs=1e-12)
@@ -69,17 +68,17 @@ def test_derivative_relation():
     # d/dx sn = cn dn
     k, h = 0.7, 1e-6
     for x in (0.3, 1.1, 2.9):
-        snp, _, _ = kp.jacobi_elliptic(x + h, k)
-        snm, _, _ = kp.jacobi_elliptic(x - h, k)
-        _, cn, dn = kp.jacobi_elliptic(x, k)
+        snp, _, _ = jacobi_elliptic(x + h, k)
+        snm, _, _ = jacobi_elliptic(x - h, k)
+        _, cn, dn = jacobi_elliptic(x, k)
         assert (snp - snm) / (2 * h) == pytest.approx(cn * dn, abs=1e-9)
 
 
 def test_modulus_out_of_range():
     for bad in (-0.1, 1.0, 1.3):
         with pytest.raises(ModulusOutOfRange):
-            kp.jacobi_elliptic(0.5, bad)
+            jacobi_elliptic(0.5, bad)
         with pytest.raises(ModulusOutOfRange):
-            kp.complete_K(bad)
+            complete_K(bad)
     with pytest.raises(ModulusOutOfRange):
-        kp.EllipticModulus(1.0)
+        EllipticModulus(1.0)

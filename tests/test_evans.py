@@ -13,6 +13,7 @@ from kpevans.evans import EvansValue, det_complete_pivot
 
 from conftest import coefficient_matrix
 from dp5 import integrate
+from tracking import _rk4_steps
 
 
 def char_poly_coeffs(mono):
@@ -319,8 +320,8 @@ def test_companion_steps_match_general_kernel(dtype, h):
     A[:] = np.eye(4, k=1)
     for j, d in enumerate(rows):
         A[:, 3, j] = d
-    ev, tr = sys.modules["kpevans.evans"], sys.modules["kpevans.tracking"]
-    closed, general = ev._companion_steps(rows, h), tr._rk4_steps(A, h)
+    ev = sys.modules["kpevans.evans"]
+    closed, general = ev._companion_steps(rows, h), _rk4_steps(A, h)
     assert closed.shape == (1024, 4, 4) and closed.dtype == np.dtype(dtype)
     magnitude = ev._companion_steps([np.abs(d) for d in rows], h)
     assert np.all(np.abs(closed - general) <= 16 * np.finfo(float).eps * magnitude)

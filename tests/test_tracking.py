@@ -7,10 +7,12 @@ import numpy as np
 import pytest
 
 import kpevans as kp
-from kpevans.errors import IntegrationFailure, NoContraction, PeriodMapSingular
+from kpevans.errors import IntegrationFailure
 
 from conftest import interpolant, tabulate
 from dp5 import integrate, period_map
+from tracking import (BlockSystem, NoContraction, PeriodMapSingular,
+                      conjugation_residual, solve_conjugator, triangularized_blocks)
 
 
 def constant_system(delta=0.1):
@@ -34,7 +36,7 @@ def synthetic_system():
 
 
 def test_zero_delta_gives_zero_phi():
-    conj = kp.solve_conjugator(constant_system(0.0), fp_tol=1e-14)
+    conj = solve_conjugator(constant_system(0.0), fp_tol=1e-14)
     assert np.max(np.abs(conj.samples)) == 0.0
     assert conj.iterations == 1
     assert conj.err_est == 0.0 and conj.steps > 0
@@ -42,7 +44,7 @@ def test_zero_delta_gives_zero_phi():
 
 def test_constant_coefficients_quadratic_root():
     # fixed point of -2 phi + 0.1 - phi^2 = 0, small root -1 + sqrt(1.1)
-    conj = kp.solve_conjugator(constant_system(0.1), fp_tol=1e-14)
+    conj = solve_conjugator(constant_system(0.1), fp_tol=1e-14)
     root = -1.0 + math.sqrt(1.1)
     assert np.max(np.abs(conj.samples - root)) <= 1e-12
     assert conj.residual <= 1e-10
@@ -53,7 +55,7 @@ def test_constant_coefficients_quadratic_root():
 
 def test_fourier_single_mode():
     system, exact = fourier_system()
-    conj = kp.solve_conjugator(system, fp_tol=1e-13)
+    conj = solve_conjugator(system, fp_tol=1e-13)
     assert np.max(np.abs(conj.samples[:, 0, 0] - exact(conj.grid))) <= 1e-10
     assert conj.residual <= 1e-10
     assert conj.periodicity_defect <= 1e-10
@@ -63,7 +65,7 @@ def test_fourier_single_mode():
 def test_engine_error_estimate_against_closed_form(rtol):
     """err_est meets its documented bound and tracks the true error."""
     system, exact = fourier_system()
-    conj = kp.solve_conjugator(system, fp_tol=1e-13, ode_rtol=rtol, ode_atol=0.0)
+    conj = solve_conjugator(system, fp_tol=1e-13, ode_rtol=rtol, ode_atol=0.0)
     assert conj.steps > 0
     assert conj.err_est <= rtol * conj.norm_bound
     observed = np.max(np.abs(conj.samples[:, 0, 0] - exact(conj.grid)))
@@ -73,31 +75,31 @@ def test_engine_error_estimate_against_closed_form(rtol):
 def test_engine_unreachable_tolerance_fails_fast():
     t0 = time.perf_counter()
     with pytest.raises(IntegrationFailure):
-        kp.solve_conjugator(constant_system(0.1), fp_tol=1e-14,
+        solve_conjugator(constant_system(0.1), fp_tol=1e-14,
                             ode_rtol=1e-30, ode_atol=0.0)
     assert time.perf_counter() - t0 < 2.0
 
 
 def test_triangularization_residual_and_blocks():
     system = synthetic_system()
-    conj = kp.solve_conjugator(system, fp_tol=1e-14)
-    resid = kp.conjugation_residual(system, conj)
+    conj = solve_conjugator(system, fp_tol=1e-14)
+    resid = conjugation_residual(system, conj)
     assert resid <= 1e-12
     # the triangular system lives on the conjugator's grid, lower-left zero
-    tri = kp.triangularized_blocks(system, conj)
+    tri = triangularized_blocks(system, conj)
     assert tri.table.n == len(conj.grid) and (tri.n1, tri.n2) == (1, 1)
     assert np.max(np.abs(tri.table.on_grid(64)[:, 1, 0])) <= 1e-15
     # delta = 0 leaves the blocks untouched
-    conj0 = kp.solve_conjugator(constant_system(0.0), fp_tol=1e-14)
-    A = kp.triangularized_blocks(constant_system(0.0), conj0).table.on_grid(4)
+    conj0 = solve_conjugator(constant_system(0.0), fp_tol=1e-14)
+    A = triangularized_blocks(constant_system(0.0), conj0).table.on_grid(4)
     assert np.array_equal(A, constant_system(0.0).table.on_grid(4))
 
 
 def test_evans_factorization():
     T = 2.0
     system = synthetic_system()
-    conj = kp.solve_conjugator(system, fp_tol=1e-14)
-    tri = interpolant(kp.triangularized_blocks(system, conj))
+    conj = solve_conjugator(system, fp_tol=1e-14)
+    tri = interpolant(triangularized_blocks(system, conj))
     full = period_map(interpolant(system), 2, T)
     p1 = period_map(lambda x: tri(x)[:1, :1], 1, T)
     p2 = period_map(lambda x: tri(x)[1:, 1:], 1, T)
@@ -108,14 +110,14 @@ def test_evans_factorization():
 
 def test_no_contraction_for_large_delta():
     with pytest.raises(NoContraction):
-        kp.solve_conjugator(constant_system(25.0), fp_tol=1e-12, max_iter=30)
+        solve_conjugator(constant_system(25.0), fp_tol=1e-12, max_iter=30)
 
 
 def test_period_map_singular_detected():
     # M1 = M2 = 0 makes the homogeneous Sylvester flow the identity
     system = tabulate(1.0, lambda x: [[0.0, 0.0], [0.01, 0.0]], 1)
     with pytest.raises(PeriodMapSingular):
-        kp.solve_conjugator(system)
+        solve_conjugator(system)
 
 
 def test_gap_margin_reporting():
@@ -126,10 +128,10 @@ def test_from_tables_round_trip():
     # a trailing duplicated endpoint is dropped
     system, exact = fourier_system()
     mats = system.table.on_grid(64)
-    rebuilt = kp.BlockSystem.from_tables(3.0, np.linspace(0.0, 3.0, 65),
+    rebuilt = BlockSystem.from_tables(3.0, np.linspace(0.0, 3.0, 65),
                                          np.concatenate([mats, mats[:1]]), n1=1, n2=1)
     assert rebuilt.table.n == 64
-    conj = kp.solve_conjugator(rebuilt, fp_tol=1e-13)
+    conj = solve_conjugator(rebuilt, fp_tol=1e-13)
     assert np.max(np.abs(conj.samples[:, 0, 0] - exact(conj.grid))) <= 1e-10
 
 
@@ -142,17 +144,17 @@ def test_reduced_evans_system_feed(kdv_profile):
     """
     rep = kp.verify_block_reduction(kdv_profile, 100.0, 0.5)
     T_t = rep.grid_tilde[-1]
-    system = kp.BlockSystem.from_tables(T_t, rep.grid_tilde, rep.system_tilde,
+    system = BlockSystem.from_tables(T_t, rep.grid_tilde, rep.system_tilde,
                                         n1=3, n2=1)
     assert system.gap_margin() < 0  # mixed dichotomy: documented gap violation
-    conj = kp.solve_conjugator(system, fp_tol=1e-11, ode_rtol=1e-11,
+    conj = solve_conjugator(system, fp_tol=1e-11, ode_rtol=1e-11,
                                ode_atol=1e-12, n_grid=384)
     assert conj.norm_bound <= 5.0 * rep.eps ** 1.5
     assert conj.norm_bound >= 0.05 * rep.eps ** 1.5
     assert conj.residual <= 1e-9
     assert conj.periodicity_defect <= 1e-9
     assert conj.err_est <= 1e-12 + 1e-11 * conj.norm_bound
-    assert kp.conjugation_residual(system, conj) <= 1e-9
+    assert conjugation_residual(system, conj) <= 1e-9
 
     # DP5 reference: from every 16th grid point, integrate the conjugation
     # equation through the next 16 intervals and meet the engine's samples

@@ -6,15 +6,15 @@ import numpy as np
 import pytest
 
 import kpevans as kp
-from kpevans.errors import (AmbiguousWell, DegenerateTurningPoint,
-                            ModulusOutOfRange, NoPeriodicOrbit,
+from kpevans.errors import (AmbiguousWell, DegenerateTurningPoint, NoPeriodicOrbit,
                             QuadratureNotConverged)
-from kpevans.conserved import cubic_discriminant
 
 from kpevans.wave import _real_roots
 
 from conftest import cardano_real_roots, horner_from_zero, phase_align
 from dp5 import integrate
+from elliptic import ModulusOutOfRange, cnoidal_wave, complete_K
+from kdv_closed_form import cubic_discriminant
 
 KDV = kp.NonlinearitySpec.kdv()
 MKDV = kp.NonlinearitySpec.mkdv()
@@ -171,14 +171,14 @@ def test_samples_per_period_floor(kdv_params):
 def test_cnoidal_period_is_2K_over_kappa():
     # (u0, kappa, k) chosen so the recovered wave speed stays positive
     for u0, kappa, k in ((0.1, 1.0, 0.8), (6.0, 1.7, 0.5)):
-        prof = kp.cnoidal_wave(u0, kappa, k)
-        assert prof.period == pytest.approx(2.0 * kp.complete_K(k) / kappa,
+        prof = cnoidal_wave(u0, kappa, k)
+        assert prof.period == pytest.approx(2.0 * complete_K(k) / kappa,
                                             abs=1e-10)
 
 
 def test_cnoidal_small_modulus_tends_to_constant():
     # amplitude 12 k^2 kappa^2 -> 0; pick u0 with c > 0
-    prof = kp.cnoidal_wave(4.5, 1.0, 0.01)
+    prof = cnoidal_wave(4.5, 1.0, 0.01)
     amp = np.max(prof.u_samples) - np.min(prof.u_samples)
     assert amp == pytest.approx(12.0 * 0.01 ** 2, rel=1e-2)
     assert np.max(np.abs(prof.u_samples - 4.5)) <= 2.0 * 12.0 * 0.01 ** 2
@@ -186,7 +186,7 @@ def test_cnoidal_small_modulus_tends_to_constant():
 
 def test_cnoidal_recovered_parameters():
     u0, kappa, k = 0.1, 1.0, 0.8
-    prof = kp.cnoidal_wave(u0, kappa, k)
+    prof = cnoidal_wave(u0, kappa, k)
     amp = 12.0 * k ** 2 * kappa ** 2
     c = 8.0 * k ** 2 * kappa ** 2 - 4.0 * kappa ** 2 + u0
     a = 2.0 * amp * kappa ** 2 * (1 - k ** 2) + 4.0 * kappa ** 2 * (1 - 2 * k ** 2) * u0 \
@@ -198,7 +198,7 @@ def test_cnoidal_recovered_parameters():
 
 
 def test_cnoidal_matches_integrated_profile():
-    prof = kp.cnoidal_wave(0.1, 1.0, 0.8)
+    prof = cnoidal_wave(0.1, 1.0, 0.8)
     built = kp.integrate_profile(prof.params)
     assert phase_align(prof, built) <= 1e-12
     assert np.max(np.abs(prof.u_samples - built.u_samples)) <= 1e-12
@@ -206,8 +206,8 @@ def test_cnoidal_matches_integrated_profile():
 
 
 def test_cnoidal_shape_invariant_under_u0_shift():
-    base = kp.cnoidal_wave(0.1, 1.0, 0.8)
-    shifted = kp.cnoidal_wave(0.1 + 0.7, 1.0, 0.8)
+    base = cnoidal_wave(0.1, 1.0, 0.8)
+    shifted = cnoidal_wave(0.1 + 0.7, 1.0, 0.8)
     amp0 = np.max(base.u_samples) - np.min(base.u_samples)
     amp1 = np.max(shifted.u_samples) - np.min(shifted.u_samples)
     assert amp1 == pytest.approx(amp0, abs=1e-12)
@@ -216,9 +216,9 @@ def test_cnoidal_shape_invariant_under_u0_shift():
 
 def test_cnoidal_modulus_domain():
     with pytest.raises(ModulusOutOfRange):
-        kp.cnoidal_wave(0.1, 1.0, 0.0)
+        cnoidal_wave(0.1, 1.0, 0.0)
     with pytest.raises(ModulusOutOfRange):
-        kp.cnoidal_wave(0.1, 1.0, 1.0)
+        cnoidal_wave(0.1, 1.0, 1.0)
 
 
 def test_profile_json_round_trip(kdv_profile, tmp_path):

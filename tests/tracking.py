@@ -1,5 +1,9 @@
 """Conjugation of approximately block-triangular periodic systems.
 
+The tests use it to conjugate the block-reduced Evans system of a wave
+(asymptotics.verify_block_reduction) to triangular form, the step of the
+paper's high-frequency limit; no command of the package runs it.
+
 Given W' = [[M1, N], [delta*Theta, M2]] W with a spectral gap between the
 blocks and a small coupling delta, there is a periodic shear
 
@@ -34,7 +38,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import IntegrationFailure, NoContraction, PeriodMapSingular
+from kpevans.errors import IntegrationFailure, KPEvansError
+
+
+class NoContraction(KPEvansError):
+    """Conjugator fixed-point iteration diverges (delta/eta too large)."""
+
+
+class PeriodMapSingular(KPEvansError):
+    """I - P singular for the homogeneous Sylvester flow; gap failure."""
 
 
 class TrigInterp:
