@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -129,10 +130,12 @@ class NonlinearitySpec:
     def f_coeffs(self) -> np.ndarray:
         return np.asarray(self.coeffs, dtype=float)
 
-    @property
+    @cached_property
     def F_coeffs(self) -> np.ndarray:
-        """Antiderivative of f with F(0) = 0."""
-        return _poly_antiderivative(self.f_coeffs)
+        """Antiderivative of f with F(0) = 0, built once per spec, read-only."""
+        F = _poly_antiderivative(self.f_coeffs)
+        F.flags.writeable = False
+        return F
 
     def to_json_dict(self) -> dict:
         if self.kind == "power":

@@ -7,7 +7,8 @@ exactly for polynomial potentials), then place the profile on a uniform
 grid over one period through the same substitution: dx/dtheta =
 sqrt(2) / sqrt(g(u(theta))) is analytic, even and pi-periodic, so its
 cosine series converges geometrically and integrates to x(theta) in
-closed form; Newton in theta finds the grid points, where u and
+closed form, a sine series summed by Horner in z = e^{2i theta}; Newton in
+theta finds the grid points, where u and
 u_x = sqrt(2) w sin(theta) cos(theta) sqrt(g(u)) are exact.  WaveProfile
 interpolates them by piecewise-quintic Hermite, evaluated by one Horner
 routine, _quintic.  Energy polynomials are rows of ascending coefficients.
@@ -191,7 +192,6 @@ def compute_period(params: WaveParams, turning_points=None,
 # ----------------------------------------------------------------------
 
 _MAX_SERIES_NODES = 2 ** 14
-_CHUNK = 64          # theta points per block of the sine table, which bounds its memory
 _NEWTON_ITERS = 8
 
 
@@ -223,13 +223,20 @@ def _cosine_series(f, quad_tol: float) -> np.ndarray:
 def _x_series(coef, theta, scale):
     """x(theta) = scale (a_0 theta + sum_k a_k sin(2k theta) / 2k) on each row.
 
-    theta is one real vector shared by the rows.
+    theta is one real vector shared by the rows.  With b_k = a_k / 2k and
+    z = e^{2i theta}, the sine sum is Im sum_k b_k z^k, summed by Horner
+    from the top coefficient: one multiply-add over the theta points per
+    term.  Complex rows are summed part by part, so that the rounding of the
+    real part stays out of the complex step.
     """
-    k2 = 2.0 * np.arange(1, coef.shape[-1])
-    b = (coef[..., 1:] / k2).T
-    sines = np.concatenate([np.sin(np.multiply.outer(theta[i:i + _CHUNK], k2)) @ b
-                            for i in range(0, len(theta), _CHUNK)])
-    return scale * (np.multiply.outer(coef[..., 0], theta) + sines.T)
+    b = _parts(coef[..., 1:] / (2.0 * np.arange(1, coef.shape[-1])))
+    z = np.exp(2j * theta)
+    acc = b[..., -1:] * z
+    for k in range(b.shape[-1] - 2, -1, -1):
+        acc += b[..., k:k + 1]
+        acc *= z
+    sines = acc.imag[0] + 1j * acc.imag[1] if np.iscomplexobj(coef) else acc.imag
+    return scale * (np.multiply.outer(coef[..., 0], theta) + sines)
 
 
 def orbit_theta(p_asc, turning_points, period: float, grid, quad_tol: float,

@@ -1,10 +1,14 @@
 """Layout guards: the package imports only numpy and the standard library,
 solves no ODE adaptively, evaluates polynomials one way, reads every
 tolerance key it accepts and converts config values only where it loads
-them, the CLI leaves the tracking module alone, and the tests stay
-independent of the benchmark."""
+them, exports only what it uses or documents, and its import loads the
+pipeline alone; the CLI leaves the tracking module (an oracle of the tests)
+alone, and the tests stay independent of the benchmark."""
 
 import ast
+import os
+import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -14,6 +18,9 @@ from kpevans import cli
 SRC = Path(kpevans.__file__).resolve().parent
 TESTS = Path(__file__).resolve().parent
 PERFBENCH = TESTS.parent / "perfbench"
+README = TESTS.parent / "README.md"
+PIPELINE = {"asymptotics", "conserved", "errors", "evans", "kernel", "model",
+            "quadrature", "wave"}
 
 
 def nodes(path, kinds):
@@ -112,3 +119,34 @@ def test_src_imports_numpy_and_stdlib_only():
                 continue
             for module in modules:
                 assert module.split(".")[0] in allowed, (path.name, module)
+
+
+def test_every_export_is_used_or_documented():
+    """Each name in kpevans.__all__ is used by another part of the package
+    or called in README's examples (kp.<name>): no export exists only for
+    the tests."""
+    used = set()
+    for path in SRC.glob("*.py"):
+        if path.name == "__init__.py":
+            continue
+        for node in nodes(path, (ast.Name, ast.Attribute, ast.ImportFrom)):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            else:
+                used.update(alias.name for alias in node.names)
+    documented = set(re.findall(r"\bkp\.(\w+)", README.read_text()))
+    assert not set(kpevans.__all__) - used - documented
+
+
+def test_import_loads_the_pipeline_only():
+    """A fresh `import kpevans` loads the pipeline modules and nothing else:
+    neither the tests' tracking or elliptic oracles nor the CLI."""
+    code = ("import sys, kpevans; "
+            "print(' '.join(m for m in sys.modules if m.startswith('kpevans.')))")
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    out = subprocess.run([sys.executable, "-c", code], env=env, cwd=TESTS.parent,
+                         capture_output=True, text=True, check=True).stdout
+    loaded = {name.removeprefix("kpevans.") for name in out.split()}
+    assert loaded == PIPELINE

@@ -92,6 +92,25 @@ def test_power_and_poly_agree():
             assert f_derivative(poly, u, order) == f_derivative(KDV, u, order)
 
 
+def test_F_coeffs_built_once_read_only():
+    """F is integrated once per spec and shared read-only; the potential and
+    the energy polynomial built from it are unchanged, and equal specs
+    still compare and hash equal."""
+    spec = kp.NonlinearitySpec.polynomial([0.0, 1.0, 0.5, 1.0 / 3.0])
+    F = spec.F_coeffs
+    assert F is spec.F_coeffs and not F.flags.writeable
+    assert np.array_equal(F, [0.0, 0.0, 0.5, 1.0 / 6.0, 1.0 / 12.0])
+    with pytest.raises(ValueError):
+        F[1] = 1.0
+    params = kp.WaveParams(0.2, -0.1, 1.5, spec)
+    V = params.F_minus_quadratic()
+    assert V.flags.writeable
+    assert np.array_equal(V, [0.0, -0.2, 0.5 - 0.75, 1.0 / 6.0, 1.0 / 12.0])
+    assert np.array_equal(params.energy_poly(), [-0.1] + list(-V[1:]))
+    twin = kp.NonlinearitySpec.polynomial([0.0, 1.0, 0.5, 1.0 / 3.0])
+    assert twin == spec and hash(twin) == hash(spec)
+
+
 def test_nonlinearity_rejects_bad_input():
     with pytest.raises(ConfigError):
         kp.NonlinearitySpec.power(1.0, 0)

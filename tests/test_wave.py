@@ -9,7 +9,9 @@ import kpevans as kp
 from kpevans.errors import (AmbiguousWell, DegenerateTurningPoint, NoPeriodicOrbit,
                             QuadratureNotConverged)
 
-from kpevans.wave import _real_roots
+from kpevans.conserved import CS_STEP
+from kpevans.wave import (DEFAULT_QUAD_TOL, _cosine_series, _real_roots, _well_nodes,
+                          _x_series, orbit_theta)
 
 from conftest import cardano_real_roots, horner_from_zero, phase_align
 from dp5 import integrate
@@ -130,6 +132,81 @@ def test_theta_series_not_converged_raises():
     params = kp.WaveParams(0.0, -1e-12, 1.0, KDV)
     with pytest.raises(QuadratureNotConverged, match="cosine series"):
         kp.integrate_profile(params)
+
+
+def test_near_separatrix_profile():
+    """1e-7 below the KdV separatrix the theta series has 2048 modes.  The
+    energy residual and the mirror symmetry u(T - x) = u(x) of the samples
+    stay at rounding: 1.1e-15 and 6.7e-15 measured (the sine-table sum
+    gave 1.0e-15 and 1.1e-14)."""
+    prof = kp.integrate_profile(kp.WaveParams(0.0, -1e-7, 1.0, KDV))
+    assert prof.energy_residual() <= 1e-14
+    assert np.max(np.abs(prof.u_samples - prof.u_samples[::-1])) <= 1e-13
+
+
+def sine_table_x(coef, theta, scale):
+    """x(theta) = scale (a_0 theta + sum_k a_k sin(2k theta) / 2k) from a
+    table of sines in long double, part by part for complex rows: the
+    reference of _x_series."""
+    th = np.asarray(theta, dtype=np.longdouble)
+
+    def part(c):
+        c = np.asarray(c, dtype=np.longdouble)
+        k2 = 2 * np.arange(1, c.shape[-1])
+        b = c[..., 1:] / k2
+        sines = np.concatenate([np.sin(np.multiply.outer(th[i:i + 128], k2)) @ b.T
+                                for i in range(0, len(th), 128)]).T
+        return scale * (np.multiply.outer(c[..., 0], th) + sines)
+
+    if np.iscomplexobj(coef):
+        return part(coef.real), part(coef.imag)
+    return part(coef), None
+
+
+def x_series_bound(c, scale):
+    """K eps (sum |b_k| + sum |a_k|) |scale| per row, b_k = a_k / 2k: the
+    rounding of K multiply-adds on the unit circle."""
+    K = c.shape[-1]
+    b = c[..., 1:] / (2.0 * np.arange(1, K))
+    total = np.sum(np.abs(b), axis=-1, keepdims=True) + np.sum(np.abs(c), axis=-1,
+                                                                keepdims=True)
+    return K * np.finfo(float).eps * total * np.abs(scale)
+
+
+@pytest.mark.parametrize("f, E, hint, K", [
+    (KDV, -0.66, None, 16), (KDV, -0.05, None, 64), (KDV, -1e-3, None, 256),
+    (KDV, -1e-7, None, 2048), (MKDV, -0.5, (0.5, 3.0), 32), (MKDV, 0.3, None, 256)],
+    ids=["kdv-0.66", "kdv-0.05", "kdv-1e-3", "kdv-1e-7", "dnoidal", "cnoidal"])
+def test_x_series_equals_sine_table(f, E, hint, K):
+    """The Horner sum of the theta series against the sine table, on the
+    real row and on the complex-step rows of the kernel basis (a and E), at
+    the grid's theta and at points just outside [0, pi] where Newton
+    iterates can land; each series has at least K terms.  Each part meets
+    its own bound, the imaginary parts included: the real part's rounding
+    must not reach the complex step.  Worst measured ratio to the bound:
+    0.16 (K = 16, real row)."""
+    params = kp.WaveParams(0.0, E, 1.0, f)
+    tps = np.array(kp.find_turning_points(params, hint))
+    T = kp.compute_period(params, tuple(tps))
+    p = params.energy_poly()
+    rows = p + np.zeros((2, 1), dtype=complex)
+    rows[(0, 1), (1, 0)] += 1j * CS_STEP
+    roots = tps + 1j * CS_STEP * np.stack((tps, np.ones(2))) / kp.eval_V(params, tps, 1)
+    theta = orbit_theta(p, tuple(tps), T, np.linspace(0.0, T, 1025), DEFAULT_QUAD_TOL)
+    theta = np.concatenate([theta, [-1e-2, -1e-8, np.pi + 1e-8, np.pi + 1e-2]])
+    for asc, ends in ((p, tuple(tps)), (rows, tuple(roots.T))):
+        at = _well_nodes(asc, *ends)
+        coef = _cosine_series(lambda th: np.sqrt(2.0) / at(th)[1], DEFAULT_QUAD_TOL)
+        assert coef.shape[-1] >= K
+        scale = T / (np.pi * coef[..., :1].real)
+        got = _x_series(coef, theta, scale)
+        want_re, want_im = sine_table_x(coef, theta, scale)
+        assert got.shape == want_re.shape
+        err = np.abs((got.real - want_re).astype(float))
+        assert np.all(err <= x_series_bound(coef.real, scale))
+        if want_im is not None:
+            err = np.abs((got.imag - want_im).astype(float))
+            assert np.all(err <= x_series_bound(coef.imag, scale))
 
 
 def test_interpolant_accuracy(kdv_params, kdv_profile):
