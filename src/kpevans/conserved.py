@@ -21,11 +21,8 @@ import numpy as np
 
 from .model import WaveParams, polyval_ascending
 from .quadrature import _nodes, adaptive_gauss_legendre
-from .wave import (DEFAULT_QUAD_TOL, WaveProfile, _newton_roots, _well_nodes,
-                   find_turning_points, well_integral)
-
-# the complex step: far below rounding of any O(1) value, far above underflow
-CS_STEP = 1e-30
+from .wave import (CS_STEP, DEFAULT_QUAD_TOL, WaveProfile, _well_nodes,
+                   complex_step_rows, find_turning_points, well_integral)
 
 
 @dataclass(frozen=True)
@@ -98,20 +95,17 @@ def gradients(params: WaveParams, quad_tol: float = DEFAULT_QUAD_TOL,
     """Complex-step gradients of (T, M, P, H) in (a, E, c).
 
     Row q carries p + i h dp/dq (dp/da = u, dp/dE = 1, dp/dc = u^2/2,
-    h = CS_STEP); the real turning points are polished for all rows by
-    complex Newton, and the regularized integrands (1, u, u^2, E - V - F)
-    2 / sqrt(g) are integrated as one (3, 4, nodes) stack.  No row leaves
-    the real wave, so shallow wells need no special care.
+    h = CS_STEP) with turning points u+- + i h du+-/dq (wave.complex_step_rows),
+    and the regularized integrands (1, u, u^2, E - V - F) 2 / sqrt(g) are
+    integrated as one (3, 4, nodes) stack.  No row leaves the real wave, so
+    shallow wells need no special care.
     """
-    u_minus, u_plus = find_turning_points(params, bracket_hint)
-    p, F = params.energy_poly(), params.nonlinearity.F_coeffs
-    rows = p + np.zeros((3, 1), dtype=complex)   # rows a, E, c
-    rows[(0, 1, 2), (1, 0, 2)] += 1j * CS_STEP * np.array([1.0, 1.0, 0.5])
-    roots = _newton_roots(rows, (u_minus, u_plus))
+    rows, roots = complex_step_rows(params, find_turning_points(params, bracket_hint))
     at = _well_nodes(rows, roots[:, 0], roots[:, 1])
     # p and F as one coefficient stack, each padded with top zeros
-    cols = np.zeros((max(len(p), len(F)), 2, 3, 1), dtype=complex)
-    cols[:len(p), 0, :, 0], cols[:len(F), 1] = rows.T, F[:, None, None]
+    n, F = rows.shape[1], params.nonlinearity.F_coeffs
+    cols = np.zeros((max(n, len(F)), 2, 3, 1), dtype=complex)
+    cols[:n, 0, :, 0], cols[:len(F), 1] = rows.T, F[:, None, None]
 
     def integrand(theta):
         u, sqrt_g = at(theta)

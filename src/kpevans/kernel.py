@@ -13,13 +13,13 @@ normalization pins to exactly 1:
 
     phi(x) = (int_0^x s u_E ds) u_x - (int_0^x s u_x ds) u_E.
 
-Initial data follow from differentiating u(0) = u_-(a, E, c) and the
-turning-point identities V'(u_-) du_-/dE = 1, V'(u_-) du_-/da = u_-.
+Initial data follow from differentiating u(0) = u_-(a, E, c) by the
+turning-point identity V'(u_-) du_-/dq = dp/dq (wave.turning_point_derivatives).
 
 No ODE is solved.  The profile and its variations come from the first
 integral: u = u_- + w sin^2(theta) with x(theta) from the cosine series of
 dx/dtheta (wave.orbit_theta), and u_a, u_E at fixed x are the complex
-steps of that construction in a and E (conserved.CS_STEP).  The running
+steps of that construction in a and E (wave.complex_step_rows).  The running
 integrals are cumulative quintic-Hermite sums on the grid, whose
 derivatives, like the second and third derivatives of W, come from the
 governing equations, never from differencing.
@@ -31,10 +31,10 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .conserved import CS_STEP
 from .errors import WronskianDegenerate
 from .model import eval_V
-from .wave import DEFAULT_QUAD_TOL, WaveProfile, orbit_samples, orbit_theta
+from .wave import (CS_STEP, DEFAULT_QUAD_TOL, WaveProfile, complex_step_rows,
+                   orbit_samples, orbit_theta, turning_point_derivatives)
 
 
 @dataclass(eq=False)
@@ -62,16 +62,6 @@ class KernelBasis:
     II_E: np.ndarray
     phi: np.ndarray = None
     phip: np.ndarray = None
-
-    @property
-    def du_minus_da(self) -> float:
-        p = self.profile.params
-        return self.profile.u_minus / eval_V(p, self.profile.u_minus, 1)
-
-    @property
-    def du_minus_dE(self) -> float:
-        p = self.profile.params
-        return 1.0 / eval_V(p, self.profile.u_minus, 1)
 
     def second_derivative(self, name: str) -> np.ndarray:
         """v'' from the governing equation v'' = -V''(u) v + r."""
@@ -118,23 +108,18 @@ def variational_solutions(profile: WaveProfile,
                           quad_tol: float = DEFAULT_QUAD_TOL) -> KernelBasis:
     """u_x, u_a, u_E and the running integrals on the profile grid.
 
-    The real wave is rebuilt on the grid from the first integral; the rows
-    p + i h u (a) and p + i h (E) of the energy polynomial give u_a, u_E
-    and their slopes as imaginary parts over h at the same real x.  Their
-    turning points take the step from the turning-point identities at the
-    profile's own u_+-.  Complex Newton would also move their real parts by
-    the rounding of the roots; on a 1e-6-deep KdV well that lifts the
-    inverse-column residual from 2e-8 to 1e-6.  Derivatives follow from
-    u_xx = -V'(u) and u_xxx = -V''(u) u_x; V does not depend on E.
+    The real wave is sampled at the profile's theta (solved again, at
+    quad_tol, for a profile read from JSON); the a and E rows of
+    wave.complex_step_rows, at the profile's own u_+-, give u_a, u_E and
+    their slopes as imaginary parts over h at the same real x.  Derivatives
+    follow from u_xx = -V'(u) and u_xxx = -V''(u) u_x; V does not depend on E.
     """
     params, x = profile.params, profile.grid
     p = params.energy_poly()
     tps = np.array([profile.u_minus, profile.u_plus])
-    rows = np.tile(p + 0j, (2, 1))   # a + ih: dp/da = u;  E + ih: dp/dE = 1
-    rows[(0, 1), (1, 0)] += 1j * CS_STEP
-    # their turning points, by V'(u_+-) du_+-/da = u_+- and V'(u_+-) du_+-/dE = 1
-    roots = tps + 1j * CS_STEP * np.stack((tps, np.ones(2))) / eval_V(params, tps, 1)
-    theta = orbit_theta(p, tps, profile.period, x, quad_tol)
+    rows, roots = (z[:2] for z in complex_step_rows(params, tps))   # rows a and E
+    theta = (profile.theta if profile.theta is not None
+             else orbit_theta(p, tps, profile.period, x, quad_tol))
     u, ux = orbit_samples(p, tps, theta)
     theta_c = orbit_theta(rows, roots.T, profile.period, x, quad_tol, theta)
     u_c, ux_c = orbit_samples(rows, roots.T, theta_c)
@@ -211,20 +196,6 @@ def build_W(basis: KernelBasis) -> WMatrix:
     return WMatrix(basis=basis, grid=basis.grid.copy(), values=W)
 
 
-def predicted_W0(basis: KernelBasis) -> np.ndarray:
-    """The explicit W(0, 0, 0) built from turning-point data alone."""
-    profile = basis.profile
-    Vm = eval_V(profile.params, profile.u_minus, 1)
-    Vmm = eval_V(profile.params, profile.u_minus, 2)
-    aa, aE = basis.du_minus_da, basis.du_minus_dE
-    return np.array([
-        [0.0, aa, aE, 0.0],
-        [-Vm, 0.0, 0.0, 0.0],
-        [0.0, 1.0 - Vmm * aa, -Vmm * aE, 0.0],
-        [Vmm * Vm, 0.0, 0.0, -1.0],
-    ])
-
-
 def predicted_deltaW(basis: KernelBasis, T_a: float, T_E: float) -> np.ndarray:
     """delta W(0,0) built from V'(u_-), T_a, T_E, and the moment integrals.
 
@@ -237,7 +208,7 @@ def predicted_deltaW(basis: KernelBasis, T_a: float, T_E: float) -> np.ndarray:
     profile = basis.profile
     Vm = eval_V(profile.params, profile.u_minus, 1)
     Vmm = eval_V(profile.params, profile.u_minus, 2)
-    aE = basis.du_minus_dE
+    aE = turning_point_derivatives(profile.params, (profile.u_minus, profile.u_plus))[1, 0]
     T = profile.period
     Ix = basis.I_sx[-1]   # int_0^T x u_x dx
     IE = basis.I_sE[-1]   # int_0^T x u_E dx

@@ -1,17 +1,18 @@
 """Periodic orbits of the profile oscillator u_x^2/2 = E - V(u; a, c).
 
-Construction pipeline: locate the two simple turning points of E - V,
-evaluate the period by quadrature regularized with u = u_- +
-(u_+ - u_-) sin^2(theta) (which cancels the square-root branch points
-exactly for polynomial potentials), then place the profile on a uniform
-grid over one period through the same substitution: dx/dtheta =
-sqrt(2) / sqrt(g(u(theta))) is analytic, even and pi-periodic, so its
-cosine series converges geometrically and integrates to x(theta) in
-closed form, a sine series summed by Horner in z = e^{2i theta}; Newton in
-theta finds the grid points, where u and
-u_x = sqrt(2) w sin(theta) cos(theta) sqrt(g(u)) are exact.  WaveProfile
-interpolates them by piecewise-quintic Hermite, evaluated by one Horner
-routine, _quintic.  Energy polynomials are rows of ascending coefficients.
+Construction pipeline: locate the two simple turning points of E - V
+(their derivatives in a, E and c, and the complex-step rows' turning points,
+follow from the first integral), evaluate the period by quadrature
+regularized with u = u_- + (u_+ - u_-) sin^2(theta) (which cancels the
+square-root branch points exactly for polynomial potentials), then place
+the profile on a uniform grid over one period through the same
+substitution: dx/dtheta = sqrt(2) / sqrt(g(u(theta))) is analytic, even and
+pi-periodic, so its cosine series converges geometrically and integrates to
+x(theta) in closed form, a sine series summed by Horner in z = e^{2i theta};
+Newton in theta finds the grid points, where u and u_x = sqrt(2) w
+sin(theta) cos(theta) sqrt(g(u)) are exact.  WaveProfile interpolates them
+by piecewise-quintic Hermite, evaluated by one Horner routine, _quintic.
+Energy polynomials are rows of ascending coefficients.
 """
 
 from __future__ import annotations
@@ -28,6 +29,10 @@ from .quadrature import _parts, adaptive_gauss_legendre
 
 DEFAULT_QUAD_TOL = 1e-13
 SIMPLICITY_TOL = 1e-8
+# the complex step: far below rounding of any O(1) value, far above underflow
+CS_STEP = 1e-30
+# dp/dq, q = a, E, c, of p = E - V = E + a u + c u^2/2 - F(u), ascending in u
+_DP_DQ = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.5]])
 
 
 # ----------------------------------------------------------------------
@@ -106,23 +111,26 @@ def find_turning_points(params: WaveParams, bracket_hint=None):
     return u_minus, u_plus
 
 
-def _newton_roots(asc_rows, seeds):
-    """Newton from the real seeds on each row of ascending coefficients.
+def turning_point_derivatives(params: WaveParams, turning_points, step=1.0):
+    """step du/dq at the turning points: rows q = a, E, c, columns (u_-, u_+).
 
-    Returns the roots as (rows, seeds).  Complex rows carry a complex step
-    p + i h dp/dq; with no abs, comparison or ordering the iteration stays
-    analytic, and the imaginary parts are h times the root derivatives.  The
-    seeds are real roots, so one step already gives those to rounding.  p
-    and p' come from one Horner pass, p' stacked with a top coefficient 0.
+    A simple turning point stays a root of p as q moves, so
+    V'(u) du/dq = dp/dq(u); formed as (step dp/dq) / V'(u).
     """
-    n = asc_rows.shape[1]
-    cols = np.zeros((n, 2, len(asc_rows), 1), dtype=asc_rows.dtype)
-    cols[:, 0, :, 0], cols[:-1, 1, :, 0] = asc_rows.T, (asc_rows[:, 1:] * np.arange(1, n)).T
-    r = np.array([seeds] * len(asc_rows), dtype=float)
-    for _ in range(3):
-        p, dp = polyval_ascending(cols, r)
-        r = r - p / dp
-    return r
+    u = np.asarray(turning_points, dtype=float)
+    dp = polyval_ascending(_DP_DQ.T[..., np.newaxis], u)
+    return step * dp / polyval_ascending(params.V_coeffs(1), u)
+
+
+def complex_step_rows(params: WaveParams, tps):
+    """Rows p + i h dp/dq of the energy polynomial (q = a, E, c, h = CS_STEP)
+    and their turning points u+- + i h du+-/dq (rows q, columns (u_-, u_+)).
+    Their real parts are tps, the real turning points: complex Newton would
+    move them by the roots' rounding, which on a 1e-6-deep KdV well lifts
+    the kernel basis' inverse-column residual from 2e-8 to 1e-6."""
+    rows = params.energy_poly() + np.zeros((3, 1), dtype=complex)
+    rows[:, :3] += 1j * CS_STEP * _DP_DQ
+    return rows, tps + turning_point_derivatives(params, tps, 1j * CS_STEP)
 
 
 # ----------------------------------------------------------------------
@@ -305,8 +313,9 @@ class WaveProfile:
     (u, u_x, u_xx) with u_xx = -V'(u): matching three derivatives at both
     ends of an interval gives an O(h^6) local error.  Its coefficients are
     six rows, one column per interval, ascending in t = (x - x_i) / h.
-    _evans_tables holds evans' mu- and k-free rows of H per substep count,
-    built on first use.
+    theta is the orbit's theta at the grid points from integrate_profile,
+    not serialized (None when read from JSON).  _evans_tables holds evans'
+    mu- and k-free rows of H per substep count, built on first use.
     """
 
     params: WaveParams
@@ -316,6 +325,7 @@ class WaveProfile:
     grid: np.ndarray
     u_samples: np.ndarray
     ux_samples: np.ndarray
+    theta: np.ndarray = field(default=None, repr=False)
     _coeffs: np.ndarray = field(init=False, repr=False)
     _evans_tables: dict = field(init=False, repr=False, default_factory=dict)
 
@@ -399,11 +409,11 @@ def integrate_profile(params: WaveParams, samples_per_period: int = 1024,
     if samples_per_period < 64:
         raise ValueError("samples_per_period must be at least 64")
     tps = find_turning_points(params, bracket_hint)
-    u_minus, u_plus = tps
     T = compute_period(params, tps, quad_tol=quad_tol)
     grid = np.linspace(0.0, T, samples_per_period + 1)
     p = params.energy_poly()
-    u_s, ux_s = orbit_samples(p, tps, orbit_theta(p, tps, T, grid, quad_tol))
+    theta = orbit_theta(p, tps, T, grid, quad_tol)
+    u_s, ux_s = orbit_samples(p, tps, theta)
     # pin the endpoint to the exact periodic image of the start
-    u_s[-1], ux_s[-1] = u_minus, 0.0
-    return WaveProfile(params, u_minus, u_plus, T, grid, u_s, ux_s)
+    u_s[-1], ux_s[-1] = tps[0], 0.0
+    return WaveProfile(params, *tps, T, grid, u_s, ux_s, theta)

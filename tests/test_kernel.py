@@ -1,14 +1,32 @@
 """Kernel quadruple (u_x, u_a, u_E, phi), W matrix, and inverse-column checks."""
 
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
 import kpevans as kp
-from kpevans.kernel import predicted_deltaW, predicted_W0, second_derivative_fd
+from kpevans.kernel import predicted_deltaW, second_derivative_fd
+from kpevans.wave import turning_point_derivatives
+
+from conftest import seeded_turning_points
 
 KERNEL_TOL = 1e-6
+
+
+def predicted_W0(basis):
+    """The explicit W(0, 0, 0) built from turning-point data alone."""
+    profile = basis.profile
+    Vm = kp.eval_V(profile.params, profile.u_minus, 1)
+    Vmm = kp.eval_V(profile.params, profile.u_minus, 2)
+    aa, aE = turning_point_derivatives(profile.params,
+                                       (profile.u_minus, profile.u_plus))[:2, 0]
+    return np.array([
+        [0.0, aa, aE, 0.0],
+        [-Vm, 0.0, 0.0, 0.0],
+        [0.0, 1.0 - Vmm * aa, -Vmm * aE, 0.0],
+        [Vmm * Vm, 0.0, 0.0, -1.0],
+    ])
 
 
 def cross_identity_residual(basis):
@@ -50,23 +68,37 @@ def test_wronskian_is_one(kdv_basis):
     assert np.max(np.abs(kdv_basis.wronskian_ux_uE() - 1.0)) <= 1e-10
 
 
-def test_turning_point_derivative_identities(kdv_params, kdv_profile, kdv_basis):
-    """V'(u_-) du_-/dE = 1 and V'(u_-) du_-/da = u_- against FD of u_-."""
-    Vm = kp.eval_V(kdv_params, kdv_profile.u_minus, 1)
-    h = 1e-6
-    from conftest import seeded_turning_points
+@pytest.mark.parametrize("side", [0, 1], ids=["u-", "u+"])
+@pytest.mark.parametrize("row, q", [(0, "a"), (1, "E"), (2, "c")], ids=["a", "E", "c"])
+def test_turning_point_derivative_identities(kdv_params, kdv_profile, row, q, side):
+    """V'(u) du/dq = dp/dq(u), dp/d(a, E, c) = (u, 1, u^2/2), against a central
+    difference of the turning point, and turning_point_derivatives' entry."""
     seed = (kdv_profile.u_minus, kdv_profile.u_plus)
+    u, h = seed[side], 1e-6
 
-    def u_minus_at(**kw):
-        return seeded_turning_points(replace(kdv_params, **kw), seed)[0]
+    def root_at(step):
+        moved = replace(kdv_params, **{q: getattr(kdv_params, q) + step})
+        return seeded_turning_points(moved, seed)[side]
 
-    fd_dE = (u_minus_at(E=kdv_params.E + h) - u_minus_at(E=kdv_params.E - h)) / (2 * h)
-    fd_da = (u_minus_at(a=kdv_params.a + h) - u_minus_at(a=kdv_params.a - h)) / (2 * h)
-    assert Vm * fd_dE == pytest.approx(1.0, abs=1e-8)
-    assert Vm * fd_da == pytest.approx(kdv_profile.u_minus, abs=1e-8)
-    # and the basis uses exactly these derivatives as initial data
-    assert kdv_basis.du_minus_dE == pytest.approx(fd_dE, rel=1e-7)
-    assert kdv_basis.du_minus_da == pytest.approx(fd_da, rel=1e-7)
+    fd = (root_at(h) - root_at(-h)) / (2 * h)
+    dp_dq = (u, 1.0, 0.5 * u * u)[row]
+    assert kp.eval_V(kdv_params, u, 1) * fd == pytest.approx(dp_dq, abs=1e-8)
+    got = turning_point_derivatives(kdv_params, seed)[row, side]
+    assert got == pytest.approx(fd, rel=1e-7)
+
+
+@pytest.mark.parametrize("wave", ["kdv", "dnoidal", "cnoidal_mkdv"])
+def test_stored_theta_gives_the_solved_basis(request, wave):
+    """The basis on the theta that integrate_profile stored equals, byte for
+    byte, the basis of the same profile read from JSON, which solves theta
+    again."""
+    profile = request.getfixturevalue(f"{wave}_profile")
+    read = kp.WaveProfile.from_json_dict(profile.to_json_dict())
+    assert profile.theta is not None and read.theta is None
+    stored, solved = kp.variational_solutions(profile), kp.variational_solutions(read)
+    for f in fields(stored):
+        if f.name != "profile" and getattr(stored, f.name) is not None:
+            assert getattr(stored, f.name).tobytes() == getattr(solved, f.name).tobytes()
 
 
 def test_ua_against_two_profile_fd(kdv_params, kdv_profile, kdv_basis):
@@ -161,7 +193,8 @@ def displayed_deltaW(profile, basis, T_a, T_E):
     """The displayed delta W: the pure int x u_E moment in column 4."""
     Vm = kp.eval_V(profile.params, profile.u_minus, 1)
     Vmm = kp.eval_V(profile.params, profile.u_minus, 2)
-    aE, Ix, IE = basis.du_minus_dE, basis.I_sx[-1], basis.I_sE[-1]
+    aE = turning_point_derivatives(profile.params, (profile.u_minus, profile.u_plus))[1, 0]
+    Ix, IE = basis.I_sx[-1], basis.I_sE[-1]
     return np.array([
         [0.0, 0.0, 0.0, -aE * Ix],
         [0.0, Vm * T_a, Vm * T_E, -Vm * IE],

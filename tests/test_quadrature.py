@@ -6,9 +6,8 @@ import pytest
 
 from kpevans.errors import QuadratureNotConverged
 import kpevans as kp
-from kpevans.conserved import CS_STEP
 from kpevans.quadrature import _MAX_NODES, _nodes, _parts, adaptive_gauss_legendre
-from kpevans.wave import _newton_roots, _well_nodes
+from kpevans.wave import _well_nodes, complex_step_rows
 
 from conftest import gauss_legendre
 
@@ -103,9 +102,7 @@ def well_integrands():
     """Real and complex-step integrands of the mKdV dnoidal well, (3, nodes)."""
     params = kp.WaveParams(0.0, -0.5, 1.0, kp.NonlinearitySpec.mkdv())
     p, tps = params.energy_poly(), kp.find_turning_points(params, (0.5, 3.0))
-    rows = np.tile(p + 0j, (3, 1))
-    rows[(0, 1, 2), (1, 0, 2)] += 1j * CS_STEP * np.array([1.0, 1.0, 0.5])
-    roots = _newton_roots(rows, tps)
+    rows, roots = complex_step_rows(params, tps)
     real, cplx = _well_nodes(p, *tps), _well_nodes(rows, roots[:, 0], roots[:, 1])
 
     def moments(at):

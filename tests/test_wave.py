@@ -9,9 +9,8 @@ import kpevans as kp
 from kpevans.errors import (AmbiguousWell, DegenerateTurningPoint, NoPeriodicOrbit,
                             QuadratureNotConverged)
 
-from kpevans.conserved import CS_STEP
 from kpevans.wave import (DEFAULT_QUAD_TOL, _cosine_series, _real_roots, _well_nodes,
-                          _x_series, orbit_theta)
+                          _x_series, complex_step_rows, orbit_theta)
 
 from conftest import cardano_real_roots, horner_from_zero, phase_align
 from dp5 import integrate
@@ -189,9 +188,8 @@ def test_x_series_equals_sine_table(f, E, hint, K):
     tps = np.array(kp.find_turning_points(params, hint))
     T = kp.compute_period(params, tuple(tps))
     p = params.energy_poly()
-    rows = p + np.zeros((2, 1), dtype=complex)
-    rows[(0, 1), (1, 0)] += 1j * CS_STEP
-    roots = tps + 1j * CS_STEP * np.stack((tps, np.ones(2))) / kp.eval_V(params, tps, 1)
+    rows, roots = complex_step_rows(params, tps)
+    rows, roots = rows[:2], roots[:2]
     theta = orbit_theta(p, tuple(tps), T, np.linspace(0.0, T, 1025), DEFAULT_QUAD_TOL)
     theta = np.concatenate([theta, [-1e-2, -1e-8, np.pi + 1e-8, np.pi + 1e-2]])
     for asc, ends in ((p, tuple(tps)), (rows, tuple(roots.T))):
