@@ -17,8 +17,7 @@ from .conserved import (GradientSet, InvariantSet, compute_invariants,
                         gradient_identity_residual, gradients, jacobian_TM,
                         profile_invariants)
 from .evans import EvansValue, Monodromy, ScanReport, evans, evans_scan, monodromy
-from .kernel import (KernelBasis, WMatrix, build_W, kernel_residuals,
-                     phi_solution, variational_solutions,
+from .kernel import (KernelBasis, kernel_residuals, variational_solutions,
                      verify_inverse_column)
 from .model import NonlinearitySpec, WaveParams, eval_V
 from .wave import WaveProfile, compute_period, find_turning_points, integrate_profile
@@ -31,8 +30,8 @@ __all__ = [
     "integrate_profile",
     "InvariantSet", "GradientSet", "compute_invariants", "profile_invariants",
     "gradients", "gradient_identity_residual", "jacobian_TM",
-    "KernelBasis", "WMatrix", "variational_solutions", "phi_solution",
-    "build_W", "verify_inverse_column", "kernel_residuals",
+    "KernelBasis", "variational_solutions", "verify_inverse_column",
+    "kernel_residuals",
     "Monodromy", "EvansValue", "ScanReport",
     "monodromy", "evans", "evans_scan",
     "HighFreqReport", "LowFreqReport", "IndexVerdict",

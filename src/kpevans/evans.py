@@ -107,16 +107,11 @@ class Monodromy:
 
     def det_residual(self) -> float:
         """|det(e^{log_scale} M) - 1|; Liouville forces this to vanish."""
-        log_det = sum((complex(np.log(complex(det_complete_pivot(seg))))
+        log_det = sum((complex(np.log(complex(det_with_noise(seg)[0])))
                        for seg in self.segments), 0j)
         if abs(log_det.real) > _LOG_MAX:
             raise ScaleOverflow("determinant reconstruction overflows")
         return abs(np.exp(log_det) - 1.0)
-
-
-def det_complete_pivot(A: np.ndarray):
-    """Determinant of a small matrix by LU with complete pivoting."""
-    return det_with_noise(A)[0]
 
 
 def det_with_noise(A: np.ndarray):

@@ -20,14 +20,15 @@ No ODE is solved.  The profile and its variations come from the first
 integral: u = u_- + w sin^2(theta) with x(theta) from the cosine series of
 dx/dtheta (wave.orbit_theta), and u_a, u_E at fixed x are the complex
 steps of that construction in a and E (wave.complex_step_rows).  The running
-integrals are cumulative quintic-Hermite sums on the grid, whose
-derivatives, like the second and third derivatives of W, come from the
-governing equations, never from differencing.
+integrals are cumulative quintic-Hermite sums on the grid.
+variational_solutions builds the whole quadruple and its matrix W(x, 0, 0)
+in one step; every derivative, the second and third rows of W included,
+comes from the governing equations, never from differencing.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,11 +40,12 @@ from .wave import (CS_STEP, DEFAULT_QUAD_TOL, WaveProfile, complex_step_rows,
 
 @dataclass(eq=False)
 class KernelBasis:
-    """Sampled kernel quadruple (u_x, u_a, u_E, phi) with running integrals.
+    """Sampled kernel quadruple (u_x, u_a, u_E, phi), W and running integrals.
 
-    phi/phip are None until phi_solution() attaches them.  I_sE, I_sx, J,
-    I_E, II_E hold int s*u_E, int s*u_x, int u, int u_E, and the iterated
-    int int u_E, all from 0 to x.
+    Each solution v comes with its slope (uxp = u_xx, uap, uEp, phip).
+    W[i] = W(x_i, 0, 0), shape (n, 4, 4): column j holds v, v', v'', v'''
+    of the j-th solution.  I_sE, I_sx, J, I_E, II_E hold int s*u_E,
+    int s*u_x, int u, int u_E, and the iterated int int u_E, all from 0 to x.
     """
 
     profile: WaveProfile
@@ -55,40 +57,14 @@ class KernelBasis:
     uap: np.ndarray
     uE: np.ndarray
     uEp: np.ndarray
+    phi: np.ndarray
+    phip: np.ndarray
     I_sE: np.ndarray
     I_sx: np.ndarray
     J: np.ndarray
     I_E: np.ndarray
     II_E: np.ndarray
-    phi: np.ndarray = None
-    phip: np.ndarray = None
-
-    def second_derivative(self, name: str) -> np.ndarray:
-        """v'' from the governing equation v'' = -V''(u) v + r."""
-        vpp = -self._V2() * getattr(self, name)
-        if name == "ua":
-            vpp = vpp + 1.0
-        elif name == "phi":
-            vpp = vpp - self.grid
-        return vpp
-
-    def third_derivative(self, name: str) -> np.ndarray:
-        """v''' = -V'''(u) u' v - V''(u) v' + r'."""
-        vppp = -self._V3() * self.ux * getattr(self, name) \
-            - self._V2() * getattr(self, name + "p")
-        if name == "phi":
-            vppp = vppp - 1.0
-        return vppp
-
-    def _V2(self):
-        return eval_V(self.profile.params, self.u, 2)
-
-    def _V3(self):
-        return eval_V(self.profile.params, self.u, 3)
-
-    def wronskian_ux_uE(self) -> np.ndarray:
-        """u_x u_E' - u_x' u_E; equals 1 identically for our initial data."""
-        return self.ux * self.uEp - self.uxp * self.uE
+    W: np.ndarray
 
 
 def _running_integral(h: float, f, df, d2f):
@@ -106,13 +82,19 @@ def _running_integral(h: float, f, df, d2f):
 
 def variational_solutions(profile: WaveProfile,
                           quad_tol: float = DEFAULT_QUAD_TOL) -> KernelBasis:
-    """u_x, u_a, u_E and the running integrals on the profile grid.
+    """The kernel basis on the profile grid: u_x, u_a, u_E, phi, W and the
+    running integrals.
 
     The real wave is sampled at the profile's theta (solved again, at
     quad_tol, for a profile read from JSON); the a and E rows of
     wave.complex_step_rows, at the profile's own u_+-, give u_a, u_E and
     their slopes as imaginary parts over h at the same real x.  Derivatives
     follow from u_xx = -V'(u) and u_xxx = -V''(u) u_x; V does not depend on E.
+    phi = I_sE u_x - I_sx u_E holds only while the (u_x, u_E) Wronskian stays
+    at its normalized value 1: a drift beyond 1e-6 signals an exceptional
+    parameter point and raises WronskianDegenerate.  Rows 3 and 4 of W are
+    v'' = -V''(u) v + r and v''' = -V'''(u) u_x v - V''(u) v' + r', with
+    r = 0, 1, 0, -x for the four columns.
     """
     params, x = profile.params, profile.grid
     p = params.energy_poly()
@@ -124,6 +106,7 @@ def variational_solutions(profile: WaveProfile,
     theta_c = orbit_theta(rows, roots.T, profile.period, x, quad_tol, theta)
     u_c, ux_c = orbit_samples(rows, roots.T, theta_c)
     uxx = -eval_V(params, u, 1)
+    V2, V3 = eval_V(params, u, 2), eval_V(params, u, 3)
     (ua, uE), (uap, uEp) = u_c.imag / CS_STEP, ux_c.imag / CS_STEP
     uEpp = -eval_V(params, u_c[1], 1).imag / CS_STEP
     # the integrands u, x u_x, u_E, x u_E with their first two derivatives
@@ -131,69 +114,25 @@ def variational_solutions(profile: WaveProfile,
         x[1] - x[0],
         np.stack((u, x * ux, uE, x * uE)),
         np.stack((ux, ux + x * uxx, uEp, uE + x * uEp)),
-        np.stack((uxx, 2.0 * uxx - x * eval_V(params, u, 2) * ux,
-                  uEpp, 2.0 * uEp + x * uEpp)))
-    return KernelBasis(
-        profile=profile, grid=x.copy(), u=u, ux=ux, uxp=uxx,
-        ua=ua, uap=uap, uE=uE, uEp=uEp, I_sE=I_sE, I_sx=I_sx, J=J, I_E=I_E,
-        II_E=x * I_E - I_sE)    # int_0^x int_0^s u_E, by parts
-
-
-def phi_solution(basis: KernelBasis) -> KernelBasis:
-    """Attach phi = I_sE u_x - I_sx u_E (and phi') to the basis.
-
-    Valid only while the (u_x, u_E) Wronskian stays at its normalized value
-    1; drift beyond 1e-6 signals an exceptional parameter point.
-    """
-    wron = basis.wronskian_ux_uE()
-    drift = float(np.max(np.abs(wron - 1.0)))
+        np.stack((uxx, 2.0 * uxx - x * V2 * ux, uEpp, 2.0 * uEp + x * uEpp)))
+    drift = float(np.max(np.abs(ux * uEp - uxx * uE - 1.0)))
     if drift > 1e-6:
         raise WronskianDegenerate(
             f"Wronskian of (u_x, u_E) drifted {drift:.3e} from 1")
-    phi = basis.I_sE * basis.ux - basis.I_sx * basis.uE
-    phip = basis.I_sE * basis.uxp - basis.I_sx * basis.uEp
-    return replace(basis, phi=phi, phip=phip)
-
-
-# ----------------------------------------------------------------------
-# the 4x4 solution matrix W(x, 0, 0)
-# ----------------------------------------------------------------------
-
-_COLUMNS = ("ux", "ua", "uE", "phi")
-
-
-@dataclass(eq=False)
-class WMatrix:
-    """W(x, 0, 0): columns (v, v', v'', v''') for v in (u_x, u_a, u_E, phi)."""
-
-    basis: KernelBasis
-    grid: np.ndarray
-    values: np.ndarray  # shape (n, 4, 4)
-    W0: np.ndarray = field(init=False)
-    WT: np.ndarray = field(init=False)
-    deltaW: np.ndarray = field(init=False)
-
-    def __post_init__(self):
-        self.W0 = self.values[0]
-        self.WT = self.values[-1]
-        self.deltaW = self.WT - self.W0
-
-    def det_on_grid(self) -> np.ndarray:
-        return np.linalg.det(self.values)
-
-
-def build_W(basis: KernelBasis) -> WMatrix:
-    """Assemble W on the grid; derivatives of order 2, 3 from the ODEs."""
-    if basis.phi is None:
-        basis = phi_solution(basis)
-    n = len(basis.grid)
-    W = np.empty((n, 4, 4))
-    for j, name in enumerate(_COLUMNS):
-        W[:, 0, j] = getattr(basis, name)
-        W[:, 1, j] = getattr(basis, name + "p")
-        W[:, 2, j] = basis.second_derivative(name)
-        W[:, 3, j] = basis.third_derivative(name)
-    return WMatrix(basis=basis, grid=basis.grid.copy(), values=W)
+    phi, phip = I_sE * ux - I_sx * uE, I_sE * uxx - I_sx * uEp
+    v = np.stack((ux, ua, uE, phi), axis=-1)
+    vp = np.stack((uxx, uap, uEp, phip), axis=-1)
+    W = np.stack((v, vp, -V2[:, None] * v,
+                  -(V3 * ux)[:, None] * v - V2[:, None] * vp), axis=1)
+    W[:, 2, 1] += 1.0
+    W[:, 2, 3] -= x
+    W[:, 3, 3] -= 1.0
+    return KernelBasis(
+        profile=profile, grid=x.copy(), u=u, ux=ux, uxp=uxx,
+        ua=ua, uap=uap, uE=uE, uEp=uEp, phi=phi, phip=phip,
+        I_sE=I_sE, I_sx=I_sx, J=J, I_E=I_E,
+        II_E=x * I_E - I_sE,    # int_0^x int_0^s u_E, by parts
+        W=W)
 
 
 def predicted_deltaW(basis: KernelBasis, T_a: float, T_E: float) -> np.ndarray:
@@ -221,37 +160,15 @@ def predicted_deltaW(basis: KernelBasis, T_a: float, T_E: float) -> np.ndarray:
     ])
 
 
-# ----------------------------------------------------------------------
-# inverse-column identity checks
-# ----------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class InverseColumnReport:
-    """Residuals for W(x)^{-1} e4 = (-int int u_E, -x, int u, -1)^T."""
-    sup_identity: float        # |W(x) * claimed - e4|, sup over the grid
-    sup_vs_lu: float           # claimed vs direct linear solve
-    sup_intermediate: float    # u_ax u_E - u_a u_Ex - int u_E
-    first_component_at_T: float
-
-
-def verify_inverse_column(wmatrix: WMatrix, basis: KernelBasis) -> InverseColumnReport:
-    """Check the closed-form last column of W^{-1} without inverting W."""
+def verify_inverse_column(basis: KernelBasis) -> float:
+    """sup over the grid of |W(x) c(x) - e4|, c = (-int int u_E, -x, int u, -1):
+    the closed-form last column of W^{-1}, checked without inverting W."""
     n = len(basis.grid)
     claimed = np.stack([-basis.II_E, -basis.grid, basis.J, -np.full(n, 1.0)], axis=1)
     e4 = np.zeros(4)
     e4[3] = 1.0
-    prod = np.einsum("nij,nj->ni", wmatrix.values, claimed)
-    sup_identity = float(np.max(np.abs(prod - e4)))
-    rhs = np.repeat(e4[None, :, None], n, axis=0)
-    solved = np.linalg.solve(wmatrix.values, rhs)[:, :, 0]
-    sup_vs_lu = float(np.max(np.abs(solved - claimed)))
-    inter = basis.uap * basis.uE - basis.ua * basis.uEp - basis.I_E
-    return InverseColumnReport(
-        sup_identity=sup_identity,
-        sup_vs_lu=sup_vs_lu,
-        sup_intermediate=float(np.max(np.abs(inter))),
-        first_component_at_T=float(-basis.II_E[-1]),
-    )
+    prod = np.einsum("nij,nj->ni", basis.W, claimed)
+    return float(np.max(np.abs(prod - e4)))
 
 
 def second_derivative_fd(grid: np.ndarray, vals: np.ndarray):
@@ -276,14 +193,10 @@ def kernel_residuals(basis: KernelBasis) -> dict:
     """
     out = {}
     V2 = eval_V(basis.profile.params, basis.u, 2)
-    targets = {"ux": 0.0, "uE": 0.0, "ua": -1.0}
-    for name, target in targets.items():
+    xc = basis.grid[3:-3]
+    for name, target in (("ux", 0.0), ("uE", 0.0), ("ua", -1.0), ("phi", xc)):
         v = getattr(basis, name)
-        xc, d2 = second_derivative_fd(basis.grid, v)
+        _, d2 = second_derivative_fd(basis.grid, v)
         L = -d2 - (V2 * v)[3:-3]
         out[name] = float(np.max(np.abs(L - target)) / (1.0 + np.max(np.abs(v))))
-    if basis.phi is not None:
-        xc, d2 = second_derivative_fd(basis.grid, basis.phi)
-        L = -d2 - (V2 * basis.phi)[3:-3]
-        out["phi"] = float(np.max(np.abs(L - xc)) / (1.0 + np.max(np.abs(basis.phi))))
     return out

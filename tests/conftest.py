@@ -5,6 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from numpy.polynomial import polynomial as P
 
 import kpevans as kp
 from kpevans.errors import StencilLeftRegion
@@ -24,6 +25,51 @@ CNOIDAL_E = 0.3
 DNOIDAL_HINT = (0.5, 3.0)
 
 
+# Shallow and near-separatrix wells on which a fixed finite-difference step
+# leaves the well.  Each entry: params, bracket hint, and (lo, bottom, hi):
+# points with E - V < 0, > 0 (the minimum of V in the well) and < 0.
+def _kdv_well(depth, t):
+    """KdV well of the given depth at c = 1, with E a fraction t up from its bottom."""
+    s = (1.5 * depth) ** (1.0 / 3.0)   # depth = (2/3) s^3, critical points 1 -+ s
+    a = 0.5 * (s * s - 1.0)
+    V = np.array([0.0, -a, -0.5, 1.0 / 6.0])
+    E = P.polyval(1.0 + s, V) + t * (P.polyval(1.0 - s, V) - P.polyval(1.0 + s, V))
+    return (kp.WaveParams(a, E, 1.0, kp.NonlinearitySpec.kdv()),
+            (1.0 + s - 1e-3, 1.0 + s + 1e-3), (1.0 - s, 1.0 + s, 2.0 + s))
+
+
+def _mixed_well(hint):
+    a, E, c = -0.15979476282410432, 0.02487912071268847, 0.6482235935136903
+    crit = np.sort(P.polyroots([-a, -c, 0.5, 1.0 / 3.0]).real)
+    brackets = {(0.41, 0.452): (-10.0, crit[0], crit[1]),   # 4.5e-6 below the barrier
+                (0.44, 0.5): (crit[1], crit[2], 1.0)}       # 6.6e-6 deep
+    mixed = kp.NonlinearitySpec.polynomial((0.0, 0.0, 0.5, 1.0 / 3.0))
+    return kp.WaveParams(a, E, c, mixed), hint, brackets[hint]
+
+
+SHALLOW = {
+    "kdv-1e-6-t0.1": _kdv_well(1e-6, 0.1),
+    "kdv-1e-6-t0.5": _kdv_well(1e-6, 0.5),
+    "mixed-separatrix": _mixed_well((0.41, 0.452)),
+    "mixed-shallow": _mixed_well((0.44, 0.5)),
+}
+
+
+# 1e-6-deep wells next to the fold where a family's well vanishes, a tenth
+# and a half of the way up (perfbench's shallow stratum, by its names):
+# f, a, E, c and the bottom of the well
+FOLD_WELLS = {
+    "mkdv+1~1e-06@0.1": ((0.0, 0.0, 0.0, 1.0 / 3.0), -0.6665841186747318,
+                         0.24991705257591965, 1.0, 1.0090718863807489),
+    "mkdv-1~1e-06@0.5": ((0.0, 0.0, 0.0, 1.0 / 3.0), -0.6665841186747318,
+                         0.24991745257591963, 1.0, 1.0090718863807489),
+    "mixed+1~1e-06@0.1": ((0.0, 0.0, 0.5, 1.0 / 3.0), -0.34827598143834854,
+                          0.07576582125426011, 1.0, 0.6267765051304824),
+    "quartic-1~1e-06@0.5": ((0.0, 0.0, 0.0, 0.0, 0.25), -0.7499055063842528,
+                            0.29990550737638494, 1.0, 1.0079160839438295),
+}
+
+
 @pytest.fixture(scope="session")
 def kdv_params():
     return kp.WaveParams(KDV_A, KDV_E, KDV_C, kp.NonlinearitySpec.kdv(), sigma=1)
@@ -36,12 +82,7 @@ def kdv_profile(kdv_params):
 
 @pytest.fixture(scope="session")
 def kdv_basis(kdv_profile):
-    return kp.phi_solution(kp.variational_solutions(kdv_profile))
-
-
-@pytest.fixture(scope="session")
-def kdv_wmatrix(kdv_basis):
-    return kp.build_W(kdv_basis)
+    return kp.variational_solutions(kdv_profile)
 
 
 @pytest.fixture(scope="session")

@@ -14,12 +14,12 @@ from kpevans import conserved
 from kpevans.conserved import invariants_csv_row
 from kpevans.errors import NoPeriodicOrbit, StencilLeftRegion
 
-from conftest import DNOIDAL_HINT, fd_gradients, gauss_legendre, seeded_turning_points
+from conftest import (DNOIDAL_HINT, FOLD_WELLS, SHALLOW, fd_gradients, gauss_legendre,
+                      seeded_turning_points)
 from kdv_closed_form import NotKdV, cubic_discriminant, kdv_jacobian_closed_form
 
 KDV = kp.NonlinearitySpec.kdv()
 MKDV = kp.NonlinearitySpec.mkdv()
-MIXED = kp.NonlinearitySpec.polynomial((0.0, 0.0, 0.5, 1.0 / 3.0))
 
 # frozen regression values for the KdV test wave (a=0, E=-0.05, c=1),
 # fixed by the dual-method oracle: regularized quadrature vs dense-grid
@@ -200,35 +200,6 @@ def test_csv_row_format(kdv_params, kdv_invariants):
     assert float(fields[3]) == pytest.approx(FROZEN["T"], rel=1e-15)
 
 
-# Shallow and near-separatrix wells on which a fixed finite-difference step
-# leaves the well.  Each entry: params, bracket hint, and (lo, bottom, hi):
-# points with E - V < 0, > 0 (the minimum of V in the well) and < 0.
-def _kdv_well(depth, t):
-    """KdV well of the given depth at c = 1, with E a fraction t up from its bottom."""
-    s = (1.5 * depth) ** (1.0 / 3.0)   # depth = (2/3) s^3, critical points 1 -+ s
-    a = 0.5 * (s * s - 1.0)
-    V = np.array([0.0, -a, -0.5, 1.0 / 6.0])
-    E = P.polyval(1.0 + s, V) + t * (P.polyval(1.0 - s, V) - P.polyval(1.0 + s, V))
-    return (kp.WaveParams(a, E, 1.0, KDV), (1.0 + s - 1e-3, 1.0 + s + 1e-3),
-            (1.0 - s, 1.0 + s, 2.0 + s))
-
-
-def _mixed_well(hint):
-    a, E, c = -0.15979476282410432, 0.02487912071268847, 0.6482235935136903
-    crit = np.sort(P.polyroots([-a, -c, 0.5, 1.0 / 3.0]).real)
-    brackets = {(0.41, 0.452): (-10.0, crit[0], crit[1]),   # 4.5e-6 below the barrier
-                (0.44, 0.5): (crit[1], crit[2], 1.0)}       # 6.6e-6 deep
-    return kp.WaveParams(a, E, c, MIXED), hint, brackets[hint]
-
-
-SHALLOW = {
-    "kdv-1e-6-t0.1": _kdv_well(1e-6, 0.1),
-    "kdv-1e-6-t0.5": _kdv_well(1e-6, 0.5),
-    "mixed-separatrix": _mixed_well((0.41, 0.452)),
-    "mixed-shallow": _mixed_well((0.44, 0.5)),
-}
-
-
 def quad_jacobian(params, lo, bottom, hi):
     """{T, M}_{a,E} by central differences of QUADPACK integrals, with error.
 
@@ -281,21 +252,6 @@ def test_shallow_well_index(name):
     assert abs(ref) > 10.0 * err
     assert verdict.conclusion == ("UnstableDetected" if params.sigma * ref > 0
                                   else "IndexInconclusive")
-
-
-# 1e-6-deep wells next to the fold where a family's well vanishes, a tenth
-# and a half of the way up (perfbench's shallow stratum, by its names):
-# f, a, E, c and the bottom of the well
-FOLD_WELLS = {
-    "mkdv+1~1e-06@0.1": ((0.0, 0.0, 0.0, 1.0 / 3.0), -0.6665841186747318,
-                         0.24991705257591965, 1.0, 1.0090718863807489),
-    "mkdv-1~1e-06@0.5": ((0.0, 0.0, 0.0, 1.0 / 3.0), -0.6665841186747318,
-                         0.24991745257591963, 1.0, 1.0090718863807489),
-    "mixed+1~1e-06@0.1": ((0.0, 0.0, 0.5, 1.0 / 3.0), -0.34827598143834854,
-                          0.07576582125426011, 1.0, 0.6267765051304824),
-    "quartic-1~1e-06@0.5": ((0.0, 0.0, 0.0, 0.0, 0.25), -0.7499055063842528,
-                            0.29990550737638494, 1.0, 1.0079160839438295),
-}
 
 
 def mp_gradients_TM(p, bottom, dps=50):

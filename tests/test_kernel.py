@@ -9,7 +9,7 @@ import kpevans as kp
 from kpevans.kernel import predicted_deltaW, second_derivative_fd
 from kpevans.wave import turning_point_derivatives
 
-from conftest import seeded_turning_points
+from conftest import FOLD_WELLS, SHALLOW, seeded_turning_points
 
 KERNEL_TOL = 1e-6
 
@@ -60,12 +60,26 @@ def test_phi_initial_data(kdv_basis):
     # fourth column of W(0,0,0) is (0, 0, 0, -1)
     assert kdv_basis.phi[0] == 0.0
     assert kdv_basis.phip[0] == 0.0
-    assert kdv_basis.second_derivative("phi")[0] == pytest.approx(0.0, abs=1e-12)
-    assert kdv_basis.third_derivative("phi")[0] == pytest.approx(-1.0, abs=1e-10)
+    assert kdv_basis.W[0, 2, 3] == pytest.approx(0.0, abs=1e-12)
+    assert kdv_basis.W[0, 3, 3] == pytest.approx(-1.0, abs=1e-10)
 
 
 def test_wronskian_is_one(kdv_basis):
-    assert np.max(np.abs(kdv_basis.wronskian_ux_uE() - 1.0)) <= 1e-10
+    b = kdv_basis
+    assert np.max(np.abs(b.ux * b.uEp - b.uxp * b.uE - 1.0)) <= 1e-10
+
+
+@pytest.mark.parametrize("wave", ["kdv", "dnoidal", "cnoidal_mkdv"])
+def test_W_third_derivative_row_against_fd(request, wave):
+    """W[:, 3] (v''', from the governing equation) against the 7-point
+    second difference of W[:, 1] (v'), column by column, scaled as in
+    kernel_residuals."""
+    basis = kp.variational_solutions(request.getfixturevalue(f"{wave}_profile"))
+    for j in range(4):
+        vp = basis.W[:, 1, j]
+        _, d2 = second_derivative_fd(basis.grid, vp)
+        err = np.max(np.abs(d2 - basis.W[3:-3, 3, j]))
+        assert err <= KERNEL_TOL * (1.0 + np.max(np.abs(vp))), j
 
 
 @pytest.mark.parametrize("side", [0, 1], ids=["u-", "u+"])
@@ -97,7 +111,7 @@ def test_stored_theta_gives_the_solved_basis(request, wave):
     assert profile.theta is not None and read.theta is None
     stored, solved = kp.variational_solutions(profile), kp.variational_solutions(read)
     for f in fields(stored):
-        if f.name != "profile" and getattr(stored, f.name) is not None:
+        if f.name != "profile":
             assert getattr(stored, f.name).tobytes() == getattr(solved, f.name).tobytes()
 
 
@@ -156,33 +170,37 @@ def test_gram_determinant_nonzero(kdv_basis):
     assert abs(np.linalg.det(G)) > 1e-8 * norms
 
 
-def test_det_W_is_one(kdv_wmatrix):
-    T = kdv_wmatrix.grid[-1]
-    dets = kdv_wmatrix.det_on_grid()
+def test_det_W_is_one(kdv_basis):
+    T = kdv_basis.grid[-1]
+    dets = np.linalg.det(kdv_basis.W)
     for frac in (0.0, 0.25, 0.5, 1.0):
-        i = np.argmin(np.abs(kdv_wmatrix.grid - frac * T))
+        i = np.argmin(np.abs(kdv_basis.grid - frac * T))
         assert dets[i] == pytest.approx(1.0, abs=1e-8)
     assert np.max(np.abs(dets - 1.0)) <= 1e-8
 
 
-def test_W0_matches_display(kdv_basis, kdv_wmatrix):
+def deltaW(basis):
+    return basis.W[-1] - basis.W[0]
+
+
+def test_W0_matches_display(kdv_basis):
     pred = predicted_W0(kdv_basis)
-    assert np.max(np.abs(kdv_wmatrix.W0 - pred)) <= 1e-12
+    assert np.max(np.abs(kdv_basis.W[0] - pred)) <= 1e-12
 
 
-def test_deltaW_first_column_vanishes(kdv_wmatrix):
-    assert np.max(np.abs(kdv_wmatrix.deltaW[:, 0])) <= 1e-9
+def test_deltaW_first_column_vanishes(kdv_basis):
+    assert np.max(np.abs(deltaW(kdv_basis)[:, 0])) <= 1e-9
 
 
-def test_deltaW_entry_22(kdv_params, kdv_profile, kdv_wmatrix, kdv_grads):
+def test_deltaW_entry_22(kdv_params, kdv_profile, kdv_basis, kdv_grads):
     Vm = kp.eval_V(kdv_params, kdv_profile.u_minus, 1)
-    assert kdv_wmatrix.deltaW[1, 1] == pytest.approx(Vm * kdv_grads.dT[0], rel=1e-6)
+    assert deltaW(kdv_basis)[1, 1] == pytest.approx(Vm * kdv_grads.dT[0], rel=1e-6)
 
 
-def test_deltaW_matches_display(kdv_basis, kdv_wmatrix, kdv_grads):
+def test_deltaW_matches_display(kdv_basis, kdv_grads):
     pred = predicted_deltaW(kdv_basis, kdv_grads.dT[0], kdv_grads.dT[1])
     scale = np.max(np.abs(pred))
-    assert np.max(np.abs(kdv_wmatrix.deltaW - pred)) <= 1e-6 * scale
+    assert np.max(np.abs(deltaW(kdv_basis) - pred)) <= 1e-6 * scale
     # rows 1 and 3 of columns 2-3 vanish; the (a, E) block is rank one
     assert np.max(np.abs(pred[np.ix_([0, 2], [1, 2])])) == 0.0
     block = pred[np.ix_([1, 3], [1, 2])]
@@ -212,17 +230,41 @@ def test_deltaW_column_reduction(kdv_profile, kdv_basis, kdv_grads):
     assert np.allclose(disp[:, :3], pred[:, :3], rtol=0, atol=0)
 
 
-def test_inverse_column_identity(kdv_wmatrix, kdv_basis):
-    rep = kp.verify_inverse_column(kdv_wmatrix, kdv_basis)
-    assert rep.sup_identity <= 1e-7
-    assert rep.sup_vs_lu <= 1e-7
-    assert rep.sup_intermediate <= 1e-7
+def test_inverse_column_identity(kdv_basis):
+    b = kdv_basis
+    assert kp.verify_inverse_column(b) <= 1e-7
+    # the claimed column against a direct linear solve of W(x) c = e4
+    e4 = np.array([0.0, 0.0, 0.0, 1.0])
+    claimed = np.stack([-b.II_E, -b.grid, b.J, -np.ones_like(b.grid)], axis=1)
+    solved = np.linalg.solve(b.W, np.broadcast_to(e4[:, None], (len(b.grid), 4, 1)))
+    assert np.max(np.abs(solved[:, :, 0] - claimed)) <= 1e-7
+    # the intermediate identity u_a' u_E - u_a u_E' = int u_E
+    assert np.max(np.abs(b.uap * b.uE - b.ua * b.uEp - b.I_E)) <= 1e-7
     # at x = 0 the claimed vector is (0, 0, 0, -1); W(0) e4-column is too
-    W0 = kdv_wmatrix.W0
-    assert np.allclose(W0 @ np.array([0.0, 0.0, 0.0, -1.0]),
-                       np.array([0.0, 0.0, 0.0, 1.0]), atol=1e-12)
-    # first component at T equals the accumulated double integral of u_E
-    assert rep.first_component_at_T == pytest.approx(-kdv_basis.II_E[-1], abs=0)
+    assert np.allclose(b.W[0] @ np.array([0.0, 0.0, 0.0, -1.0]), e4, atol=1e-12)
+
+
+def shallow_well(name):
+    """(params, bracket hint) of a SHALLOW or FOLD_WELLS entry."""
+    if name in SHALLOW:
+        return SHALLOW[name][:2]
+    f, a, E, c, bottom = FOLD_WELLS[name]
+    return (kp.WaveParams(a, E, c, kp.NonlinearitySpec.polynomial(f)),
+            (bottom - 1e-3, bottom + 1e-3))
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "on wells 1e-4 to 1e-6 deep the closed-form basis mixes the turning-point "
+    "derivatives 1 / V'(u+-), about 2.4e4 there, with independent rounding, and "
+    "its inverse-column residual exceeds verify's 1e-7 row (the FOUND line on "
+    "shallow wells in CHANGES.md)"))
+@pytest.mark.parametrize("name", ["kdv-1e-6-t0.1", "kdv-1e-6-t0.5", "mixed+1~1e-06@0.1"])
+def test_inverse_column_on_shallow_wells(name):
+    """The inverse-column identity at verify's 1e-7 on three 1e-6-deep wells;
+    measured 1.35e-6, 3.56e-7 and 3.05e-7."""
+    params, hint = shallow_well(name)
+    basis = kp.variational_solutions(kp.integrate_profile(params, bracket_hint=hint))
+    assert kp.verify_inverse_column(basis) <= 1e-7
 
 
 def test_cross_wronskian_identity(kdv_basis):

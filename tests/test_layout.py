@@ -140,6 +140,46 @@ def test_every_export_is_used_or_documented():
     assert not set(kpevans.__all__) - used - documented
 
 
+def referenced_names(tree, skip=None):
+    """Every name, attribute and imported name in tree, outside node skip."""
+    out, stack = set(), [tree]
+    while stack:
+        node = stack.pop()
+        if node is skip:
+            continue
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            out.update(alias.name for alias in node.names)
+        stack.extend(ast.iter_child_nodes(node))
+    return out
+
+
+def test_every_public_definition_is_used_or_documented():
+    """Each public top-level function or class of a src module is referenced
+    elsewhere in src (outside its own definition and __init__) or named in
+    README: the __all__ rule, for every module-level definition.
+    errors.StencilLeftRegion is the one exception: perfbench imports it."""
+    trees = {path: ast.parse(path.read_text()) for path in SRC.glob("*.py")
+             if path.name != "__init__.py"}
+    refs = {path: referenced_names(tree) for path, tree in trees.items()}
+    readme = README.read_text()
+    unused = []
+    for path, tree in trees.items():
+        elsewhere = set().union(*(r for p, r in refs.items() if p != path))
+        for node in tree.body:
+            if (not isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    or node.name.startswith("_")
+                    or (path.stem, node.name) == ("errors", "StencilLeftRegion")):
+                continue
+            if (node.name not in elsewhere | referenced_names(tree, node)
+                    and not re.search(rf"\b{node.name}\b", readme)):
+                unused.append(f"{path.stem}.{node.name}")
+    assert not unused
+
+
 def test_import_loads_the_pipeline_only():
     """A fresh `import kpevans` loads the pipeline modules and nothing else:
     neither the tests' tracking or elliptic oracles nor the CLI."""
