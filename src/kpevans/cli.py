@@ -246,8 +246,9 @@ def _row(name: str, measured, tol) -> dict:
 
 
 def cmd_verify(cfg: ProblemConfig, out: Path, tol_scale: float = 1.0) -> int:
-    """Full invariant suite, every row measured on the config's wave, so every
-    row depends on the config; prints a pass/fail table, writes verify.json."""
+    """Full invariant suite, every row but "Q diagonalization" measured on the
+    config's wave (that row measures the module constants Q, H0 and D4 of
+    asymptotics); prints a pass/fail table, writes verify.json."""
     rows = []
 
     def check(name, measured, tol):

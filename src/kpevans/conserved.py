@@ -55,7 +55,8 @@ def compute_invariants(params: WaveParams, turning_points=None,
     M = int u dx, P = int u^2 dx, H = int (u_x^2/2 - F(u)) dx, each recast
     as an integral in u against 1/sqrt(E - V) over the well.
     """
-    tps = turning_points or find_turning_points(params, bracket_hint)
+    tps = (find_turning_points(params, bracket_hint) if turning_points is None
+           else turning_points)
     F = params.nonlinearity.F_coeffs
     E = params.E
     rt2 = np.sqrt(2.0)

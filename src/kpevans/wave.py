@@ -191,7 +191,7 @@ def well_integral(params: WaveParams, turning_points, h_of_u,
 def compute_period(params: WaveParams, turning_points=None,
                    quad_tol: float = DEFAULT_QUAD_TOL) -> float:
     """Period T = sqrt(2) * integral du / sqrt(E - V(u)) over the well."""
-    tps = turning_points or find_turning_points(params)
+    tps = find_turning_points(params) if turning_points is None else turning_points
     return np.sqrt(2.0) * well_integral(params, tps, lambda u: np.ones_like(u), quad_tol)
 
 

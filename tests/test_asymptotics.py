@@ -4,6 +4,9 @@ import numpy as np
 import pytest
 
 import kpevans as kp
+from kpevans.asymptotics import _coefficient_functions
+
+from block_reduction import block_reduction_loop, second_derivatives
 
 MU_LIST = [25.0, 50.0, 100.0]
 
@@ -44,55 +47,15 @@ def test_high_freq_magnitude_fit_advisory(kdv_profile):
 
 def test_block_reduction_structure(kdv_profile):
     rep = kp.verify_block_reduction(kdv_profile, 100.0, 0.5)
+    ref = block_reduction_loop(kdv_profile, 100.0, 0.5)
     assert rep.q_diag_error <= 1e-14
-    assert rep.btilde_numeric_error <= 1e-13
-    assert rep.last_column_error <= 1e-13
-    assert rep.upper_left_sup <= rep.upper_left_bound
-    assert rep.e44_residual <= rep.e44_bound
+    assert ref.btilde_numeric_error <= 1e-13
+    assert ref.last_column_error <= 1e-13
+    assert ref.upper_left_sup <= ref.upper_left_bound
+    assert ref.e44_residual <= ref.e44_bound
     assert rep.lower_left_sup <= rep.lower_left_bound
     assert abs(rep.avg_A1x) <= 1e-10
     assert abs(rep.avg_A1A1x) <= 1e-10
-
-
-def block_reduction_loop(profile, mu, k, n_samples=768):
-    """Reference: the per-point loop the stacked verifier replaced.
-
-    Returns (system_tilde, e44 residual, lower-left sup of E, full
-    lower-left sup), each formed with one 4x4 solve per grid point.
-    """
-    from kpevans.asymptotics import (D4_MATRIX, LAMBDA_ROT, Q_MATRIX,
-                                     _coefficient_functions)
-    rot, Qinv = LAMBDA_ROT, np.linalg.inv(Q_MATRIX)
-    s = mu ** (-1.0 / 3.0)
-    eps, sigma = s * s, profile.params.sigma
-    fields = _coefficient_functions(profile)
-    w = np.array([1 / 3, 1 / 3, 1 / 3, 1.0], dtype=complex)
-    grid_t = np.linspace(0.0, profile.period / s, n_samples + 1)
-    system = np.empty((len(grid_t), 4, 4), dtype=complex)
-    e44_err = lower_left = lower_left_full = 0.0
-    for idx, xt in enumerate(grid_t):
-        A1, A2, A1x, A1xx, A2x = fields(xt * s)
-        At1, At1x = s * A1, eps * A1x
-        b = np.array([0.5 * At1x * eps - sigma * k * k * eps * eps,
-                      At1 * eps, A2 * eps, 0.0], dtype=complex)
-        v = Q_MATRIX.T @ b
-        S = np.eye(4, dtype=complex)
-        S[3, :3] = [-v[0], v[1] / rot, v[2] / np.conj(rot)]
-        DS = (D4_MATRIX + np.outer(w, v)) @ S
-        E = np.linalg.solve(S, DS) - D4_MATRIX
-        e44 = 0.5 * At1x * eps + eps * eps * (0.5 * At1 * At1x - sigma * k * k)
-        e44_err = max(e44_err, abs(E[3, 3] - e44))
-        lower_left = max(lower_left, float(np.max(np.abs(E[3, :3]))))
-        Sp = np.zeros((4, 4), dtype=complex)
-        Sp[3, :3] = s * np.array([
-            0.5 * A1xx * eps * eps - s * A1x * eps + A2x * eps,
-            (-0.5 * A1xx * eps * eps - rot * s * A1x * eps
-             + np.conj(rot) * A2x * eps) / rot,
-            (-0.5 * A1xx * eps * eps - np.conj(rot) * s * A1x * eps
-             + rot * A2x * eps) / np.conj(rot)])
-        system[idx] = np.linalg.solve(S, DS - Sp)
-        lower_left_full = max(lower_left_full, float(np.max(np.abs(system[idx, 3, :3]))))
-    return system, e44_err, lower_left, lower_left_full
 
 
 @pytest.mark.parametrize("wave", ["kdv_profile", "cnoidal_mkdv_profile"])
@@ -101,13 +64,22 @@ def test_block_reduction_matches_loop(request, wave, mu):
     """The stacked solves reproduce the per-point loop to rounding."""
     profile = request.getfixturevalue(wave)
     rep = kp.verify_block_reduction(profile, mu, 0.5)
-    system, e44_err, lower_left, lower_left_full = block_reduction_loop(profile, mu, 0.5)
-    scale = np.max(np.abs(system))
-    assert np.max(np.abs(rep.system_tilde - system)) <= 1e-14 * scale
-    # residual sups: each entry agrees to rounding of the O(1) diagonal
-    assert rep.e44_residual == pytest.approx(e44_err, rel=1e-12, abs=1e-15)
-    assert rep.lower_left_sup == pytest.approx(lower_left, rel=1e-12, abs=1e-15)
-    assert rep.lower_left_full_sup == pytest.approx(lower_left_full, rel=1e-12, abs=1e-15)
+    ref = block_reduction_loop(profile, mu, 0.5)
+    # residual sup: each entry agrees to rounding of the O(1) diagonal
+    assert rep.lower_left_sup == pytest.approx(ref.lower_left_sup, rel=1e-12, abs=1e-15)
+
+
+@pytest.mark.parametrize("wave", ["kdv_profile", "cnoidal_mkdv_profile"])
+def test_reference_derivatives_against_fd(request, wave):
+    """The reference's A1_xx and A2_x, which form the shear's S' term,
+    against central differences of the package's A1_x and A2."""
+    profile = request.getfixturevalue(wave)
+    fields = _coefficient_functions(profile)
+    x, h = np.linspace(0.05, 0.95, 91) * profile.period, 1e-4
+    (_, A2p, A1xp), (_, A2m, A1xm) = fields(x + h), fields(x - h)
+    A1xx, A2x = second_derivatives(profile)(x)
+    for exact, fd in ((A1xx, (A1xp - A1xm) / (2 * h)), (A2x, (A2p - A2m) / (2 * h))):
+        assert np.max(np.abs(exact - fd)) <= 1e-6 * np.max(np.abs(exact))
 
 
 def test_block_reduction_requires_large_mu(kdv_profile):
@@ -121,8 +93,9 @@ def test_lower_left_slope(kdv_profile):
     assert r2.lower_left_sup < r1.lower_left_sup
     # full transformed system (S' included) carries the tracking delta,
     # which scales as eps^{3/2}
-    full_slope = np.log(r2.lower_left_full_sup / r1.lower_left_full_sup) \
-        / np.log(r2.eps / r1.eps)
+    f1, f2 = (block_reduction_loop(kdv_profile, mu, 0.5) for mu in (100.0, 800.0))
+    full_slope = np.log(f2.lower_left_full_sup / f1.lower_left_full_sup) \
+        / np.log(f2.eps / f1.eps)
     assert full_slope == pytest.approx(1.5, abs=0.3)
 
 

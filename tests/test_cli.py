@@ -125,6 +125,15 @@ def test_separatrix_exit_3(tmp_path, capsys):
     assert err.startswith("numerical failure: DegenerateTurningPoint: ")
 
 
+def test_verify_wronskian_degenerate_exit_3(tmp_path, capsys):
+    # 1e-9 below the separatrix the kernel basis is refused
+    cfg = write_config(tmp_path, E=-1e-9)
+    out = tmp_path / "v"
+    assert run(["verify", "--config", cfg, "--out", str(out)]) == 3
+    assert capsys.readouterr().err.startswith("numerical failure: WronskianDegenerate: ")
+    assert not (out / "verify.json").exists()
+
+
 def test_index_exit_codes(tmp_path):
     out = tmp_path / "idx"
     cfg_plus = write_config(tmp_path, "plus.json", sigma=1)
@@ -243,8 +252,8 @@ def test_verify_cnoidal_catches_non_periodic_a1(tmp_path, monkeypatch):
         fields = coefficient_functions(profile)
 
         def out(x):
-            A1, A2, A1x, A1xx, A2x = fields(x)
-            return A1 + 1e-8 * x, A2, A1x + 1e-8, A1xx, A2x
+            A1, A2, A1x = fields(x)
+            return A1 + 1e-8 * x, A2, A1x + 1e-8
         return out
 
     monkeypatch.setattr(asymptotics, "_coefficient_functions", drifting)

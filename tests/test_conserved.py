@@ -344,3 +344,13 @@ def test_wrong_turning_points_raise_typed_error(dnoidal_params, monkeypatch):
     with pytest.raises(NoPeriodicOrbit, match="not positive on the well"):
         kp.gradients(dnoidal_params)
 
+
+def test_ndarray_turning_points(kdv_params, dnoidal_params):
+    """compute_invariants and compute_period take an ndarray pair of turning
+    points, as the kernel does, and return the tuple's results bit for bit."""
+    for params, hint in ((kdv_params, None), (dnoidal_params, DNOIDAL_HINT)):
+        tps = kp.find_turning_points(params, hint)
+        pair = np.array(tps)
+        assert kp.compute_invariants(params, turning_points=pair) == \
+            kp.compute_invariants(params, turning_points=tps)
+        assert kp.compute_period(params, pair) == kp.compute_period(params, tps)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import kpevans as kp
+from kpevans.errors import WronskianDegenerate
 from kpevans.kernel import predicted_deltaW, second_derivative_fd
 from kpevans.wave import turning_point_derivatives
 
@@ -67,6 +68,14 @@ def test_phi_initial_data(kdv_basis):
 def test_wronskian_is_one(kdv_basis):
     b = kdv_basis
     assert np.max(np.abs(b.ux * b.uEp - b.uxp * b.uE - 1.0)) <= 1e-10
+
+
+def test_wronskian_degenerate_below_separatrix():
+    """1e-9 below the KdV separatrix the (u_x, u_E) Wronskian drifts from 1
+    by about 3.9e-6, past the 1e-6 bound, so the basis is refused."""
+    profile = kp.integrate_profile(kp.WaveParams(0.0, -1e-9, 1.0, kp.NonlinearitySpec.kdv()))
+    with pytest.raises(WronskianDegenerate, match="drifted"):
+        kp.variational_solutions(profile)
 
 
 @pytest.mark.parametrize("wave", ["kdv", "dnoidal", "cnoidal_mkdv"])

@@ -6,9 +6,9 @@ import time
 import numpy as np
 import pytest
 
-import kpevans as kp
 from kpevans.errors import IntegrationFailure
 
+from block_reduction import block_reduction_loop
 from conftest import interpolant, tabulate
 from dp5 import integrate, period_map
 from tracking import (BlockSystem, NoContraction, PeriodMapSingular,
@@ -142,15 +142,14 @@ def test_reduced_evans_system_feed(kdv_profile):
     share M1), but the periodic closure is still unique; Phi comes out at
     the eps^{3/2} scale of the coupling, certifying the reduction step.
     """
-    rep = kp.verify_block_reduction(kdv_profile, 100.0, 0.5)
-    T_t = rep.grid_tilde[-1]
-    system = BlockSystem.from_tables(T_t, rep.grid_tilde, rep.system_tilde,
-                                        n1=3, n2=1)
+    ref = block_reduction_loop(kdv_profile, 100.0, 0.5)
+    T_t = ref.grid[-1]
+    system = BlockSystem.from_tables(T_t, ref.grid, ref.system, n1=3, n2=1)
     assert system.gap_margin() < 0  # mixed dichotomy: documented gap violation
     conj = solve_conjugator(system, fp_tol=1e-11, ode_rtol=1e-11,
                                ode_atol=1e-12, n_grid=384)
-    assert conj.norm_bound <= 5.0 * rep.eps ** 1.5
-    assert conj.norm_bound >= 0.05 * rep.eps ** 1.5
+    assert conj.norm_bound <= 5.0 * ref.eps ** 1.5
+    assert conj.norm_bound >= 0.05 * ref.eps ** 1.5
     assert conj.residual <= 1e-9
     assert conj.periodicity_defect <= 1e-9
     assert conj.err_est <= 1e-12 + 1e-11 * conj.norm_bound

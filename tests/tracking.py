@@ -1,7 +1,7 @@
 """Conjugation of approximately block-triangular periodic systems.
 
 The tests use it to conjugate the block-reduced Evans system of a wave
-(asymptotics.verify_block_reduction) to triangular form, the step of the
+(block_reduction.block_reduction_loop) to triangular form, the step of the
 paper's high-frequency limit; no command of the package runs it.
 
 Given W' = [[M1, N], [delta*Theta, M2]] W with a spectral gap between the
