@@ -6,11 +6,7 @@ period.  Gradients in (a, E, c) come from one complex-step evaluation
 each parameter moved by i h, and the imaginary parts over h are the
 derivatives, with no subtractive cancellation and no step off the real
 wave.  The Jacobian {T, M}_{a,E} = T_a M_E - T_E M_a is the quantity the
-orientation index needs; for KdV it has the closed form
-
-    {T, M}_{a,E} = -T^2 V'(M/T) / (24 disc(E - V))
-
-with disc the standard cubic discriminant (-1)^3 Res(p, p') / lc(p).
+orientation index needs.
 """
 
 from __future__ import annotations
@@ -141,8 +137,3 @@ def jacobian_TM(params: WaveParams, grads: GradientSet = None) -> float:
     """{T, M}_{a,E} = T_a M_E - T_E M_a from the complex-step gradients."""
     g = grads or gradients(params)
     return float(g.dT[0] * g.dM[1] - g.dT[1] * g.dM[0])
-
-
-def invariants_csv_row(params: WaveParams, inv: InvariantSet, jac: float) -> str:
-    vals = [params.a, params.E, params.c, inv.T, inv.M, inv.P, inv.H, jac]
-    return ",".join(f"{v:.17e}" for v in vals)

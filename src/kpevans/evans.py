@@ -469,13 +469,6 @@ class ScanReport:
             "unstable": self.unstable,
         }
 
-    def write_csv(self, path):
-        with open(path, "w", newline="\n") as fh:
-            fh.write("mu,k,re_D,im_D,log_scale,sign\n")
-            for s in self.samples:
-                fh.write(f"{s.mu:.17e},{self.k:.17e},{s.re:.17e},{s.im:.17e},"
-                         f"{s.log_factor:.17e},{s.sign}\n")
-
 
 def _refine(sample, s0: EvansSample, s1: EvansSample, tol: float) -> RefinedRoot:
     """Illinois refinement of the sign change of Re D between s0 and s1.

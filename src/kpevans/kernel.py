@@ -40,29 +40,20 @@ from .wave import (CS_STEP, DEFAULT_QUAD_TOL, WaveProfile, complex_step_rows,
 
 @dataclass(eq=False)
 class KernelBasis:
-    """Sampled kernel quadruple (u_x, u_a, u_E, phi), W and running integrals.
+    """The kernel quadruple (u_x, u_a, u_E, phi) as W, with running integrals.
 
-    Each solution v comes with its slope (uxp = u_xx, uap, uEp, phip).
     W[i] = W(x_i, 0, 0), shape (n, 4, 4): column j holds v, v', v'', v'''
-    of the j-th solution.  I_sE, I_sx, J, I_E, II_E hold int s*u_E,
-    int s*u_x, int u, int u_E, and the iterated int int u_E, all from 0 to x.
+    of the j-th solution, so W[:, 0] holds the quadruple and W[:, 1] its
+    slopes.  I_sE, I_sx, J, II_E hold int s*u_E, int s*u_x, int u and the
+    iterated int int u_E, all from 0 to x.
     """
 
     profile: WaveProfile
     grid: np.ndarray
     u: np.ndarray
-    ux: np.ndarray
-    uxp: np.ndarray
-    ua: np.ndarray
-    uap: np.ndarray
-    uE: np.ndarray
-    uEp: np.ndarray
-    phi: np.ndarray
-    phip: np.ndarray
     I_sE: np.ndarray
     I_sx: np.ndarray
     J: np.ndarray
-    I_E: np.ndarray
     II_E: np.ndarray
     W: np.ndarray
 
@@ -86,7 +77,7 @@ def variational_solutions(profile: WaveProfile,
     running integrals.
 
     The real wave is sampled at the profile's theta (solved again, at
-    quad_tol, for a profile read from JSON); the a and E rows of
+    quad_tol, for a profile built from samples alone); the a and E rows of
     wave.complex_step_rows, at the profile's own u_+-, give u_a, u_E and
     their slopes as imaginary parts over h at the same real x.  Derivatives
     follow from u_xx = -V'(u) and u_xxx = -V''(u) u_x; V does not depend on E.
@@ -128,9 +119,7 @@ def variational_solutions(profile: WaveProfile,
     W[:, 2, 3] -= x
     W[:, 3, 3] -= 1.0
     return KernelBasis(
-        profile=profile, grid=x.copy(), u=u, ux=ux, uxp=uxx,
-        ua=ua, uap=uap, uE=uE, uEp=uEp, phi=phi, phip=phip,
-        I_sE=I_sE, I_sx=I_sx, J=J, I_E=I_E,
+        profile=profile, grid=x.copy(), u=u, I_sE=I_sE, I_sx=I_sx, J=J,
         II_E=x * I_E - I_sE,    # int_0^x int_0^s u_E, by parts
         W=W)
 
@@ -188,14 +177,16 @@ def second_derivative_fd(grid: np.ndarray, vals: np.ndarray):
 def kernel_residuals(basis: KernelBasis) -> dict:
     """Sup-norm residuals of the four kernel relations, relative scaling.
 
-    L[u] v = -v'' - V''(u) v evaluated with finite-difference second
-    derivatives; keys: 'ux', 'uE', 'ua', 'phi' with targets 0, 0, -1, x.
+    L[u] v = -v'' - V''(u) v, for each solution v in row 0 of W, evaluated
+    with finite-difference second derivatives; keys: 'ux', 'uE', 'ua', 'phi'
+    with targets 0, 0, -1, x.
     """
     out = {}
     V2 = eval_V(basis.profile.params, basis.u, 2)
     xc = basis.grid[3:-3]
-    for name, target in (("ux", 0.0), ("uE", 0.0), ("ua", -1.0), ("phi", xc)):
-        v = getattr(basis, name)
+    for name, j, target in (("ux", 0, 0.0), ("uE", 2, 0.0), ("ua", 1, -1.0),
+                            ("phi", 3, xc)):
+        v = basis.W[:, 0, j]
         _, d2 = second_derivative_fd(basis.grid, v)
         L = -d2 - (V2 * v)[3:-3]
         out[name] = float(np.max(np.abs(L - target)) / (1.0 + np.max(np.abs(v))))

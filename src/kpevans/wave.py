@@ -23,8 +23,7 @@ import numpy as np
 
 from .errors import (AmbiguousWell, DegenerateTurningPoint, NoPeriodicOrbit,
                      QuadratureNotConverged)
-from .model import (NonlinearitySpec, WaveParams, _trim_trailing_zeros,
-                    polyval_ascending)
+from .model import WaveParams, _trim_trailing_zeros, polyval_ascending
 from .quadrature import _parts, adaptive_gauss_legendre
 
 DEFAULT_QUAD_TOL = 1e-13
@@ -313,9 +312,10 @@ class WaveProfile:
     (u, u_x, u_xx) with u_xx = -V'(u): matching three derivatives at both
     ends of an interval gives an O(h^6) local error.  Its coefficients are
     six rows, one column per interval, ascending in t = (x - x_i) / h.
-    theta is the orbit's theta at the grid points from integrate_profile,
-    not serialized (None when read from JSON).  _evans_tables holds evans'
-    mu- and k-free rows of H per substep count, built on first use.
+    theta is the orbit's theta at the grid points from integrate_profile
+    (None for a profile built from samples alone; the kernel basis then
+    solves it again).  _evans_tables holds evans' mu- and k-free rows of H
+    per substep count, built on first use.
     """
 
     params: WaveParams
@@ -373,33 +373,6 @@ class WaveProfile:
         """sup |u_x^2/2 - (E - V(u))| over the stored grid."""
         V = polyval_ascending(self.params.V_coeffs(), self.u_samples)
         return float(np.max(np.abs(0.5 * self.ux_samples ** 2 - (self.params.E - V))))
-
-    def to_json_dict(self) -> dict:
-        p = self.params
-        return {
-            "params": {"a": p.a, "E": p.E, "c": p.c, "sigma": p.sigma,
-                       "nonlinearity": p.nonlinearity.to_json_dict()},
-            "u_minus": self.u_minus, "u_plus": self.u_plus, "period": self.period,
-            "grid": [float(x) for x in self.grid],
-            "u_samples": [float(v) for v in self.u_samples],
-            "ux_samples": [float(v) for v in self.ux_samples],
-        }
-
-    @staticmethod
-    def from_json_dict(d: dict) -> "WaveProfile":
-        pd = d["params"]
-        params = WaveParams(pd["a"], pd["E"], pd["c"],
-                            NonlinearitySpec.from_json_dict(pd["nonlinearity"]),
-                            pd["sigma"])
-        return WaveProfile(params, d["u_minus"], d["u_plus"], d["period"],
-                           np.asarray(d["grid"]), np.asarray(d["u_samples"]),
-                           np.asarray(d["ux_samples"]))
-
-    def write_csv(self, path):
-        with open(path, "w", newline="\n") as fh:
-            fh.write("x,u,ux\n")
-            for x, u, ux in zip(self.grid, self.u_samples, self.ux_samples):
-                fh.write(f"{x:.17e},{u:.17e},{ux:.17e}\n")
 
 
 def integrate_profile(params: WaveParams, samples_per_period: int = 1024,

@@ -5,6 +5,8 @@ asymptotics.verify_block_reduction measures, on stacked arrays, what
 and its bound.  block_reduction_loop forms the same chain with one 4x4
 solve per grid point, and adds what the package does not compute:
 
+* the diagonalization Q^{-1} H0 Q = D4 of the principal part H0, the
+  companion matrix with last row (0, -1, 0, 0) (q_diag_error);
 * B~ = Q^{-1} B Q formed numerically, against its closed form w v, and its
   last column against chi w;
 * the sup of B~'s upper-left 3x3 block, O(eps), with its bound;
@@ -27,6 +29,20 @@ import numpy as np
 from kpevans.asymptotics import (D4_MATRIX, LAMBDA_ROT, Q_MATRIX,
                                  _coefficient_functions)
 from kpevans.model import _poly_derivative, eval_V, polyval_ascending
+
+
+H0_MATRIX = np.array([
+    [0.0, 1.0, 0.0, 0.0],
+    [0.0, 0.0, 1.0, 0.0],
+    [0.0, 0.0, 0.0, 1.0],
+    [0.0, -1.0, 0.0, 0.0],
+])
+
+
+def q_diag_error():
+    """max |Q^{-1} H0 Q - D4|: Q_MATRIX diagonalizes the principal part."""
+    return float(np.max(np.abs(
+        np.linalg.inv(Q_MATRIX) @ H0_MATRIX @ Q_MATRIX - D4_MATRIX)))
 
 
 @dataclass(frozen=True)

@@ -145,7 +145,8 @@ def kernel_reference(profile, tol: float = 1e-14) -> dict:
     The 13-dimensional system the kernel basis was once integrated from:
     u'' = -V'(u), the variational equations v'' = -V''(u) v + r with the
     turning-point initial data, and the running integrals as extra state.
-    Returns the KernelBasis field name -> samples on profile.grid.
+    Returns name -> samples on profile.grid, named as the kernel basis
+    fields and its solutions from W (test_kernel.named; "up" is u_x).
     """
     params = profile.params
     vp_desc = np.trim_zeros(params.V_coeffs(1), trim="b")[::-1]

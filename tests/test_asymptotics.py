@@ -6,7 +6,7 @@ import pytest
 import kpevans as kp
 from kpevans.asymptotics import _coefficient_functions
 
-from block_reduction import block_reduction_loop, second_derivatives
+from block_reduction import block_reduction_loop, q_diag_error, second_derivatives
 
 MU_LIST = [25.0, 50.0, 100.0]
 
@@ -45,10 +45,14 @@ def test_high_freq_magnitude_fit_advisory(kdv_profile):
 # block reduction
 # ----------------------------------------------------------------------
 
+def test_q_diagonalizes_the_principal_part():
+    """inv(Q) H0 Q = D4 to 1e-14: the constants the reduction starts from."""
+    assert q_diag_error() <= 1e-14
+
+
 def test_block_reduction_structure(kdv_profile):
     rep = kp.verify_block_reduction(kdv_profile, 100.0, 0.5)
     ref = block_reduction_loop(kdv_profile, 100.0, 0.5)
-    assert rep.q_diag_error <= 1e-14
     assert ref.btilde_numeric_error <= 1e-13
     assert ref.last_column_error <= 1e-13
     assert ref.upper_left_sup <= ref.upper_left_bound

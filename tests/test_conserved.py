@@ -10,8 +10,7 @@ from scipy.integrate import quad
 from scipy.optimize import brentq
 
 import kpevans as kp
-from kpevans import conserved
-from kpevans.conserved import invariants_csv_row
+from kpevans import cli, conserved
 from kpevans.errors import NoPeriodicOrbit, StencilLeftRegion
 
 from conftest import (DNOIDAL_HINT, FOLD_WELLS, SHALLOW, fd_gradients, gauss_legendre,
@@ -193,8 +192,12 @@ def test_cnoidal_mkdv_mass_vanishes(cnoidal_mkdv_params):
     assert abs(inv.M) <= 1e-12 * inv.P
 
 
-def test_csv_row_format(kdv_params, kdv_invariants):
-    row = invariants_csv_row(kdv_params, kdv_invariants, FROZEN["jac"])
+def test_csv_row_format(kdv_params, kdv_invariants, tmp_path):
+    p, inv = kdv_params, kdv_invariants
+    path = tmp_path / "invariants.csv"
+    cli._write_csv(path, "a,E,c,T,M,P,H,jacobian_TM",
+                   [(p.a, p.E, p.c, inv.T, inv.M, inv.P, inv.H, FROZEN["jac"])])
+    row = path.read_text().splitlines()[1]
     fields = row.split(",")
     assert len(fields) == 8
     assert float(fields[3]) == pytest.approx(FROZEN["T"], rel=1e-15)

@@ -3,12 +3,14 @@
 import math
 import sys
 import time
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 import kpevans as kp
+from kpevans import cli
 from kpevans.evans import EvansValue, det_with_noise
 
 from conftest import coefficient_matrix
@@ -195,7 +197,8 @@ def test_scan_report_serialization(kdv_profile, tmp_path):
     d = rep.to_json_dict()
     assert len(d["samples"]) == 3
     path = tmp_path / "scan.csv"
-    rep.write_csv(path)
+    cli._write_csv(path, "mu,k,re_D,im_D,log_scale,sign",
+                   [(s.mu, rep.k, s.re, s.im, s.log_factor, s.sign) for s in rep.samples])
     lines = path.read_text().splitlines()
     assert lines[0] == "mu,k,re_D,im_D,log_scale,sign"
     assert len(lines) == 4
@@ -247,7 +250,7 @@ def test_engine_unreachable_tolerance_fails_fast(kdv_profile):
 
 def fresh(profile):
     """A copy of profile with no H tables built yet."""
-    return kp.WaveProfile.from_json_dict(profile.to_json_dict())
+    return replace(profile)
 
 
 def test_single_coefficient_source(kdv_profile, monkeypatch):

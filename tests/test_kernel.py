@@ -1,18 +1,36 @@
 """Kernel quadruple (u_x, u_a, u_E, phi), W matrix, and inverse-column checks."""
 
 from dataclasses import fields, replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import kpevans as kp
 from kpevans.errors import WronskianDegenerate
-from kpevans.kernel import predicted_deltaW, second_derivative_fd
+from kpevans.kernel import _running_integral, predicted_deltaW, second_derivative_fd
 from kpevans.wave import turning_point_derivatives
 
 from conftest import FOLD_WELLS, SHALLOW, seeded_turning_points
 
 KERNEL_TOL = 1e-6
+
+
+def named(basis):
+    """The basis' fields with its solutions by name, read from W: ux, ua,
+    uE, phi (row 0), their slopes uxp, uap, uEp, phip (row 1), and
+    I_E = int_0^x u_E by the basis' own quintic Hermite rule."""
+    cols = {}
+    for j, name in enumerate(("ux", "ua", "uE", "phi")):
+        cols[name], cols[name + "p"] = basis.W[:, 0, j], basis.W[:, 1, j]
+    cols["I_E"] = _running_integral(basis.grid[1] - basis.grid[0], cols["uE"],
+                                    cols["uEp"], basis.W[:, 2, 2])
+    return SimpleNamespace(**vars(basis), **cols)
+
+
+@pytest.fixture(scope="module")
+def kdv_solutions(kdv_basis):
+    return named(kdv_basis)
 
 
 def predicted_W0(basis):
@@ -46,27 +64,27 @@ def test_kernel_relation_residuals(kdv_basis):
         assert res[name] <= KERNEL_TOL
 
 
-def test_translation_mode_boundary_values(kdv_basis):
-    assert kdv_basis.ux[0] == 0.0
-    assert abs(kdv_basis.ux[-1]) <= 1e-9
+def test_translation_mode_boundary_values(kdv_solutions):
+    assert kdv_solutions.ux[0] == 0.0
+    assert abs(kdv_solutions.ux[-1]) <= 1e-9
 
 
-def test_ux_matches_profile_derivative(kdv_profile, kdv_basis):
+def test_ux_matches_profile_derivative(kdv_profile, kdv_solutions):
     # the kernel's own translation mode vs the profile interpolant derivative
-    diff = kdv_basis.ux - kdv_profile.ux(kdv_basis.grid)
-    assert np.max(np.abs(diff)) <= 1e-9 * (1.0 + np.max(np.abs(kdv_basis.ux)))
+    diff = kdv_solutions.ux - kdv_profile.ux(kdv_solutions.grid)
+    assert np.max(np.abs(diff)) <= 1e-9 * (1.0 + np.max(np.abs(kdv_solutions.ux)))
 
 
-def test_phi_initial_data(kdv_basis):
+def test_phi_initial_data(kdv_solutions):
     # fourth column of W(0,0,0) is (0, 0, 0, -1)
-    assert kdv_basis.phi[0] == 0.0
-    assert kdv_basis.phip[0] == 0.0
-    assert kdv_basis.W[0, 2, 3] == pytest.approx(0.0, abs=1e-12)
-    assert kdv_basis.W[0, 3, 3] == pytest.approx(-1.0, abs=1e-10)
+    assert kdv_solutions.phi[0] == 0.0
+    assert kdv_solutions.phip[0] == 0.0
+    assert kdv_solutions.W[0, 2, 3] == pytest.approx(0.0, abs=1e-12)
+    assert kdv_solutions.W[0, 3, 3] == pytest.approx(-1.0, abs=1e-10)
 
 
-def test_wronskian_is_one(kdv_basis):
-    b = kdv_basis
+def test_wronskian_is_one(kdv_solutions):
+    b = kdv_solutions
     assert np.max(np.abs(b.ux * b.uEp - b.uxp * b.uE - 1.0)) <= 1e-10
 
 
@@ -113,10 +131,10 @@ def test_turning_point_derivative_identities(kdv_params, kdv_profile, row, q, si
 @pytest.mark.parametrize("wave", ["kdv", "dnoidal", "cnoidal_mkdv"])
 def test_stored_theta_gives_the_solved_basis(request, wave):
     """The basis on the theta that integrate_profile stored equals, byte for
-    byte, the basis of the same profile read from JSON, which solves theta
+    byte, the basis of the same profile without theta, which solves theta
     again."""
     profile = request.getfixturevalue(f"{wave}_profile")
-    read = kp.WaveProfile.from_json_dict(profile.to_json_dict())
+    read = replace(profile, theta=None)
     assert profile.theta is not None and read.theta is None
     stored, solved = kp.variational_solutions(profile), kp.variational_solutions(read)
     for f in fields(stored):
@@ -124,31 +142,31 @@ def test_stored_theta_gives_the_solved_basis(request, wave):
             assert getattr(stored, f.name).tobytes() == getattr(solved, f.name).tobytes()
 
 
-def test_ua_against_two_profile_fd(kdv_params, kdv_profile, kdv_basis):
+def test_ua_against_two_profile_fd(kdv_params, kdv_profile, kdv_solutions):
     """Phase-locked finite difference of neighboring profiles (h = 1e-5)."""
     h = 1e-5
     plus = kp.integrate_profile(replace(kdv_params, a=kdv_params.a + h))
     minus = kp.integrate_profile(replace(kdv_params, a=kdv_params.a - h))
-    x = kdv_basis.grid[kdv_basis.grid <= 0.9 * min(plus.period, minus.period)]
+    x = kdv_solutions.grid[kdv_solutions.grid <= 0.9 * min(plus.period, minus.period)]
     fd = (plus.u(x) - minus.u(x)) / (2.0 * h)
-    ua = kdv_basis.ua[: len(x)]
+    ua = kdv_solutions.ua[: len(x)]
     assert np.max(np.abs(fd - ua)) <= 1e-6 * (1.0 + np.max(np.abs(ua)))
 
 
-def test_uE_against_two_profile_fd(kdv_params, kdv_basis):
+def test_uE_against_two_profile_fd(kdv_params, kdv_solutions):
     h = 1e-6
     plus = kp.integrate_profile(replace(kdv_params, E=kdv_params.E + h))
     minus = kp.integrate_profile(replace(kdv_params, E=kdv_params.E - h))
-    x = kdv_basis.grid[kdv_basis.grid <= 0.9 * min(plus.period, minus.period)]
+    x = kdv_solutions.grid[kdv_solutions.grid <= 0.9 * min(plus.period, minus.period)]
     fd = (plus.u(x) - minus.u(x)) / (2.0 * h)
-    uE = kdv_basis.uE[: len(x)]
+    uE = kdv_solutions.uE[: len(x)]
     assert np.max(np.abs(fd - uE)) <= 1e-4 * (1.0 + np.max(np.abs(uE)))
 
 
 def test_basis_against_dp5(dp5_reference):
     """Every field of the basis against the joint DP5 solve at 1e-14."""
     profile, ref = dp5_reference
-    basis = kp.variational_solutions(profile)
+    basis = named(kp.variational_solutions(profile))
     for name, vals in ref.items():
         field = "ux" if name == "up" else name   # the basis holds u' once, as u_x
         assert np.max(np.abs(getattr(basis, field) - vals)) <= 1e-10, name
@@ -159,7 +177,7 @@ def test_complex_step_against_central_difference(request, wave):
     """u_a, u_E and their slopes at fixed x against central differences of
     real profiles at a +- h, E +- h (h = 1e-5, truncation about 4e-9)."""
     profile = request.getfixturevalue(f"{wave}_profile")
-    basis = kp.variational_solutions(profile)
+    basis = named(kp.variational_solutions(profile))
     params, hint, h = profile.params, (profile.u_minus, profile.u_plus), 1e-5
     for q, v, vx in (("a", basis.ua, basis.uap), ("E", basis.uE, basis.uEp)):
         plus, minus = (kp.integrate_profile(replace(params, **{q: getattr(params, q) + s}),
@@ -173,8 +191,7 @@ def test_complex_step_against_central_difference(request, wave):
 def test_gram_determinant_nonzero(kdv_basis):
     T = kdv_basis.grid[-1]
     idx = [np.argmin(np.abs(kdv_basis.grid - f * T)) for f in (0.123, 0.37, 0.61, 0.83)]
-    G = np.array([[getattr(kdv_basis, n)[i] for n in ("ux", "ua", "uE", "phi")]
-                  for i in idx])
+    G = kdv_basis.W[idx, 0, :]    # (u_x, u_a, u_E, phi) at the four points
     norms = np.prod([np.linalg.norm(G[:, j]) for j in range(4)])
     assert abs(np.linalg.det(G)) > 1e-8 * norms
 
@@ -239,8 +256,8 @@ def test_deltaW_column_reduction(kdv_profile, kdv_basis, kdv_grads):
     assert np.allclose(disp[:, :3], pred[:, :3], rtol=0, atol=0)
 
 
-def test_inverse_column_identity(kdv_basis):
-    b = kdv_basis
+def test_inverse_column_identity(kdv_solutions):
+    b = kdv_solutions
     assert kp.verify_inverse_column(b) <= 1e-7
     # the claimed column against a direct linear solve of W(x) c = e4
     e4 = np.array([0.0, 0.0, 0.0, 1.0])
@@ -276,7 +293,7 @@ def test_inverse_column_on_shallow_wells(name):
     assert kp.verify_inverse_column(basis) <= 1e-7
 
 
-def test_cross_wronskian_identity(kdv_basis):
+def test_cross_wronskian_identity(kdv_solutions):
     # u_a u_Exx - u_axx u_E = -u_E, with FD second derivatives
-    assert cross_identity_residual(kdv_basis) <= 1e-7 * (
-        1.0 + np.max(np.abs(kdv_basis.uE)))
+    assert cross_identity_residual(kdv_solutions) <= 1e-7 * (
+        1.0 + np.max(np.abs(kdv_solutions.uE)))
