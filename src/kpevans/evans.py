@@ -17,21 +17,22 @@ the asymptotic verifiers alike.
 H is trace free, so the fundamental matrix has constant determinant; the
 monodromy M(mu, k) = Phi(T) is stored as a normalized matrix plus a real
 log of the factored-out scale.  It is a product of classical RK4 step
-propagators aligned with the profile's quintic-Hermite grid (m substeps
-per grid interval, so H is polynomial inside every step).  Because H is a
-companion matrix, each propagator entry is a fixed linear combination of
+propagators aligned with the profile's quintic-Hermite grid.  Because H is
+a companion matrix, each propagator entry is a fixed linear combination of
 19 monomials in row 4 of H at the step's start, midpoint and end, so a
 stack of propagators is one matrix product against a constant table
-(_companion_steps), multiplied pairwise.  One map is built per substep
-count: the map with 2m substeps is returned with the Richardson estimate
-err_est of its error against the map with m, and m doubles, each retry
-reusing the last fine map as its coarse one, until err_est meets the
-bound that ode_tol sets (see monodromy).  Each fine map reads one table
-of row 4 of H over the period, at WaveProfile.substep_samples, and the
-first coarse map reads every other point of it.  The mu- and k-free part
-of a table is built once per profile and substep count and kept on the
-profile, so a scan at many mu on one wave builds a handful of tables, not
-one per evaluation.  The Evans function is
+(_companion_steps), reduced pairwise (_reduce).  Maps are built on levels
+of s = 1/8, 1/4, 1/2, 1, 2, ... steps per grid interval (at the default
+1024 samples); a level below 1 steps across 1/s intervals and reads H at
+grid nodes only.  The segment maps of adjacent levels are Richardson
+extrapolated, and the first extrapolated map within the bound that
+ode_tol sets of the one before it is returned (see monodromy).  A level
+with s >= 1 reads one table of row 4 of H over the period, at
+WaveProfile.substep_samples(s); the levels below 1 read every (1/s)-th
+point of the s = 1 table.  The mu- and k-free part of a table is built
+once per profile and substep count and kept on the profile, so a scan at
+many mu on one wave builds a handful of tables, not one per evaluation.
+The Evans function is
 
     D(mu, k, lambda) = det(M(mu, k) - lambda I),
 
@@ -42,6 +43,7 @@ of Re D on a real mu grid and refines each by Illinois regula falsi.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -81,21 +83,22 @@ def _base_coefficients(params):
 class Monodromy:
     """Normalized period map: the true monodromy is exp(log_scale) * matrix.
 
-    segments holds the map's segment maps, from which det_residual sums the
-    complex logs of the segment determinants: determinants are
-    multiplicative, and each segment map has moderate dynamic range, so the
-    sum evaluates det(e^{log_scale} M) faithfully even when the full
-    monodromy's eigenvalues span hundreds of orders of magnitude and a
-    direct 4x4 determinant would drown in roundoff.
+    segments holds the (nseg, 4, 4) Richardson-extrapolated segment maps
+    whose normalized product is matrix.  det_residual sums the complex logs
+    of their determinants: determinants are multiplicative, and each
+    segment map has moderate dynamic range, so the sum evaluates
+    det(e^{log_scale} M) faithfully even when the full monodromy's
+    eigenvalues span hundreds of orders of magnitude and a direct 4x4
+    determinant would drown in roundoff.
 
     err_est is the Richardson estimate of the map's error relative to its
-    largest entry, and steps the number of RK4 steps it took (see
-    monodromy).
+    largest entry, and steps the number of RK4 steps of every level built
+    (see monodromy).
     """
 
     matrix: np.ndarray
     log_scale: float
-    segments: list
+    segments: np.ndarray
     err_est: float
     steps: int
 
@@ -168,17 +171,25 @@ def det_with_noise(A: np.ndarray):
 
 
 _CHUNK = 1024          # RK4 steps per propagator stack
-_MAX_STEPS = 1 << 16   # step budget of one period map
-_TOL_FACTOR = 1e3      # err_est <= _TOL_FACTOR * ode_tol * (1 + |mu|)
+_MAX_STEPS = 1 << 16   # step budget of one level
+_TOL_FACTOR = 1e3      # err_est <= _TOL_FACTOR * ode_tol
 
 
-def _ordered_product(P: np.ndarray) -> np.ndarray:
-    """P[-1] @ ... @ P[1] @ P[0] for a stack of matrices, by pairwise products."""
-    while len(P) > 1:
-        n2 = len(P) - len(P) % 2
-        Q = P[1:n2:2] @ P[0:n2:2]
-        P = np.concatenate([Q, P[n2:]]) if n2 < len(P) else Q
-    return P[0]
+def _reduce(P: np.ndarray) -> np.ndarray:
+    """P[:, -1] @ ... @ P[:, 1] @ P[:, 0] for a (g, c, 4, 4) stack of g
+    sequences, by pairwise products along axis 1: (g, 4, 4).  While c is
+    even no pair straddles two sequences, so the round runs on the flat
+    (g c, 4, 4) stack, which numpy multiplies faster."""
+    g = len(P)
+    P = P.reshape(-1, 4, 4)
+    while len(P) > g:
+        if len(P) // g % 2:   # odd c: the last of each sequence waits a round
+            Q = P.reshape(g, -1, 4, 4)
+            P = np.concatenate([Q[:, 1:-1:2] @ Q[:, :-1:2], Q[:, -1:]],
+                               axis=1).reshape(-1, 4, 4)
+        else:
+            P = P[1::2] @ P[::2]
+    return P
 
 
 # RK4's companion step map less its Taylor matrix, by the rows of
@@ -253,11 +264,13 @@ def _companion_steps(rows, h: float) -> np.ndarray:
 
 def _table(profile: WaveProfile, m: int, mu, sigma_k2: float):
     """(b41 - sigma k^2, b42 - mu, b43), row 4 of H at the half steps of m
-    RK4 substeps per grid interval: at WaveProfile.substep_samples(m).
+    RK4 steps per grid interval: at WaveProfile.substep_samples(m).
 
     The base rows (b41, b42, b43) depend on the profile and m alone; they
     are built on a profile's first call with m, kept read-only in its
-    _evans_tables, and every call after that only subtracts.
+    _evans_tables, and every call after that only subtracts.  Levels with
+    fewer than one step per interval read the m = 1 table with a stride
+    (see monodromy).
     """
     base = profile._evans_tables.get(m)
     if base is None:
@@ -269,105 +282,121 @@ def _table(profile: WaveProfile, m: int, mu, sigma_k2: float):
     return b41 - sigma_k2, b42 - mu, b43
 
 
-def _period_map(table, edges, h: float, m: int):
-    """One normalized period map, m RK4 substeps of length h per grid interval.
+def _segment_maps(rows, h: float, nseg: int, c: int) -> np.ndarray:
+    """The (nseg, 4, 4) maps of nseg segments of c RK4 steps of length h.
 
-    table is _table's with the same m: point 2 m i + j lies in interval i.
-    Returns (matrix, log_scale, segment maps), segment i mapping grid node
-    edges[i] to edges[i + 1].
+    rows hold row 4 of H at the 2 nseg c + 1 half steps.  Whole segments
+    share a stack of at most _CHUNK steps, reduced at once (_reduce); a
+    longer segment is the ordered product of its stacks.
     """
-    P = np.eye(4, dtype=np.result_type(*table))
-    log_scale = 0.0
-    segments = []
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        seg = np.eye(4, dtype=P.dtype)
-        for s0 in range(2 * m * lo, 2 * m * hi, 2 * _CHUNK):
-            s1 = min(s0 + 2 * _CHUNK, 2 * m * hi) + 1
-            seg = _ordered_product(_companion_steps([d[s0:s1] for d in table], h)) @ seg
-        segments.append(seg)
-        P = seg @ P
-        s = float(np.max(np.abs(P)))
-        if not np.isfinite(s) or s == 0.0:
-            raise ScaleOverflow(f"segment map degenerate on grid intervals "
-                                f"[{lo}, {hi})")
-        P = P / s
-        log_scale += math.log(s)
-    return P, log_scale, segments
+    per = max(1, _CHUNK // c)   # whole segments per stack
+    maps = []
+    for first in range(0, nseg, per):
+        g = min(per, nseg - first)
+        seg = None
+        for s0 in range(0, c, _CHUNK):   # one stack unless c > _CHUNK
+            s1 = min(s0 + _CHUNK, c)
+            lo, hi = 2 * (first * c + s0), 2 * ((first + g - 1) * c + s1) + 1
+            P = _companion_steps([d[lo:hi] for d in rows], h)
+            part = _reduce(P.reshape(g, s1 - s0, 4, 4))
+            seg = part if seg is None else part @ seg
+        maps.append(seg)
+    return np.concatenate(maps)
+
+
+def _normalized_product(segments: np.ndarray):
+    """(P, log_scale) with e^{log_scale} P = segments[-1] @ ... @ segments[0]
+    and max |P| = 1: each segment is divided by its largest entry, the
+    quotients are multiplied pairwise (_reduce) and the product divided by
+    its largest entry, the logs of the divisors summed.  None when the
+    product is not finite or vanishes."""
+    s = np.abs(segments).max(axis=(1, 2))
+    P = _reduce((segments / s[:, None, None])[None])[0]
+    t = float(np.abs(P).max())
+    if not (math.isfinite(t) and t > 0.0):
+        return None
+    return P / t, float(np.log(s).sum()) + math.log(t)
 
 
 def monodromy(profile: WaveProfile, mu, k: float,
               ode_tol: float = DEFAULT_ODE_TOL) -> Monodromy:
-    """Period map of Y' = H Y by RK4 steps aligned with the profile grid.
+    """Period map of Y' = H Y by Richardson-extrapolated RK4 on the profile grid.
 
-    The profile interpolant is one quintic per grid interval, so H is
-    polynomial inside each of the m classical RK4 substeps an interval
-    gets.  H is a companion matrix, so each step's 4x4 propagator is a
+    Maps are built on levels of s_j = 2^j / q classical RK4 steps per grid
+    interval, q the largest power of two that divides the n grid intervals
+    and is at most 8 (s = 1/8, 1/4, 1/2, 1, 2, ... at the default n = 1024).
+    Every step starts and ends on the half steps of the m = max(1, s)
+    table of row 4 of H (_table): a level with s < 1 steps across 1 / s
+    grid intervals and reads its start, midpoint and end at grid nodes,
+    every (1 / s)-th point of the m = 1 table, where the table holds the
+    profile's stored samples.  The profile interpolant is one quintic per
+    grid interval, so H is polynomial inside every step of a level with
+    s >= 1.  H is a companion matrix, so each step's 4x4 propagator is a
     closed form in row 4 of H at the step's start, midpoint and end
-    (_companion_steps); each stack of at most _CHUNK propagators is one
-    matrix product, and the stack is multiplied pairwise.  [0, T] is split
-    at grid nodes into ceil(|mu|^{1/3} T / 5) segments; after each segment
-    the running product is normalized by its max entry with the log
-    accumulated, which keeps every factor well conditioned for |mu| into the
-    hundreds; the returned map keeps its segment maps for det_residual.
+    (_companion_steps).
 
-    Error certificate: one map is built with m and one with 2m substeps per
-    interval, and the 2m map is returned with the Richardson estimate of its
-    error relative to its largest entry,
+    [0, T] is split at grid nodes into nseg equal segments, nseg the
+    smallest divisor of n / q not below ceil(|mu|^{1/3} T / 5), or n / q
+    (a power of two when n / q is one, as at the default n).  So every level
+    has the same whole number of steps in each segment, and a level's
+    segment maps L_j are reduced together (_segment_maps).  The segment
+    maps of adjacent levels are Richardson-extrapolated,
 
-        err_est = max |M_2m - M_m| / (15 max |M_2m|).
+        X_j = (16 L_j - L_{j-1}) / 15,
 
-    m starts from a step-size model in ode_tol and |mu| and doubles until
+    which removes RK4's h^4 error term, and P_j, ls_j is the normalized
+    product of X_j (_normalized_product): the scale e^{ls_j} is kept apart,
+    so P_j stays representable when e^{ls_j} is not.  The first j >= 2 with
 
-        err_est <= 1e3 * ode_tol * (1 + |mu|);
+        err_est = max |P_j - e^{ls_{j-1} - ls_j} P_{j-1}| / 15 <= 1e3 * ode_tol
 
-    on a miss the 2m map becomes the next attempt's coarse map, so each
-    retry builds one map.  Each fine map reads one table of row 4 of H,
-    at WaveProfile.substep_samples(2m); the first coarse map reads every
-    other point of it, which are bit for bit the m table's points, since
-    j / 2m and 2j / 4m round to the same float.  The mu- and k-free part of
-    that table is built once per profile and substep count and kept on the
-    profile (_table), so later calls at any mu and k only subtract
-    sigma k^2 and mu.  The profile keeps one table per substep count s it
-    has used: three float64 rows of 2 s n + 1 points, about 48 s n bytes
-    on the n grid intervals.  If the budget of 2^16 steps per map runs out
-    first, IntegrationFailure is raised, so an uncertified map is never
-    returned.  steps counts every RK4 step of every map built, m n for a
-    map with m substeps on the n grid intervals.
+    returns P_j and ls_j, with X_j as its segments, so det_residual
+    certifies the map returned.  The divisor is 15, not 31: against DP5 on
+    the canonical waves the true error of P_j reaches 0.72 err_est, which
+    31 would put above the estimate.  A level whose product is not finite
+    is a miss.  The mu- and k-free part of a table is built once per profile and
+    m and kept on the profile (_table), so later calls at any mu and k only
+    subtract sigma k^2 and mu; a table holds three float64 rows of 2 m n +
+    1 points, about 48 m n bytes.  If a level would take more than 2^16
+    steps, IntegrationFailure is raised, so an uncertified map is never
+    returned.  steps counts every RK4 step of every level built, s_j n for
+    level j.
     """
     mu_c = complex(mu)
     real_mode = mu_c.imag == 0.0
     mu_val = mu_c.real if real_mode else mu_c
     sigma_k2 = profile.params.sigma * k * k
     n = len(profile.grid) - 1
-    nseg = min(n, max(1, math.ceil(abs(mu_c) ** (1.0 / 3.0) * profile.period / 5.0)))
-    edges = [round(i * n / nseg) for i in range(nseg + 1)]
-    bound = _TOL_FACTOR * ode_tol * (1.0 + abs(mu_c))
-    # first m from the model err_est ~ (1 + |mu|)^{3/2} (h / 2m)^4: RK4's
-    # fourth power in the step, a growth in |mu| fitted to the canonical
-    # waves; the doubling below corrects a poor guess, so it only sets cost
-    target = bound / (1.0 + abs(mu_c)) ** 1.5
-    m = max(1, math.ceil(0.5 * profile.h / target ** 0.25))
-    steps = 0
-    coarse = None
-    while True:
-        if 2 * m * n > _MAX_STEPS:
+    q = math.gcd(n, 8)
+    want = max(1, math.ceil(abs(mu_c) ** (1.0 / 3.0) * profile.period / 5.0))
+    nseg = next(d for d in range(min(want, n // q), n // q + 1) if (n // q) % d == 0)
+    bound = _TOL_FACTOR * ode_tol
+    steps, table_m, raw, prev = 0, 0, None, None
+    for j in itertools.count():
+        if (n << j) // q > _MAX_STEPS:
             raise IntegrationFailure(
                 f"RK4 step budget {_MAX_STEPS} exhausted before the Richardson "
                 f"estimate met {bound:.3g} (mu={mu_c:.6g}, k={k:.6g})")
-        table = _table(profile, 2 * m, mu_val, sigma_k2)
-        if coarse is None:
-            coarse = _period_map([d[::2] for d in table], edges, profile.h / m, m)
-            steps += m * n
-        fine = _period_map(table, edges, profile.h / (2 * m), 2 * m)
-        steps += 2 * m * n
-        (P, log_scale, segments), (Pc, log_scale_c, _) = fine, coarse
-        drift = log_scale_c - log_scale
-        err_est = math.inf if abs(drift) > _LOG_MAX else \
-            float(np.max(np.abs(P - math.exp(drift) * Pc))) / 15.0
-        if err_est <= bound:
-            return Monodromy(matrix=P, log_scale=log_scale, segments=segments,
-                             err_est=err_est, steps=steps)
-        coarse, m = fine, 2 * m
+        m, stride = max(1, (1 << j) // q), max(1, q >> j)
+        if m != table_m:
+            table, table_m = _table(profile, m, mu_val, sigma_k2), m
+        c = ((n // nseg) << j) // q   # steps per segment
+        level = _segment_maps([d[::stride] for d in table],
+                              profile.h * q / (1 << j), nseg, c)
+        steps += nseg * c
+        if raw is not None:
+            X = (16.0 * level - raw) / 15.0
+            cur = _normalized_product(X)
+            err_est = math.inf
+            if cur is not None and prev is not None \
+                    and abs(prev[1] - cur[1]) <= _LOG_MAX:
+                err_est = float(np.max(np.abs(
+                    cur[0] - math.exp(prev[1] - cur[1]) * prev[0]))) / 15.0
+            if err_est <= bound:
+                return Monodromy(matrix=cur[0], log_scale=cur[1], segments=X,
+                                 err_est=err_est, steps=steps)
+            prev = cur
+        raw = level
 
 
 @dataclass(frozen=True)

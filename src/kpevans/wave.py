@@ -363,9 +363,11 @@ class WaveProfile:
 
     def substep_samples(self, m: int):
         """(u, u_x) at x0 + (i + j / 2m) h for every interval i and 0 <= j < 2m,
-        point i * 2m + j, then at the periodic image x0 + T of x0."""
+        point i * 2m + j, then at the periodic image x0 + T of x0.  At the
+        grid nodes (j = 0) these are the stored samples, bit for bit."""
         c = np.hstack([self._coeffs, self._coeffs[:, :1]])   # column n: interval 0
         u, ux = _quintic(c, (np.arange(2 * m) / (2 * m))[:, None], self.h)
+        u[0], ux[0] = self.u_samples, self.ux_samples
         # point i * 2m + j sits at row j, column i; x0 + T at row 0, column n
         return u.T.ravel()[:1 - 2 * m], ux.T.ravel()[:1 - 2 * m]
 

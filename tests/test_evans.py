@@ -11,7 +11,7 @@ import pytest
 
 import kpevans as kp
 from kpevans import cli
-from kpevans.evans import EvansValue, det_with_noise
+from kpevans.evans import DEFAULT_ODE_TOL, EvansValue, det_with_noise
 
 from conftest import coefficient_matrix
 from dp5 import integrate
@@ -62,9 +62,27 @@ def test_coefficient_matrix_k_shift(kdv_profile):
     assert np.array_equal(H5[off], H0[off])
 
 
-def test_monodromy_determinant(kdv_profile):
-    mono = kp.monodromy(kdv_profile, 1.7, 0.3)
-    assert mono.det_residual() <= 1e-8
+# the census of the error certificate: mu at k = 0.1 and 0.5 on every canonical wave
+CENSUS_MUS = [1e-3, 0.5, 3.0, 20.0, 60.0, 200.0, -10.0, 3.0 + 4.0j]
+
+
+def test_monodromy_determinant(kdv_profile, dnoidal_profile, cnoidal_mkdv_profile):
+    """det(e^{log_scale} M) = 1 to 1e-8 from the certified segments, at
+    (mu, k) = (1.7, 0.3) and at the census mu and k = 0.1, 0.5 on every
+    canonical wave."""
+    assert kp.monodromy(kdv_profile, 1.7, 0.3).det_residual() <= 1e-8
+    for profile in (kdv_profile, dnoidal_profile, cnoidal_mkdv_profile):
+        for mu in CENSUS_MUS:
+            for k in (0.1, 0.5):
+                assert kp.monodromy(profile, mu, k).det_residual() <= 1e-8
+
+
+@pytest.mark.xfail(strict=True, reason="err_est bounds the map's entries "
+                   "relative to the largest, not its determinant")
+def test_monodromy_determinant_small_mu_large_k(cnoidal_mkdv_profile):
+    """At mu = 0, k = 1 the cnoidal map is one segment whose singular values
+    span ten decades (8.9e4 to 1.1e-5), and the residual is 9.0e-8."""
+    assert kp.monodromy(cnoidal_mkdv_profile, 0.0, 1.0).det_residual() <= 1e-8
 
 
 def test_liouville_certificate_on_demand(kdv_profile, monkeypatch):
@@ -214,30 +232,50 @@ def test_scan_rejects_complex_floquet_multiplier(kdv_profile):
 # the grid-aligned RK4 engine against an independent DP5 oracle
 # ----------------------------------------------------------------------
 
-ENGINE_MUS = [0.0, 1.7, -30.0, 60.0, 200.0, 3.0 + 4.0j]
+ENGINE_MUS = [0.0, 1.7, -30.0] + CENSUS_MUS
+ENGINE_KS = (0.1, 0.3, 0.5)
 
 
 @pytest.mark.parametrize("wave", ["kdv_profile", "dnoidal_profile",
                                   "cnoidal_mkdv_profile"])
 @pytest.mark.parametrize("mu", ENGINE_MUS)
 def test_engine_against_dp5_oracle(request, wave, mu):
+    """The returned map's true error, against DP5 at 1e-13, is at most its
+    err_est, and err_est meets the bound 1e3 ode_tol.  The k are one DP5
+    solve of the stacked systems."""
     profile = request.getfixturevalue(wave)
-    k, ode_tol = 0.3, 1e-12
     dtype = complex if isinstance(mu, complex) else float
-
     H = coefficient_matrix(profile)
 
     def rhs(x, Y):
-        return H(mu, k, x) @ Y
+        return np.stack([H(mu, k, x) for k in ENGINE_KS]) @ Y
 
-    oracle, _ = integrate(rhs, 0.0, profile.period, np.eye(4, dtype=dtype),
-                          rtol=1e-12, atol=1e-12)
-    mono = kp.monodromy(profile, mu, k, ode_tol=ode_tol)
-    assert mono.steps > 0 and mono.matrix.dtype == dtype
-    # the documented certificate, and the estimate tracks the true error
-    assert mono.err_est <= 1e3 * ode_tol * (1.0 + abs(mu))
-    observed = np.max(np.abs(mono.full() - oracle)) / np.max(np.abs(oracle))
-    assert observed <= 10.0 * mono.err_est
+    Y0 = np.broadcast_to(np.eye(4, dtype=dtype), (len(ENGINE_KS), 4, 4))
+    oracle, _ = integrate(rhs, 0.0, profile.period, Y0, rtol=1e-13, atol=1e-13)
+    for k, want in zip(ENGINE_KS, oracle):
+        mono = kp.monodromy(profile, mu, k)
+        assert mono.steps > 0 and mono.matrix.dtype == dtype
+        observed = np.max(np.abs(mono.full() - want)) / np.max(np.abs(want))
+        assert observed <= mono.err_est <= 1e3 * DEFAULT_ODE_TOL
+
+
+@pytest.mark.parametrize("samples, q", [(1000, 8), (999, 1)])
+def test_grids_not_divisible_by_8(kdv_params, kdv_profile, samples, q):
+    """On n = 1000 (q = 8, n / q = 125) and n = 999 (q = 1) the levels keep
+    whole steps on equal segments: the map certifies with a Liouville
+    residual of at most 1e-8 and agrees with the default grid's map within
+    the sum of the two bounds.  Its first call costs 7 n / q steps, three
+    levels."""
+    profile = kp.integrate_profile(kdv_params, samples_per_period=samples)
+    first = kp.monodromy(profile, 1e-3, 0.1)
+    assert first.steps == 7 * samples // q
+    for mu in (1e-3, 3.0, 60.0, 200.0, 3.0 + 4.0j):
+        mono = kp.monodromy(profile, mu, 0.1)
+        assert mono.err_est <= 1e3 * DEFAULT_ODE_TOL
+        assert mono.det_residual() <= 1e-8
+        ref = kp.monodromy(kdv_profile, mu, 0.1).full()
+        gap = np.max(np.abs(mono.full() - ref)) / np.max(np.abs(ref))
+        assert gap <= 2e3 * DEFAULT_ODE_TOL
 
 
 def test_engine_unreachable_tolerance_fails_fast(kdv_profile):
@@ -292,17 +330,24 @@ def test_single_coefficient_source(kdv_profile, monkeypatch):
 @pytest.mark.parametrize("m", [1, 3])
 def test_base_table_is_grid_exact(request, wave, m):
     """The engine's H table is _base_coefficients of the interpolant's u, u_x
-    at x0 + (i + j / 2m) h, ending on the periodic image of x0."""
+    at x0 + (i + j / 2m) h, ending on the periodic image of x0, and of the
+    stored samples at the grid nodes, bit for bit."""
     profile = request.getfixturevalue(wave)
     ev = sys.modules["kpevans.evans"]
     n = len(profile.grid) - 1
     t = (np.arange(n)[:, None] + np.arange(2 * m) / (2 * m)).ravel()
     x = profile.grid[0] + np.append(t, n) * profile.h
-    table = ev._base_coefficients(profile.params)(*profile.substep_samples(m))
-    reference = ev._base_coefficients(profile.params)(profile.u(x), profile.ux(x))
-    for got, want in zip(table, reference):
+    base = ev._base_coefficients(profile.params)
+    table = base(*profile.substep_samples(m))
+    reference = base(profile.u(x), profile.ux(x))
+    nodes = base(profile.u_samples, profile.ux_samples)
+    for got, want, at_nodes in zip(table, reference, nodes):
         assert got.shape == x.shape and got[-1] == got[0]
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+        # the levels below one step per interval read grid nodes alone:
+        # the m = 1 table at strides 2, 4, 8 holds the stored samples' rows
+        for stride in (2, 4, 8):
+            assert np.array_equal(got[::m * stride], at_nodes[::stride // 2])
 
 
 @pytest.mark.parametrize("dtype", [float, complex])
@@ -440,14 +485,45 @@ def test_coarse_table_is_fine_table_stride_2(request, wave, m):
             assert np.array_equal(c, f[::2])
 
 
+def sequential_product(steps):
+    """steps[-1] @ ... @ steps[0], one product at a time."""
+    P = np.eye(4, dtype=steps.dtype)
+    for S in steps:
+        P = S @ P
+    return P
+
+
+@pytest.mark.parametrize("m, nseg, c", [(1, 1024, 1), (1, 200, 5), (1, 8, 128),
+                                        (2, 1, 2048)])
+def test_batched_reduction_is_per_segment(kdv_profile, m, nseg, c):
+    """_reduce on a stack of segments gives each segment's map bit for bit
+    as that segment reduced alone, so a map does not depend on how its
+    segments are batched; _segment_maps, whose stacks hold several
+    segments or a part of one (c = 2048), matches the sequential product
+    of each segment's steps to 1e-14 relative."""
+    ev = sys.modules["kpevans.evans"]
+    rows = [d[:2 * nseg * c + 1] for d in ev._table(kdv_profile, m, 3.0, 0.01)]
+    h = kdv_profile.h / m
+    steps = ev._companion_steps(rows, h).reshape(nseg, c, 4, 4)
+    if nseg * c <= ev._CHUNK:
+        batched = ev._reduce(steps)
+        for i in range(nseg):
+            assert np.array_equal(batched[i], ev._reduce(steps[i:i + 1])[0])
+    for got, seg in zip(ev._segment_maps(rows, h, nseg, c), steps):
+        want = sequential_product(seg)
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
 def test_one_table_per_fine_map(kdv_profile, dnoidal_profile, cnoidal_mkdv_profile,
                                 monkeypatch):
-    """A profile samples its H table once per substep count.  The first
-    monodromy call on a fresh profile samples it once per fine map: the KdV
-    wave builds its (1, 2) pair from one table, the cnoidal wave's retry
-    adds the 4-substep table.  A later call at another mu and k builds
-    none, and the three documented scans build 5 tables in all, not one per
-    Evans evaluation (137) or per fine map (167)."""
+    """A profile samples its H table once per substep count m.  The first
+    monodromy call on a fresh profile builds the m = 1 table, which the
+    levels s = 1/8, 1/4, 1/2 and 1 read with strides 8, 4, 2 and 1: the
+    KdV wave certifies at s = 1/2 from that table alone, and the cnoidal
+    wave's s = 2 level adds the m = 2 table.  A later call at another mu
+    and k builds none, and the three documented scans build 6 tables in all
+    (m = 1 on each wave, 2 on the KdV and cnoidal waves, 4 on the cnoidal
+    wave), not one per Evans evaluation (137) or per level (512)."""
     built = []
     sample = kp.WaveProfile.substep_samples
 
@@ -458,17 +534,17 @@ def test_one_table_per_fine_map(kdv_profile, dnoidal_profile, cnoidal_mkdv_profi
     monkeypatch.setattr(kp.WaveProfile, "substep_samples", counted)
     kdv, cnoidal = fresh(kdv_profile), fresh(cnoidal_mkdv_profile)
     kp.monodromy(kdv, 1e-3, 0.1)
-    assert built == [2]
+    assert built == [1]
     built.clear()
     kp.monodromy(cnoidal, 1e-3, 0.1)
-    assert built == [2, 4]
+    assert built == [1, 2]
     built.clear()
     kp.monodromy(kdv, 0.5, 0.3)
     kp.monodromy(cnoidal, 0.2, 0.0)
     assert built == []
     for profile in (kdv_profile, dnoidal_profile, cnoidal_mkdv_profile):
         kp.evans_scan(fresh(profile), DOC_GRID, DOC_K)
-    assert sorted(built) == [2, 2, 2, 4, 4]
+    assert sorted(built) == [1, 1, 1, 2, 2, 4]
 
 
 @pytest.mark.parametrize("wave", ["kdv_profile", "dnoidal_profile",
@@ -623,12 +699,13 @@ def test_scan_roots_match_bisection(documented_scans):
 
 
 def test_work_counters(kdv_profile, cnoidal_mkdv_profile, documented_scans):
-    """Work, not time.  The cnoidal wave misses the first (m, 2m) = (1, 2)
-    pair at small mu and retries with the 4-substep map alone: 3n + 4n
-    steps.  The KdV wave meets the bound with the first pair: 3n."""
+    """Work, not time.  The KdV wave certifies with the first comparison,
+    levels s = 1/8, 1/4 and 1/2: 7n/8 steps.  The cnoidal wave misses it
+    at small mu and adds levels s = 1 and 2: 31n/8."""
     n = len(cnoidal_mkdv_profile.grid) - 1
-    assert kp.monodromy(cnoidal_mkdv_profile, 1e-3, DOC_K).steps == 7 * n
-    assert kp.monodromy(kdv_profile, 1e-3, DOC_K).steps == 3 * (len(kdv_profile.grid) - 1)
+    assert kp.monodromy(cnoidal_mkdv_profile, 1e-3, DOC_K).steps == 31 * n // 8
+    n_kdv = len(kdv_profile.grid) - 1
+    assert kp.monodromy(kdv_profile, 1e-3, DOC_K).steps == 7 * n_kdv // 8
     # measured: 5 + 5 + 7; plain bisection took 14 + 15 + 18
     assert sum(evals for _, _, evals in documented_scans) <= 24
 
