@@ -60,15 +60,12 @@ class HighFreqReport:
     probes: tuple            # (mu, sign, log|D|)
     onset_mu: float          # first mu of the trailing constant-sign run
     verdict: int             # +1 / -1, or 0 when inconclusive
-    fit_slope: float         # advisory: growth-rate slope, expect ~ 1
-    fit_intercept: float
 
     def to_json_dict(self) -> dict:
         return {"k": self.k,
                 "probes": [{"mu": m, "sign": s, "log_abs_D": la}
                            for m, s, la in self.probes],
-                "onset_mu": self.onset_mu, "verdict": self.verdict,
-                "fit_slope": self.fit_slope, "fit_intercept": self.fit_intercept}
+                "onset_mu": self.onset_mu, "verdict": self.verdict}
 
 
 def high_freq_sign(profile: WaveProfile, k: float, mu_list,
@@ -76,9 +73,7 @@ def high_freq_sign(profile: WaveProfile, k: float, mu_list,
     """Probe sgn D(mu, k, 1) along increasing positive mu.
 
     Conclusive once the last three probes agree; evenness in mu justifies
-    probing mu > 0 only.  The advisory magnitude fit regresses
-    log|D| - log(k^2/mu) on mu^{1/3} T and should produce a slope near the
-    unstable-pair growth rate 1; it never gates the verdict.
+    probing mu > 0 only.
     """
     if k == 0.0:
         raise ValueError("high-frequency limit requires k != 0")
@@ -101,14 +96,8 @@ def high_freq_sign(profile: WaveProfile, k: float, mu_list,
                 break
             onset = mu
 
-    T = profile.period
-    xs = np.array([m ** (1.0 / 3.0) * T for m, _, _ in probes])
-    ys = np.array([la - math.log(k * k / m) for m, _, la in probes])
-    A = np.column_stack([xs, np.ones_like(xs)])
-    coef, *_ = np.linalg.lstsq(A, ys, rcond=None)
     return HighFreqReport(k=k, probes=tuple(probes), onset_mu=onset,
-                          verdict=verdict, fit_slope=float(coef[0]),
-                          fit_intercept=float(coef[1]))
+                          verdict=verdict)
 
 
 # ----------------------------------------------------------------------
@@ -124,7 +113,7 @@ def _coefficient_functions(profile: WaveProfile):
 
     def fields(x):
         # row 4 of H: b41 = A1_x / 2, b42 = A1, b43 = A2
-        b41, A1, A2 = base(profile.u(x), profile.ux(x))
+        b41, A1, A2 = base(*profile.at(x))
         return A1, A2, 2.0 * b41
 
     return fields

@@ -81,7 +81,7 @@ def profile_invariants(profile: WaveProfile) -> InvariantSet:
     g = profile.grid
     mid, half = 0.5 * (g[:-1] + g[1:]), 0.5 * (g[1:] - g[:-1])
     pts = mid[:, None] + half[:, None] * x
-    u, ux = profile.u(pts), profile.ux(pts)
+    u, ux = profile.at(pts)
     M, P, H = (float(np.sum(half * (vals @ w)))
                for vals in (u, u * u, 0.5 * ux ** 2 - polyval_ascending(F, u)))
     return InvariantSet(profile.period, M, P, H)

@@ -27,11 +27,10 @@ of s = 1/8, 1/4, 1/2, 1, 2, ... steps per grid interval (at the default
 grid nodes only.  The segment maps of adjacent levels are Richardson
 extrapolated, and the first extrapolated map within the bound that
 ode_tol sets of the one before it is returned (see monodromy).  A level
-with s >= 1 reads one table of row 4 of H over the period, at
-WaveProfile.substep_samples(s); the levels below 1 read every (1/s)-th
-point of the s = 1 table.  The mu- and k-free part of a table is built
-once per profile and substep count and kept on the profile, so a scan at
-many mu on one wave builds a handful of tables, not one per evaluation.
+reads the mu- and k-free part of row 4 of H by stride from the one table a
+profile keeps, the finest built so far: a coarser table is every other
+point of a finer one, bit for bit.  So a scan at many mu on one wave
+builds a handful of tables, not one per evaluation, and keeps one.
 The Evans function is
 
     D(mu, k, lambda) = det(M(mu, k) - lambda I),
@@ -262,24 +261,22 @@ def _companion_steps(rows, h: float) -> np.ndarray:
     return (X.T @ K.reshape(19, 16)).reshape(-1, 4, 4)
 
 
-def _table(profile: WaveProfile, m: int, mu, sigma_k2: float):
-    """(b41 - sigma k^2, b42 - mu, b43), row 4 of H at the half steps of m
-    RK4 steps per grid interval: at WaveProfile.substep_samples(m).
+def _table(profile: WaveProfile, m: int):
+    """(m_t, (b41, b42, b43)): the profile's one table of the mu- and k-free
+    part of row 4 of H, at the half steps of m_t >= m RK4 steps per grid
+    interval (WaveProfile.substep_samples(m_t)).
 
-    The base rows (b41, b42, b43) depend on the profile and m alone; they
-    are built on a profile's first call with m, kept read-only in its
-    _evans_tables, and every call after that only subtracts.  Levels with
-    fewer than one step per interval read the m = 1 table with a stride
-    (see monodromy).
+    The table is built only when the one kept read-only in the profile's
+    _evans_table is coarser than m, and then replaces it: a coarser table
+    is every (m_t / m)-th point of a finer one, bit for bit, so every level
+    reads the one table by stride (see monodromy).
     """
-    base = profile._evans_tables.get(m)
-    if base is None:
+    if profile._evans_table[0] < m:
         base = _base_coefficients(profile.params)(*profile.substep_samples(m))
         for d in base:
             d.flags.writeable = False
-        profile._evans_tables[m] = base
-    b41, b42, b43 = base
-    return b41 - sigma_k2, b42 - mu, b43
+        profile._evans_table = (m, base)
+    return profile._evans_table
 
 
 def _segment_maps(rows, h: float, nseg: int, c: int) -> np.ndarray:
@@ -325,22 +322,25 @@ def monodromy(profile: WaveProfile, mu, k: float,
     Maps are built on levels of s_j = 2^j / q classical RK4 steps per grid
     interval, q the largest power of two that divides the n grid intervals
     and is at most 8 (s = 1/8, 1/4, 1/2, 1, 2, ... at the default n = 1024).
-    Every step starts and ends on the half steps of the m = max(1, s)
-    table of row 4 of H (_table): a level with s < 1 steps across 1 / s
-    grid intervals and reads its start, midpoint and end at grid nodes,
-    every (1 / s)-th point of the m = 1 table, where the table holds the
-    profile's stored samples.  The profile interpolant is one quintic per
-    grid interval, so H is polynomial inside every step of a level with
-    s >= 1.  H is a companion matrix, so each step's 4x4 propagator is a
-    closed form in row 4 of H at the step's start, midpoint and end
-    (_companion_steps).
+    Every step starts and ends on the half steps of the profile's one
+    table of row 4 of H, at m_t >= max(1, s) steps per interval (_table),
+    which level j reads with the stride (m_t q) >> j: a level with s < 1
+    steps across 1 / s grid intervals and reads its start, midpoint and end
+    at grid nodes, where the table holds the profile's stored samples.
+    The profile interpolant is one quintic per grid interval, so H is
+    polynomial inside every step of a level with s >= 1.  H is a companion
+    matrix, so each step's 4x4 propagator is a closed form in row 4 of H at
+    the step's start, midpoint and end (_companion_steps).
 
     [0, T] is split at grid nodes into nseg equal segments, nseg the
-    smallest divisor of n / q not below ceil(|mu|^{1/3} T / 5), or n / q
-    (a power of two when n / q is one, as at the default n).  So every level
-    has the same whole number of steps in each segment, and a level's
-    segment maps L_j are reduced together (_segment_maps).  The segment
-    maps of adjacent levels are Richardson-extrapolated,
+    smallest divisor of n / q not below ceil(max(|mu|^{1/3}, |k|^{1/2}) T / 5),
+    or n / q (a power of two when n / q is one, as at the default n).
+    |mu|^{1/3} and |k|^{1/2} are the fast growth rates of the system at
+    large mu and at large k, so a segment spans at most about five e-folds
+    of either and its determinant keeps its digits.  Every level has the
+    same whole number of steps in each segment, and a level's segment maps
+    L_j are reduced together (_segment_maps).  The segment maps of adjacent
+    levels are Richardson-extrapolated,
 
         X_j = (16 L_j - L_{j-1}) / 15,
 
@@ -354,13 +354,12 @@ def monodromy(profile: WaveProfile, mu, k: float,
     certifies the map returned.  The divisor is 15, not 31: against DP5 on
     the canonical waves the true error of P_j reaches 0.72 err_est, which
     31 would put above the estimate.  A level whose product is not finite
-    is a miss.  The mu- and k-free part of a table is built once per profile and
-    m and kept on the profile (_table), so later calls at any mu and k only
-    subtract sigma k^2 and mu; a table holds three float64 rows of 2 m n +
-    1 points, about 48 m n bytes.  If a level would take more than 2^16
-    steps, IntegrationFailure is raised, so an uncertified map is never
-    returned.  steps counts every RK4 step of every level built, s_j n for
-    level j.
+    is a miss.  The table holds the mu- and k-free part of row 4 alone, so
+    every call subtracts sigma k^2 and mu from the rows its level reads; it
+    is three float64 rows of 2 m_t n + 1 points, about 48 m_t n bytes.  If
+    a level would take more than 2^16 steps, IntegrationFailure is raised,
+    so an uncertified map is never returned.  steps counts every RK4 step
+    of every level built, s_j n for level j.
     """
     mu_c = complex(mu)
     real_mode = mu_c.imag == 0.0
@@ -368,20 +367,20 @@ def monodromy(profile: WaveProfile, mu, k: float,
     sigma_k2 = profile.params.sigma * k * k
     n = len(profile.grid) - 1
     q = math.gcd(n, 8)
-    want = max(1, math.ceil(abs(mu_c) ** (1.0 / 3.0) * profile.period / 5.0))
+    want = max(1, math.ceil(max(abs(mu_c) ** (1.0 / 3.0), abs(k) ** 0.5)
+                            * profile.period / 5.0))
     nseg = next(d for d in range(min(want, n // q), n // q + 1) if (n // q) % d == 0)
     bound = _TOL_FACTOR * ode_tol
-    steps, table_m, raw, prev = 0, 0, None, None
+    steps, raw, prev = 0, None, None
     for j in itertools.count():
         if (n << j) // q > _MAX_STEPS:
             raise IntegrationFailure(
                 f"RK4 step budget {_MAX_STEPS} exhausted before the Richardson "
                 f"estimate met {bound:.3g} (mu={mu_c:.6g}, k={k:.6g})")
-        m, stride = max(1, (1 << j) // q), max(1, q >> j)
-        if m != table_m:
-            table, table_m = _table(profile, m, mu_val, sigma_k2), m
+        m_t, table = _table(profile, max(1, (1 << j) // q))
+        b41, b42, b43 = (d[::(m_t * q) >> j] for d in table)
         c = ((n // nseg) << j) // q   # steps per segment
-        level = _segment_maps([d[::stride] for d in table],
+        level = _segment_maps((b41 - sigma_k2, b42 - mu_val, b43),
                               profile.h * q / (1 << j), nseg, c)
         steps += nseg * c
         if raw is not None:

@@ -314,8 +314,9 @@ class WaveProfile:
     six rows, one column per interval, ascending in t = (x - x_i) / h.
     theta is the orbit's theta at the grid points from integrate_profile
     (None for a profile built from samples alone; the kernel basis then
-    solves it again).  _evans_tables holds evans' mu- and k-free rows of H
-    per substep count, built on first use.
+    solves it again).  at(x) evaluates the interpolant.  _evans_table holds
+    evans' one table of the mu- and k-free rows of H, (m, rows) for the
+    finest substep count m built so far ((0, None) before the first).
     """
 
     params: WaveParams
@@ -327,7 +328,7 @@ class WaveProfile:
     ux_samples: np.ndarray
     theta: np.ndarray = field(default=None, repr=False)
     _coeffs: np.ndarray = field(init=False, repr=False)
-    _evans_tables: dict = field(init=False, repr=False, default_factory=dict)
+    _evans_table: tuple = field(init=False, repr=False, default=(0, None))
 
     def __post_init__(self):
         h = self.h
@@ -347,19 +348,13 @@ class WaveProfile:
         """The grid spacing."""
         return self.grid[1] - self.grid[0]
 
-    def _at(self, x):
+    def at(self, x):
         """(u, u_x) of the interpolant at x, wrapped into the grid's period."""
         g = self.grid
         t = np.mod(np.asarray(x, dtype=float) - g[0], g[-1] - g[0]) / self.h
         idx = np.minimum(t.astype(int), len(g) - 2)   # mod may round up to the period
         u, ux = _quintic(self._coeffs[:, idx], t - idx, self.h)
         return (u, ux) if t.ndim else (float(u), float(ux))
-
-    def u(self, x):
-        return self._at(x)[0]
-
-    def ux(self, x):
-        return self._at(x)[1]
 
     def substep_samples(self, m: int):
         """(u, u_x) at x0 + (i + j / 2m) h for every interval i and 0 <= j < 2m,

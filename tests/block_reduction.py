@@ -66,7 +66,7 @@ def second_derivatives(profile):
     d2, d3, d4 = (_poly_derivative(par.nonlinearity.f_coeffs, j) for j in (2, 3, 4))
 
     def fields(x):
-        u, ux = profile.u(x), profile.ux(x)
+        u, ux = profile.at(x)
         uxx = -eval_V(par, u, 1)
         uxxx = -eval_V(par, u, 2) * ux
         f2, f3, f4 = (polyval_ascending(d, u) for d in (d2, d3, d4))

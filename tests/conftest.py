@@ -140,27 +140,28 @@ def phase_align(profile_a, profile_b, n=512):
     """
     T = min(profile_a.period, profile_b.period)
     x = np.linspace(0.0, T, n)
-    return float(np.max(np.abs(profile_a.u(x) - profile_b.u(x))))
+    return float(np.max(np.abs(profile_a.at(x)[0] - profile_b.at(x)[0])))
 
 
 def coefficient_matrix(profile):
-    """(mu, k, x) -> H(x; mu, k), the scalar evaluation the DP5 references
-    integrate through.
+    """(mu, k, x) -> H(x; mu, k), the evaluation the DP5 references integrate
+    through; for a vector k, the stack of the H at each k.
 
-    u and u_x come from the profile interpolant.  Row 4 comes from
-    evans._base_coefficients, looked up on each call of coefficient_matrix,
-    so a patch of it reaches the next call, and built once for every H the
-    call returns.
+    u and u_x come from one call of the profile interpolant.  Row 4 comes
+    from evans._base_coefficients, looked up on each call of
+    coefficient_matrix, so a patch of it reaches the next call, and built
+    once for every H the call returns.
     """
     base = sys.modules["kpevans.evans"]._base_coefficients(profile.params)
     sigma = profile.params.sigma
 
     def H(mu, k, x):
-        b41, b42, b43 = base(profile.u(x), profile.ux(x))
-        out = np.zeros((4, 4), dtype=complex if isinstance(mu, complex) else float)
-        out[0, 1] = out[1, 2] = out[2, 3] = 1.0
-        out[3, 0] = b41 - sigma * k * k
-        out[3, 1], out[3, 2] = b42 - mu, b43
+        b41, b42, b43 = base(*profile.at(x))
+        k = np.asarray(k, dtype=float)
+        out = np.zeros(k.shape + (4, 4), dtype=complex if isinstance(mu, complex) else float)
+        out[..., 0, 1] = out[..., 1, 2] = out[..., 2, 3] = 1.0
+        out[..., 3, 0] = b41 - sigma * k * k
+        out[..., 3, 1], out[..., 3, 2] = b42 - mu, b43
         return out
 
     return H

@@ -53,8 +53,8 @@ def test_profile_invariants_match_interval_loop(request, wave):
     from kpevans.model import polyval_ascending
     profile = request.getfixturevalue(f"{wave}_profile")
     F = profile.params.nonlinearity.F_coeffs
-    fns = (profile.u, lambda x: profile.u(x) ** 2,
-           lambda x: 0.5 * profile.ux(x) ** 2 - polyval_ascending(F, profile.u(x)))
+    fns = (lambda x: profile.at(x)[0], lambda x: profile.at(x)[0] ** 2,
+           lambda x: 0.5 * profile.at(x)[1] ** 2 - polyval_ascending(F, profile.at(x)[0]))
     g = profile.grid
     parts = np.array([[gauss_legendre(fn, lo, hi, 6) for fn in fns]
                       for lo, hi in zip(g[:-1], g[1:])])

@@ -71,7 +71,7 @@ def test_translation_mode_boundary_values(kdv_solutions):
 
 def test_ux_matches_profile_derivative(kdv_profile, kdv_solutions):
     # the kernel's own translation mode vs the profile interpolant derivative
-    diff = kdv_solutions.ux - kdv_profile.ux(kdv_solutions.grid)
+    diff = kdv_solutions.ux - kdv_profile.at(kdv_solutions.grid)[1]
     assert np.max(np.abs(diff)) <= 1e-9 * (1.0 + np.max(np.abs(kdv_solutions.ux)))
 
 
@@ -148,7 +148,7 @@ def test_ua_against_two_profile_fd(kdv_params, kdv_profile, kdv_solutions):
     plus = kp.integrate_profile(replace(kdv_params, a=kdv_params.a + h))
     minus = kp.integrate_profile(replace(kdv_params, a=kdv_params.a - h))
     x = kdv_solutions.grid[kdv_solutions.grid <= 0.9 * min(plus.period, minus.period)]
-    fd = (plus.u(x) - minus.u(x)) / (2.0 * h)
+    fd = (plus.at(x)[0] - minus.at(x)[0]) / (2.0 * h)
     ua = kdv_solutions.ua[: len(x)]
     assert np.max(np.abs(fd - ua)) <= 1e-6 * (1.0 + np.max(np.abs(ua)))
 
@@ -158,7 +158,7 @@ def test_uE_against_two_profile_fd(kdv_params, kdv_solutions):
     plus = kp.integrate_profile(replace(kdv_params, E=kdv_params.E + h))
     minus = kp.integrate_profile(replace(kdv_params, E=kdv_params.E - h))
     x = kdv_solutions.grid[kdv_solutions.grid <= 0.9 * min(plus.period, minus.period)]
-    fd = (plus.u(x) - minus.u(x)) / (2.0 * h)
+    fd = (plus.at(x)[0] - minus.at(x)[0]) / (2.0 * h)
     uE = kdv_solutions.uE[: len(x)]
     assert np.max(np.abs(fd - uE)) <= 1e-4 * (1.0 + np.max(np.abs(uE)))
 
@@ -183,9 +183,9 @@ def test_complex_step_against_central_difference(request, wave):
         plus, minus = (kp.integrate_profile(replace(params, **{q: getattr(params, q) + s}),
                                             bracket_hint=hint) for s in (h, -h))
         x = basis.grid[basis.grid <= min(plus.period, minus.period)]
-        for fd, exact in (((plus.u(x) - minus.u(x)) / (2.0 * h), v[:len(x)]),
-                          ((plus.ux(x) - minus.ux(x)) / (2.0 * h), vx[:len(x)])):
-            assert np.max(np.abs(fd - exact)) <= 2e-8 * (1.0 + np.max(np.abs(exact)))
+        fd = np.subtract(plus.at(x), minus.at(x)) / (2.0 * h)   # rows u, u_x
+        for got, exact in zip(fd, (v[:len(x)], vx[:len(x)])):
+            assert np.max(np.abs(got - exact)) <= 2e-8 * (1.0 + np.max(np.abs(exact)))
 
 
 def test_gram_determinant_nonzero(kdv_basis):

@@ -110,8 +110,9 @@ def test_profile_extrema_match_turning_points(kdv_profile):
 def test_profile_is_even_about_endpoints_and_midpoint(kdv_profile):
     T = kdv_profile.period
     x = np.linspace(0.05 * T, 0.45 * T, 23)
-    assert np.max(np.abs(kdv_profile.u(T - x) - kdv_profile.u(x))) <= 1e-9
-    assert np.max(np.abs(kdv_profile.u(0.5 * T + x) - kdv_profile.u(0.5 * T - x))) <= 1e-9
+    at = kdv_profile.at
+    assert np.max(np.abs(at(T - x)[0] - at(x)[0])) <= 1e-9
+    assert np.max(np.abs(at(0.5 * T + x)[0] - at(0.5 * T - x)[0])) <= 1e-9
 
 
 def test_period_consistency_quadrature_vs_profile(kdv_params, kdv_profile):
@@ -213,8 +214,7 @@ def test_interpolant_accuracy(kdv_params, kdv_profile):
     fine = kp.integrate_profile(kdv_params, samples_per_period=4096)
     rng = np.random.default_rng(3)
     xs = rng.uniform(0.0, kdv_profile.period, 50)
-    err_u = np.max(np.abs(kdv_profile.u(xs) - fine.u(xs)))
-    err_ux = np.max(np.abs(kdv_profile.ux(xs) - fine.ux(xs)))
+    err_u, err_ux = (np.max(np.abs(a - b)) for a, b in zip(kdv_profile.at(xs), fine.at(xs)))
     assert err_u <= 1e-11
     assert err_ux <= 1e-9
 
@@ -304,11 +304,11 @@ def test_profile_json_round_trip(kdv_profile, tmp_path):
     assert back.period == kdv_profile.period
     assert np.array_equal(back.u_samples, kdv_profile.u_samples)
     x = 0.37 * kdv_profile.period
-    assert back.u(x) == kdv_profile.u(x)
+    assert back.at(x)[0] == kdv_profile.at(x)[0]
     # the interpolant is a pure function of the stored samples
     xs = np.linspace(-0.3, 1.7, 977) * kdv_profile.period
-    for f in ("u", "ux"):
-        assert np.array_equal(getattr(back, f)(xs), getattr(kdv_profile, f)(xs))
+    for got, want in zip(back.at(xs), kdv_profile.at(xs)):
+        assert np.array_equal(got, want)
     for m in (1, 3):
         for got, want in zip(back.substep_samples(m), kdv_profile.substep_samples(m)):
             assert np.array_equal(got, want)
