@@ -1,12 +1,12 @@
 """Conserved quantities T, M, P, H and their parameter gradients.
 
 All four integrals use the same branch-point-regularized quadrature as the
-period.  Gradients in (a, E, c) come from one complex-step evaluation
-(Squire & Trapp, SIAM Rev. 40, 1998): the four integrals are taken with
-each parameter moved by i h, and the imaginary parts over h are the
-derivatives, with no subtractive cancellation and no step off the real
-wave.  The Jacobian {T, M}_{a,E} = T_a M_E - T_E M_a is the quantity the
-orientation index needs.
+period, on one deflation of E - V.  Gradients in (a, E, c) come from one
+complex-step evaluation (Squire & Trapp, SIAM Rev. 40, 1998): the four
+integrals are taken with each parameter moved by i h, and the imaginary
+parts over h are the derivatives, with no subtractive cancellation and no
+step off the real wave.  The Jacobian {T, M}_{a,E} = T_a M_E - T_E M_a is
+the quantity the orientation index needs.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import WaveParams, polyval_ascending
-from .quadrature import _nodes, adaptive_gauss_legendre
+from .quadrature import periodic_trapezoid
 from .wave import (CS_STEP, DEFAULT_QUAD_TOL, WaveProfile, _well_nodes,
                    complex_step_rows, find_turning_points, well_integral)
 
@@ -49,7 +49,9 @@ def compute_invariants(params: WaveParams, turning_points=None,
     """Evaluate (T, M, P, H) by regularized quadrature.
 
     M = int u dx, P = int u^2 dx, H = int (u_x^2/2 - F(u)) dx, each recast
-    as an integral in u against 1/sqrt(E - V) over the well.
+    as an integral in u against 1/sqrt(E - V) over the well.  E - V is
+    deflated once; each integral converges on its own, so T equals
+    compute_period's bit for bit.
     """
     tps = (find_turning_points(params, bracket_hint) if turning_points is None
            else turning_points)
@@ -62,27 +64,24 @@ def compute_invariants(params: WaveParams, turning_points=None,
         return E - polyval_ascending(params.F_minus_quadratic(), u) \
             - polyval_ascending(F, u)
 
-    T = rt2 * well_integral(params, tps, np.ones_like, quad_tol)
-    M = rt2 * well_integral(params, tps, lambda u: u, quad_tol)
-    P = rt2 * well_integral(params, tps, lambda u: u * u, quad_tol)
-    H = rt2 * well_integral(params, tps, h_ham, quad_tol)
+    at = _well_nodes(params.energy_poly(), *tps)
+    T = rt2 * well_integral(at, np.ones_like, quad_tol)
+    M = rt2 * well_integral(at, lambda u: u, quad_tol)
+    P = rt2 * well_integral(at, lambda u: u * u, quad_tol)
+    H = rt2 * well_integral(at, h_ham, quad_tol)
     return InvariantSet(T, M, P, H)
 
 
 def profile_invariants(profile: WaveProfile) -> InvariantSet:
-    """Dense-grid cross-check: integrate the interpolated profile in x.
+    """Dense-grid cross-check: integrate the stored samples in x.
 
     Independent route for the same quantities (oracle for the quadrature
-    path): 6-point Gauss-Legendre per interval on the quintic interpolant,
-    with u and u_x evaluated once on all (interval, node) points.
+    path): the periodic trapezoid rule on the uniform grid, which converges
+    geometrically for the analytic, T-periodic profile.
     """
     F = profile.params.nonlinearity.F_coeffs
-    x, w = _nodes(6)
-    g = profile.grid
-    mid, half = 0.5 * (g[:-1] + g[1:]), 0.5 * (g[1:] - g[:-1])
-    pts = mid[:, None] + half[:, None] * x
-    u, ux = profile.at(pts)
-    M, P, H = (float(np.sum(half * (vals @ w)))
+    u, ux = profile.u_samples[:-1], profile.ux_samples[:-1]
+    M, P, H = (profile.h * float(np.sum(vals))
                for vals in (u, u * u, 0.5 * ux ** 2 - polyval_ascending(F, u)))
     return InvariantSet(profile.period, M, P, H)
 
@@ -112,7 +111,7 @@ def gradients(params: WaveParams, quad_tol: float = DEFAULT_QUAD_TOL,
         out *= (2.0 / sqrt_g)[:, None, :]
         return out
 
-    stack = adaptive_gauss_legendre(integrand, 0.0, np.pi / 2.0, rel_tol=quad_tol)
+    stack = periodic_trapezoid(integrand, rel_tol=quad_tol)
     dT, dM, dP, dH = np.sqrt(2.0) * stack.imag.T / CS_STEP
     return GradientSet(dT=dT, dM=dM, dP=dP, dH=dH)
 

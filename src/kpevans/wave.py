@@ -2,9 +2,10 @@
 
 Construction pipeline: locate the two simple turning points of E - V
 (their derivatives in a, E and c, and the complex-step rows' turning points,
-follow from the first integral), evaluate the period by quadrature
-regularized with u = u_- + (u_+ - u_-) sin^2(theta) (which cancels the
-square-root branch points exactly for polynomial potentials), then place
+follow from the first integral), evaluate the period by the half-period
+trapezoid rule in theta, regularized with u = u_- + (u_+ - u_-) sin^2(theta)
+(which cancels the square-root branch points exactly for polynomial
+potentials), then place
 the profile on a uniform grid over one period through the same
 substitution: dx/dtheta = sqrt(2) / sqrt(g(u(theta))) is analytic, even and
 pi-periodic, so its cosine series converges geometrically and integrates to
@@ -24,7 +25,7 @@ import numpy as np
 from .errors import (AmbiguousWell, DegenerateTurningPoint, NoPeriodicOrbit,
                      QuadratureNotConverged)
 from .model import WaveParams, _trim_trailing_zeros, polyval_ascending
-from .quadrature import _parts, adaptive_gauss_legendre
+from .quadrature import MAX_N, _parts, periodic_trapezoid
 
 DEFAULT_QUAD_TOL = 1e-13
 SIMPLICITY_TOL = 1e-8
@@ -151,17 +152,23 @@ def _deflate(asc: np.ndarray, r) -> np.ndarray:
 def _well_nodes(p_asc: np.ndarray, u_minus, u_plus):
     """theta -> (u, sqrt(g(u))) on the well, with u = u_- + (u_+ - u_-) sin^2(theta).
 
-    E - V = (u - u_-)(u_+ - u) g(u).  Rows of ascending coefficients (last
-    axis), one (u_-, u_+) each, give rows of u; for complex rows the sign
-    test reads the real part.  g <= 0 means no well: NoPeriodicOrbit.
+    E - V = (u - u_-)(u_+ - u) g(u).  Where sin^2 > cos^2, u is formed as
+    u_+ - (u_+ - u_-) cos^2(theta): both ends then carry u to its own
+    rounding, not to that of the far end, which near a separatrix would
+    move u by a fraction of its distance to the next root of g.  Rows of
+    ascending coefficients (last axis), one (u_-, u_+) each, give rows of
+    u; for complex rows the sign test reads the real part.  g <= 0 means
+    no well: NoPeriodicOrbit.
     """
     g = -_deflate(_deflate(p_asc, u_minus), u_plus)
     g_cols = g.T[..., np.newaxis]
-    lo = np.asarray(u_minus)[..., np.newaxis]
-    width = np.asarray(u_plus)[..., np.newaxis] - lo
+    lo, hi = np.asarray(u_minus)[..., np.newaxis], np.asarray(u_plus)[..., np.newaxis]
+    width = hi - lo
 
     def at(theta):
-        u = lo + width * np.sin(theta) ** 2
+        sin2, cos2 = np.sin(theta) ** 2, np.cos(theta) ** 2
+        near_lo = sin2 < cos2
+        u = np.where(near_lo, lo, hi) + width * np.where(near_lo, sin2, -cos2)
         g = polyval_ascending(g_cols, u)
         if (g.real <= 0.0).any():
             raise NoPeriodicOrbit("deflated energy polynomial not positive on the well")
@@ -170,35 +177,33 @@ def _well_nodes(p_asc: np.ndarray, u_minus, u_plus):
     return at
 
 
-def well_integral(params: WaveParams, turning_points, h_of_u,
-                  quad_tol: float = DEFAULT_QUAD_TOL) -> float:
+def well_integral(at, h_of_u, quad_tol: float = DEFAULT_QUAD_TOL) -> float:
     """Integral of h(u) / sqrt(E - V(u)) over (u_-, u_+), branch points removed.
 
-    With u = u_- + (u_+ - u_-) sin^2(theta) and the exact polynomial
-    deflation E - V = (u - u_-)(u_+ - u) g(u), the integrand becomes
-    2 h(u) / sqrt(g(u)), analytic in theta on [0, pi/2].
+    at is the well's _well_nodes: with u = u_- + (u_+ - u_-) sin^2(theta)
+    and the exact polynomial deflation E - V = (u - u_-)(u_+ - u) g(u), the
+    integrand becomes 2 h(u) / sqrt(g(u)), analytic, even and pi-periodic
+    in theta, which the half-period trapezoid rule integrates spectrally.
     """
-    at = _well_nodes(params.energy_poly(), *turning_points)
-
     def integrand(theta):
         u, sqrt_g = at(theta)
         return 2.0 * h_of_u(u) / sqrt_g
 
-    return adaptive_gauss_legendre(integrand, 0.0, np.pi / 2.0, rel_tol=quad_tol)
+    return periodic_trapezoid(integrand, rel_tol=quad_tol)
 
 
 def compute_period(params: WaveParams, turning_points=None,
                    quad_tol: float = DEFAULT_QUAD_TOL) -> float:
     """Period T = sqrt(2) * integral du / sqrt(E - V(u)) over the well."""
     tps = find_turning_points(params) if turning_points is None else turning_points
-    return np.sqrt(2.0) * well_integral(params, tps, lambda u: np.ones_like(u), quad_tol)
+    at = _well_nodes(params.energy_poly(), *tps)
+    return np.sqrt(2.0) * well_integral(at, np.ones_like, quad_tol)
 
 
 # ----------------------------------------------------------------------
 # the orbit in theta
 # ----------------------------------------------------------------------
 
-_MAX_SERIES_NODES = 2 ** 14
 _NEWTON_ITERS = 8
 
 
@@ -212,7 +217,7 @@ def _cosine_series(f, quad_tol: float) -> np.ndarray:
     the rounding of the real part into the complex step.
     """
     n = 16
-    while n <= _MAX_SERIES_NODES:
+    while n <= MAX_N:
         vals = f(np.pi * np.arange(n) / n)
         parts = _parts(vals)
         c = np.fft.rfft(parts, axis=-1).real * (2.0 / n)
@@ -224,7 +229,7 @@ def _cosine_series(f, quad_tol: float) -> np.ndarray:
         n *= 2
     raise QuadratureNotConverged(
         f"cosine series of dx/dtheta not converged to {quad_tol:g} "
-        f"with {_MAX_SERIES_NODES} nodes")
+        f"with {MAX_N} nodes")
 
 
 def _x_series(coef, theta, scale):

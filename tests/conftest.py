@@ -10,7 +10,6 @@ from numpy.polynomial import polynomial as P
 import kpevans as kp
 from kpevans.errors import StencilLeftRegion
 from kpevans.model import polyval_ascending
-from kpevans.quadrature import _nodes
 
 from dp5 import kernel_reference
 from tracking import BlockSystem
@@ -180,13 +179,6 @@ def interpolant(system):
     """
     table = system.table
     return lambda x: np.einsum("k,kij->ij", np.exp(1j * table.freqs * x), table.coeffs)
-
-
-def gauss_legendre(fn, a, b, n):
-    """n-node Gauss-Legendre approximation of the integral of fn over [a, b]."""
-    x, w = _nodes(n)
-    mid, half = 0.5 * (a + b), 0.5 * (b - a)
-    return half * float(np.dot(w, fn(mid + half * x)))
 
 
 def horner_from_zero(coeffs, u):

@@ -13,7 +13,7 @@ import kpevans as kp
 from kpevans import cli, conserved
 from kpevans.errors import NoPeriodicOrbit, StencilLeftRegion
 
-from conftest import (DNOIDAL_HINT, FOLD_WELLS, SHALLOW, fd_gradients, gauss_legendre,
+from conftest import (DNOIDAL_HINT, FOLD_WELLS, SHALLOW, fd_gradients,
                       seeded_turning_points)
 from kdv_closed_form import NotKdV, cubic_discriminant, kdv_jacobian_closed_form
 
@@ -47,21 +47,25 @@ def test_invariants_match_profile_integrals(kdv_profile, kdv_invariants):
     assert pinv.H == pytest.approx(kdv_invariants.H, rel=1e-8)
 
 
-@pytest.mark.parametrize("wave", ["kdv", "cnoidal_mkdv"])
-def test_profile_invariants_match_interval_loop(request, wave):
-    # reference: one 6-node Gauss-Legendre call per interval and quantity
-    from kpevans.model import polyval_ascending
-    profile = request.getfixturevalue(f"{wave}_profile")
-    F = profile.params.nonlinearity.F_coeffs
-    fns = (lambda x: profile.at(x)[0], lambda x: profile.at(x)[0] ** 2,
-           lambda x: 0.5 * profile.at(x)[1] ** 2 - polyval_ascending(F, profile.at(x)[0]))
-    g = profile.grid
-    parts = np.array([[gauss_legendre(fn, lo, hi, 6) for fn in fns]
-                      for lo, hi in zip(g[:-1], g[1:])])
+@pytest.mark.parametrize("wave", ["kdv", "dnoidal", "cnoidal_mkdv",
+                                  pytest.param(-1e-4, id="kdv-E=-1e-4"),
+                                  pytest.param(-1e-6, id="kdv-E=-1e-6")])
+def test_profile_invariants_match_quadrature(request, wave):
+    """The grid-trapezoid M, P, H against the theta quadrature, to 1e-13, on
+    the canonical waves and on two KdV waves next to the separatrix E = 0
+    (M against int |u| dx, as verify's row reads it)."""
+    if isinstance(wave, str):
+        profile = request.getfixturevalue(f"{wave}_profile")
+        hint = DNOIDAL_HINT if wave == "dnoidal" else None
+    else:
+        profile, hint = kp.integrate_profile(kp.WaveParams(0.0, wave, 1.0, KDV)), None
+    inv = kp.compute_invariants(profile.params, bracket_hint=hint)
     pinv = kp.profile_invariants(profile)
-    # summation order differs: one rounding per term at most
-    bound = len(parts) * np.finfo(float).eps * np.sum(np.abs(parts), axis=0)
-    assert np.all(np.abs([pinv.M, pinv.P, pinv.H] - np.sum(parts, axis=0)) <= bound)
+    assert pinv.T == inv.T
+    abs_mass = profile.h * np.sum(np.abs(profile.u_samples[:-1]))
+    assert abs(pinv.M - inv.M) <= 1e-13 * abs_mass
+    assert abs(pinv.P - inv.P) <= 1e-13 * abs(inv.P)
+    assert abs(pinv.H - inv.H) <= 1e-13 * max(abs(inv.H), 1.0)
 
 
 def test_momentum_identity_from_profile_ode(kdv_invariants, kdv_params):
@@ -324,6 +328,76 @@ def test_gradients_against_mpmath_on_fold_wells(name):
     for got, want in ((grads.dT, dT), (grads.dM, dM)):
         assert np.max(np.abs(got - want)) <= bound * np.max(np.abs(want))
     assert abs(kp.jacobian_TM(params, grads) - J) <= bound * abs(J)
+
+
+# f of the four families, at a = 0 and c = 1: their 6 wells below a barrier
+# (KdV 1, mKdV 2, u^4/4 1, u^2/2 + u^3/3 2), at sigma = +-1, and the depth
+# fractions d: E = V_bar - d (V_bar - V_min)
+FAMILIES = {"kdv": (0.0, 0.0, 0.5), "mkdv": (0.0, 0.0, 0.0, 1.0 / 3.0),
+            "quartic": (0.0, 0.0, 0.0, 0.0, 0.25), "mixed": (0.0, 0.0, 0.5, 1.0 / 3.0)}
+SEPARATRIX_D = (1e-2, 1e-4, 1e-6, 1e-8, 1e-10)
+
+
+def barrier_wells(f):
+    """(bottom, V_min, V_bar) of each well of V = F - u^2/2 with a barrier,
+    V_bar the lower of its neighbouring maxima."""
+    V = P.polyint(f)
+    V[2] -= 0.5
+    r = P.polyroots(P.polyder(V))
+    crit = np.sort(r[np.abs(r.imag) <= 1e-9].real)
+    return [(u, P.polyval(u, V), min(P.polyval(crit[j], V) for j in (i - 1, i + 1)
+                                    if 0 <= j < len(crit)))
+            for i, u in enumerate(crit) if P.polyval(u, P.polyder(V, 2)) > 0.0]
+
+
+def separatrix_params(f, well, d, sigma=1):
+    bottom, v_min, v_bar = well
+    params = kp.WaveParams(0.0, v_bar - d * (v_bar - v_min), 1.0,
+                           kp.NonlinearitySpec.polynomial(f), sigma=sigma)
+    return params, (bottom - 1e-3, bottom + 1e-3)
+
+
+@pytest.mark.parametrize("sigma", [1, -1])
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_gradients_converge_near_separatrix(family, sigma):
+    """The separatrix census: the gradients converge on every well below a
+    barrier down to 1e-10 of its depth, with up to 16385 points (the u^3/3
+    wells at 1e-10).  sigma does not enter the gradients."""
+    wells = barrier_wells(FAMILIES[family])
+    assert len(wells) == (2 if family in ("mkdv", "mixed") else 1)
+    for well in wells:
+        for d in SEPARATRIX_D:
+            params, hint = separatrix_params(FAMILIES[family], well, d, sigma)
+            grads = kp.gradients(params, bracket_hint=hint)
+            assert np.all(np.isfinite([grads.dT, grads.dM, grads.dP, grads.dH]))
+            assert grads.dT[1] > 0.0      # T grows without bound toward the separatrix
+
+
+@pytest.mark.parametrize("family, index", [("kdv", 0), ("mkdv", 0)])
+def test_gradients_against_mpmath_near_separatrix(family, index):
+    """dT, dM and {T, M}_{a,E} against the 50-digit reference at 1e-6 of the
+    depth below the barrier: the KdV well, whose near-separatrix end is u_-,
+    and the left mKdV well, whose near-separatrix end is u_+.
+
+    The error model of the fold wells with the gap to the nearer critical
+    level, V_bar - E, in place of E - V_min: near the separatrix the
+    gradients' relative sensitivity to E is about 1 / (V_bar - E).  Measured
+    ratios to that bound: at most 6.5e-3 (KdV dM).
+    """
+    well = barrier_wells(FAMILIES[family])[index]
+    bottom, v_min, v_bar = well
+    params, hint = separatrix_params(FAMILIES[family], well, 1e-6)
+    p = params.energy_poly()
+    S = max(np.sum(np.abs(p) * abs(u) ** np.arange(len(p)))
+            for u in kp.find_turning_points(params, hint))
+    gap = min(params.E - v_min, v_bar - params.E)
+    bound = np.finfo(float).eps * S / gap
+    grads = kp.gradients(params, bracket_hint=hint)
+    dT, dM, J = mp_gradients_TM(p, bottom)
+    for got, want in ((grads.dT, dT), (grads.dM, dM)):
+        assert np.max(np.abs(got - want)) <= bound * np.max(np.abs(want))
+    assert abs(kp.jacobian_TM(params, grads) - J) <= bound * abs(J)
+
 
 def test_stencil_leaves_region():
     # seeds from the dnoidal well, but E below the well bottom: no orbit

@@ -1,105 +1,114 @@
-"""Gauss-Legendre rule built by Newton's method on the Legendre recurrence,
-and the adaptive rule on scalar, array-valued and complex integrands."""
+"""The half-period trapezoid rule on scalar, array-valued and complex
+integrands: exactness, per-component convergence and its evaluation count."""
 
 import numpy as np
 import pytest
+from scipy.special import i0
 
 from kpevans.errors import QuadratureNotConverged
 import kpevans as kp
-from kpevans.quadrature import _MAX_NODES, _nodes, _parts, adaptive_gauss_legendre
+from kpevans.quadrature import MAX_N, periodic_trapezoid
 from kpevans.wave import _well_nodes, complex_step_rows
 
-from conftest import gauss_legendre
+
+def counted(fn):
+    """fn, and the list of the point arrays it has been called on."""
+    calls = []
+
+    def wrapped(theta):
+        calls.append(theta)
+        return fn(theta)
+
+    return wrapped, calls
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 16, 17, 64])
-def test_nodes_match_numpy_leggauss(n):
-    x, w = _nodes(n)
-    X, W = np.polynomial.legendre.leggauss(n)
-    assert np.all(np.diff(x) > 0)
-    assert np.max(np.abs(x - X)) <= 2.3e-16
-    # leggauss's own weights carry ~1e-12 relative error at n = 64
-    assert np.max(np.abs(w - W) / W) <= 1e-11
+def cauchy(theta):
+    """1 / (1.01 + cos 2 theta): poles 0.07 off the real axis, so the rule
+    needs hundreds of intervals; its integral is pi / (2 sqrt(1.01^2 - 1))."""
+    return 1.0 / (1.01 + np.cos(2.0 * theta))
 
 
-@pytest.mark.parametrize("n", [512, 2048, 4096])
-def test_edge_weights_integrate_high_powers(n):
-    # x^{2p} with 2p <= 2n - 1 is integrated exactly by the rule, and its
-    # integral 2 / (2p + 1) comes almost entirely from the nodes next to +-1,
-    # where 1 - x^2 cancels; numpy's leggauss misses it by 5e-10 at n = 2048
-    x, w = _nodes(n)
-    assert np.sum(w) == pytest.approx(2.0, rel=0, abs=4e-15)
-    for p in (n // 2, n - 1):
-        exact = 2.0 / (2 * p + 1)
-        assert abs(np.dot(w, x ** (2 * p)) - exact) <= 1e-11 * exact
+CAUCHY = np.pi / (2.0 * np.sqrt(1.01 ** 2 - 1.0))
 
 
-def test_gauss_legendre_smooth_integrand():
-    val = gauss_legendre(np.exp, -1.0, 2.0, 2048)
-    assert val == pytest.approx(np.exp(2.0) - np.exp(-1.0), rel=1e-14)
+def test_exact_on_cosines_below_twice_the_intervals():
+    # the n-interval rule is the 2n-point periodic rule on [0, pi): it sums
+    # cos(2k theta) to its integral 0 for 0 < k < 2n.  The 16-interval rule
+    # misses only k = 32, so every other k converges on the first call.
+    # Rounding theta_j moves cos(2k theta_j) by up to 2k (pi/2) eps, and the
+    # weights sum to pi/2: hence the bound 6 k eps.
+    eps = np.finfo(float).eps
+    for k in range(1, 64):
+        fn, calls = counted(lambda t: np.cos(2 * k * t))
+        assert abs(periodic_trapezoid(fn)) <= 6 * k * eps
+        assert sum(map(len, calls)) == (65 if k == 32 else 33)
+    ks = np.arange(1, 64)[:, None]
+    vals = periodic_trapezoid(lambda t: np.cos(2 * ks * t))
+    assert vals.shape == (63,) and np.all(np.abs(vals) <= 6 * ks[:, 0] * eps)
 
 
 def test_adaptive_array_valued_per_component():
-    # last axis = nodes; the odd component vanishes and converges on int |f|
-    def fn(x):
-        return np.stack((np.exp(x), np.cos(3.0 * x), x ** 3))
+    # last axis = points; the odd-about-pi/4 component vanishes and
+    # converges on int |f|, the Cauchy component sets the point count
+    def fn(t):
+        c = np.cos(2.0 * t)
+        return np.stack((np.exp(c), c / (1.5 - c * c), cauchy(t)))
 
-    val = adaptive_gauss_legendre(fn, -1.0, 1.0)
+    val = periodic_trapezoid(fn)
     assert val.shape == (3,)
-    assert val[0] == pytest.approx(np.exp(1.0) - np.exp(-1.0), rel=1e-14)
-    assert val[1] == pytest.approx(2.0 * np.sin(3.0) / 3.0, rel=1e-14)
-    assert abs(val[2]) <= 1e-15
+    assert val[0] == pytest.approx(0.5 * np.pi * i0(1.0), rel=1e-14)
+    assert abs(val[1]) <= 1e-15
+    assert val[2] == pytest.approx(CAUCHY, rel=1e-13)
     for i in range(3):
-        assert val[i] == pytest.approx(
-            adaptive_gauss_legendre(lambda x: fn(x)[i], -1.0, 1.0), rel=1e-14, abs=1e-15)
-    assert isinstance(adaptive_gauss_legendre(np.exp, -1.0, 1.0), float)
+        alone = periodic_trapezoid(lambda t: fn(t)[i])
+        assert val[i] == pytest.approx(alone, rel=1e-14, abs=1e-15)
+    wrapped, calls_alone = counted(cauchy)
+    periodic_trapezoid(wrapped)
+    stacked, calls = counted(fn)
+    periodic_trapezoid(stacked)
+    assert [len(t) for t in calls] == [len(t) for t in calls_alone]
+    assert isinstance(periodic_trapezoid(lambda t: np.exp(np.cos(2.0 * t))), float)
 
 
 def test_adaptive_complex_parts_converge_separately():
-    # a complex-step integrand: the real part is done at 32 nodes, but the
+    # a complex-step integrand: the real part is done at 33 points, but the
     # imaginary part, 1e-30 of it, must converge against its own scale
     h = 1e-30
-    nodes = []
+    fn, calls = counted(lambda t: 1.0 + 1j * h * cauchy(t))
+    val = periodic_trapezoid(fn)
+    assert val.real == pytest.approx(np.pi / 2.0, rel=1e-15)
+    assert val.imag / h == pytest.approx(CAUCHY, rel=1e-13)
+    assert sum(map(len, calls)) > 33
 
-    def fn(x):
-        nodes.append(len(x))
-        return 1.0 + 1j * h * np.sin(40.0 * x)
 
-    val = adaptive_gauss_legendre(fn, 0.0, 1.0)
-    assert val.real == pytest.approx(1.0, rel=1e-15)
-    assert val.imag / h == pytest.approx((1.0 - np.cos(40.0)) / 40.0, rel=1e-13)
-    assert max(nodes) > 32
+def test_first_two_rules_share_one_call():
+    fn, calls = counted(lambda t: np.exp(np.cos(2.0 * t)))
+    periodic_trapezoid(fn)                      # converged at 32 intervals
+    assert [len(t) for t in calls] == [33]
+    assert np.array_equal(calls[0], np.linspace(0.0, np.pi / 2.0, 33))
+    fn, calls = counted(cauchy)
+    periodic_trapezoid(fn)
+    n = [len(t) for t in calls]
+    assert n[0] == 33 and len(n) > 3
+    assert n[1:] == [32 * 2 ** i for i in range(len(n) - 1)]
+    # each doubling evaluates the midpoints of the last grid, never a point twice
+    grid = calls[0]
+    for new in calls[1:]:
+        assert np.allclose(new, 0.5 * (grid[:-1] + grid[1:]), rtol=0, atol=1e-15)
+        grid = np.sort(np.concatenate((grid, new)))
+    assert np.allclose(grid, np.linspace(0.0, np.pi / 2.0, len(grid)), rtol=0, atol=1e-15)
 
 
 def test_adaptive_not_converged_raises():
-    # a jump at x = 1/3: the rule converges like 1 / n, far too slowly for the cap
-    with pytest.raises(QuadratureNotConverged):
-        adaptive_gauss_legendre(lambda x: np.where(x < 1.0 / 3.0, 0.0, 1.0), 0.0, 1.0)
-
-
-def two_call_rule(fn, a, b, rel_tol=1e-13):
-    """The adaptive rule with one call of fn per rule: the reference the
-    shared first call must equal bit for bit."""
-    x, w = _nodes(16)
-    mid, half = 0.5 * (a + b), 0.5 * (b - a)
-    vals = fn(mid + half * x)
-    prev = half * np.dot(vals, w)
-    scale_ref = half * np.dot(np.abs(_parts(vals)), w)
-    n = 32
-    while n <= _MAX_NODES:
-        x, w = _nodes(n)
-        cur = half * np.dot(fn(mid + half * x), w)
-        diff = np.abs(_parts(cur - prev))
-        scale = np.maximum(np.maximum(np.abs(_parts(cur)), scale_ref), 1e-300)
-        if np.all(diff <= rel_tol * scale):
-            return cur
-        prev = cur
-        n *= 2
-    raise QuadratureNotConverged("no convergence")
+    # a kink at pi/4: the rule converges like 1 / n^2, far too slowly for the cap
+    fn, calls = counted(lambda t: np.abs(np.cos(2.0 * t)))
+    with pytest.raises(QuadratureNotConverged, match="16384 intervals"):
+        periodic_trapezoid(fn)
+    assert sum(map(len, calls)) == MAX_N + 1
 
 
 def well_integrands():
-    """Real and complex-step integrands of the mKdV dnoidal well, (3, nodes)."""
+    """Real and complex-step integrands of the mKdV dnoidal well, (3, points)."""
     params = kp.WaveParams(0.0, -0.5, 1.0, kp.NonlinearitySpec.mkdv())
     p, tps = params.energy_poly(), kp.find_turning_points(params, (0.5, 3.0))
     rows, roots = complex_step_rows(params, tps)
@@ -114,28 +123,22 @@ def well_integrands():
     return moments(real), moments(cplx)
 
 
+def two_call_rule(fn, n):
+    """The n-interval rule from one call of fn on its whole grid, and the
+    values: the reference the nested sums must equal up to summation order."""
+    vals = fn(np.linspace(0.0, np.pi / 2.0, n + 1))
+    return (np.sum(vals, axis=-1) - 0.5 * (vals[..., 0] + vals[..., -1])) * (np.pi / (2 * n)), vals
+
+
 def test_adaptive_equals_two_call_rule():
     h = 1e-30
-    fns = [np.exp, lambda x: np.stack((np.exp(x), np.cos(3.0 * x), x ** 3)),
-           lambda x: 1.0 + 1j * h * np.sin(40.0 * x), lambda x: 1.0 / (1.01 + x),
-           *well_integrands()]
-    for fn in fns:
-        for a, b, tol in [(-1.0, 1.0, 1e-13), (0.0, np.pi / 2.0, 1e-13), (-1.0, 0.5, 1e-6)]:
-            got, want = adaptive_gauss_legendre(fn, a, b, tol), two_call_rule(fn, a, b, tol)
+    for fn in (*well_integrands(), cauchy, lambda t: 1.0 + 1j * h * cauchy(t)):
+        for tol in (1e-13, 1e-6):
+            wrapped, calls = counted(fn)
+            got = periodic_trapezoid(wrapped, tol)
+            n = sum(map(len, calls)) - 1
+            want, vals = two_call_rule(fn, n)
             assert type(got) is type(want)
-            assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
-
-
-def test_first_two_rules_share_one_call():
-    calls = []
-
-    def fn(x):
-        calls.append(x.shape)
-        return np.exp(x)
-
-    adaptive_gauss_legendre(fn, -1.0, 1.0)     # converged at 32 nodes
-    assert calls == [(48,)]
-    del calls[:]
-    adaptive_gauss_legendre(lambda x: fn(x) / (1.01 + x), -1.0, 1.0)
-    assert calls[0] == (48,) and len(calls) > 1
-    assert [n for n, in calls[1:]] == [64 * 2 ** i for i in range(len(calls) - 1)]
+            for part in (np.real, np.imag):
+                abs_sum = np.sum(np.abs(part(vals)), axis=-1) * (np.pi / (2 * n))
+                assert np.all(np.abs(part(got) - part(want)) <= 8 * np.finfo(float).eps * abs_sum)
