@@ -1,7 +1,8 @@
 """Command-line front end: profile, invariants, scan, index, verify.
 
 A problem is a JSON config naming the nonlinearity, the parameters
-(a, E, c, sigma), optional tolerance overrides, and an optional scan block.
+(a, E, c, sigma) and an optional scan block; every tolerance is a constant
+of the package.
 Outputs are deterministic: CSV in full-precision scientific notation, JSON
 with sorted keys, no timestamps inside data files.
 
@@ -24,7 +25,7 @@ import numpy as np
 from . import asymptotics, conserved, kernel, wave
 from .errors import ConfigError, KPEvansError
 from .evans import evans as evans_value
-from .evans import DEFAULT_ODE_TOL, DEFAULT_REFINE_TOL, evans_scan, monodromy
+from .evans import ODE_TOL, evans_scan, monodromy
 from .model import (NonlinearitySpec, WaveParams, read_block, read_number,
                     read_numbers)
 
@@ -35,15 +36,11 @@ EXIT_DEGENERATE = 4
 EXIT_VERIFY_FAILED = 5
 EXIT_UNSTABLE = 10
 
-_TOLERANCES = {"ode_tol": DEFAULT_ODE_TOL, "quad_tol": wave.DEFAULT_QUAD_TOL,
-               "kernel_tol": 1e-6, "refine_tol": DEFAULT_REFINE_TOL}
 # the defaults of each config block; None marks a setting that is off unless given
-_TOP = {"sigma": 1, "tolerances": {}, "scan": {}, "bracket_hint": None,
-        "samples_per_period": 1024}
+_TOP = {"sigma": 1, "scan": {}, "bracket_hint": None, "samples_per_period": 1024}
 _SCAN = {"mu_grid": None, "k": [0.1], "lambda": 1.0, "high_freq": None,
          "low_freq": None}
 _HIGH_FREQ = {"k": 0.5, "mu_list": [25.0, 50.0, 100.0, 200.0]}
-_LOW_FREQ = {"k_ladder": list(asymptotics.DEFAULT_K_LADDER)}
 
 
 @dataclass
@@ -52,12 +49,8 @@ class ProblemConfig:
 
     params: WaveParams
     bracket_hint: tuple
-    tolerances: dict
     scan: dict
     samples_per_period: int
-
-    def tol(self, name: str) -> float:
-        return self.tolerances[name]
 
 
 def _mu_grid(spec) -> list:
@@ -87,6 +80,9 @@ def _scan(block) -> dict:
     scan["lambda"] = read_number(scan["lambda"], "scan.lambda", float)
     if "mu_grid" in block:
         scan["mu_grid"] = _mu_grid(block["mu_grid"])
+        if scan["lambda"] == 1.0 and 0.0 in scan["k"]:
+            raise ConfigError("scan.k must be nonzero at lambda = 1: D(mu, 0, 1) "
+                              "vanishes for every mu")
     if "high_freq" in block:
         hf = scan["high_freq"] = read_block(block["high_freq"], "scan.high_freq",
                                             _HIGH_FREQ, ())
@@ -97,10 +93,8 @@ def _scan(block) -> dict:
         if mu[0] <= 0.0 or any(m2 <= m1 for m1, m2 in zip(mu, mu[1:])):
             raise ConfigError("scan.high_freq.mu_list must be positive and strictly "
                               f"increasing, got {mu!r}")
-    if "low_freq" in block:   # four, so that the k^4, k^6, k^8 fit is overdetermined
-        lf = scan["low_freq"] = read_block(block["low_freq"], "scan.low_freq",
-                                           _LOW_FREQ, ())
-        lf["k_ladder"] = read_numbers(lf["k_ladder"], "scan.low_freq.k_ladder", 4)
+    if "low_freq" in block:
+        scan["low_freq"] = read_block(block["low_freq"], "scan.low_freq", {}, ())
     return scan
 
 
@@ -115,17 +109,18 @@ def load_config(path) -> ProblemConfig:
         raise ConfigError(f"sigma must be +1 or -1, got {sigma!r}")
     params = WaveParams(*(read_number(raw[key], key, float) for key in ("a", "E", "c")),
                         NonlinearitySpec.from_json_dict(raw["nonlinearity"]), sigma)
-    tols = read_block(raw["tolerances"], "tolerances", _TOLERANCES, ())
-    tols = {k: read_number(v, f"tolerances.{k}", float) for k, v in tols.items()}
     hint = raw["bracket_hint"]
     if hint is not None:
         if not (isinstance(hint, (list, tuple)) and len(hint) == 2):
             raise ConfigError("bracket_hint must be a [lo, hi] pair")
         hint = tuple(read_number(v, "bracket_hint", float) for v in hint)
+        if not hint[0] < hint[1]:
+            raise ConfigError(f"bracket_hint must be a [lo, hi] pair with lo < hi, "
+                              f"got {list(hint)}")
     spp = read_number(raw["samples_per_period"], "samples_per_period", int)
     if spp < 64:
         raise ConfigError(f"samples_per_period must be at least 64, got {spp}")
-    return ProblemConfig(params=params, bracket_hint=hint, tolerances=tols,
+    return ProblemConfig(params=params, bracket_hint=hint,
                          scan=_scan(raw["scan"]) if raw["scan"] != {} else None,
                          samples_per_period=spp)
 
@@ -145,10 +140,7 @@ def _write_csv(path: Path, header: str, rows) -> None:
 
 
 def _build_profile(cfg: ProblemConfig) -> wave.WaveProfile:
-    return wave.integrate_profile(
-        cfg.params, samples_per_period=cfg.samples_per_period,
-        quad_tol=cfg.tol("quad_tol"),
-        bracket_hint=cfg.bracket_hint)
+    return wave.integrate_profile(cfg.params, cfg.samples_per_period, cfg.bracket_hint)
 
 
 # ----------------------------------------------------------------------
@@ -160,8 +152,7 @@ def cmd_profile(cfg: ProblemConfig, out: Path) -> int:
     _write_csv(out / "profile.csv", "x,u,ux",
                zip(profile.grid, profile.u_samples, profile.ux_samples))
     inv = conserved.compute_invariants(
-        cfg.params, turning_points=(profile.u_minus, profile.u_plus),
-        quad_tol=cfg.tol("quad_tol"))
+        cfg.params, turning_points=(profile.u_minus, profile.u_plus))
     _write_json(out / "profile.json", {
         "params": {"a": cfg.params.a, "E": cfg.params.E, "c": cfg.params.c,
                    "sigma": cfg.params.sigma,
@@ -175,12 +166,9 @@ def cmd_profile(cfg: ProblemConfig, out: Path) -> int:
 
 
 def cmd_invariants(cfg: ProblemConfig, out: Path) -> int:
-    quad_tol = cfg.tol("quad_tol")
     tps = wave.find_turning_points(cfg.params, cfg.bracket_hint)
-    inv = conserved.compute_invariants(cfg.params, turning_points=tps,
-                                       quad_tol=quad_tol)
-    grads = conserved.gradients(cfg.params, quad_tol=quad_tol,
-                                bracket_hint=cfg.bracket_hint)
+    inv = conserved.compute_invariants(cfg.params, turning_points=tps)
+    grads = conserved.gradients(cfg.params, bracket_hint=cfg.bracket_hint)
     jac = conserved.jacobian_TM(cfg.params, grads)
     p = cfg.params
     _write_csv(out / "invariants.csv", "a,E,c,T,M,P,H,jacobian_TM",
@@ -197,9 +185,7 @@ def cmd_invariants(cfg: ProblemConfig, out: Path) -> int:
 
 
 def cmd_index(cfg: ProblemConfig, out: Path) -> int:
-    verdict = asymptotics.orientation_index(
-        cfg.params, bracket_hint=cfg.bracket_hint,
-        quad_tol=cfg.tol("quad_tol"))
+    verdict = asymptotics.orientation_index(cfg.params, bracket_hint=cfg.bracket_hint)
     _write_json(out / "index.json", verdict.to_json_dict())
     print(f"orientation index: {verdict.conclusion} "
           f"(jacobian {verdict.jacobian:.6e}, sigma {verdict.sigma:+d})")
@@ -213,15 +199,14 @@ def cmd_index(cfg: ProblemConfig, out: Path) -> int:
 def cmd_scan(cfg: ProblemConfig, out: Path) -> int:
     if cfg.scan is None:
         raise ConfigError("scan command requires a 'scan' block in the config")
-    scan, ode_tol = cfg.scan, cfg.tol("ode_tol")
+    scan = cfg.scan
     profile = _build_profile(cfg)
     consolidated = {}
 
     if scan["mu_grid"] is not None:
         scans_json = []
         for k in scan["k"]:
-            rep = evans_scan(profile, scan["mu_grid"], k, scan["lambda"],
-                             ode_tol=ode_tol, refine_tol=cfg.tol("refine_tol"))
+            rep = evans_scan(profile, scan["mu_grid"], k, scan["lambda"])
             tag = f"evans_scan_k{k:g}".replace(".", "p").replace("-", "m")
             _write_csv(out / f"{tag}.csv", "mu,k,re_D,im_D,log_scale,sign",
                        ((s.mu, rep.k, s.re, s.im, s.log_factor, s.sign)
@@ -231,15 +216,12 @@ def cmd_scan(cfg: ProblemConfig, out: Path) -> int:
 
     if scan["high_freq"] is not None:
         hf = scan["high_freq"]
-        report = asymptotics.high_freq_sign(profile, hf["k"], hf["mu_list"],
-                                            ode_tol=ode_tol)
+        report = asymptotics.high_freq_sign(profile, hf["k"], hf["mu_list"])
         _write_csv(out / "high_freq.csv", "mu,sign,log_abs_D", report.probes)
         consolidated["high_freq"] = report.to_json_dict()
 
     if scan["low_freq"] is not None:
-        report = asymptotics.low_freq_coefficient(
-            profile, scan["low_freq"]["k_ladder"], ode_tol=ode_tol,
-            quad_tol=cfg.tol("quad_tol"))
+        report = asymptotics.low_freq_coefficient(profile)
         _write_csv(out / "low_freq.csv", "k,D", zip(report.k_samples, report.d_values))
         consolidated["low_freq"] = report.to_json_dict()
 
@@ -261,17 +243,13 @@ def cmd_verify(cfg: ProblemConfig, out: Path) -> int:
     def check(name, measured, tol):
         rows.append(_row(name, measured, tol))
 
-    ode_tol = cfg.tol("ode_tol")
-    quad_tol = cfg.tol("quad_tol")
-    kernel_tol = cfg.tol("kernel_tol")
-
     profile = _build_profile(cfg)
     params = cfg.params
     tps = (profile.u_minus, profile.u_plus)
     check("profile energy residual", profile.energy_residual(),
-          10.0 * ode_tol * max(1.0, profile.u_plus - profile.u_minus))
+          10.0 * ODE_TOL * max(1.0, profile.u_plus - profile.u_minus))
 
-    inv = conserved.compute_invariants(params, turning_points=tps, quad_tol=quad_tol)
+    inv = conserved.compute_invariants(params, turning_points=tps)
     pinv = conserved.profile_invariants(profile)
     # int |u| dx scales the mass error: M = 0 for an odd profile
     abs_mass = profile.period * np.mean(np.abs(profile.u_samples[:-1]))
@@ -280,16 +258,16 @@ def cmd_verify(cfg: ProblemConfig, out: Path) -> int:
     check("invariants quadrature vs profile", rel, 1e-8)
     check("Jensen margin P*T - M^2 > 0", -inv.jensen_margin(), 0.0)
 
-    grads = conserved.gradients(params, quad_tol=quad_tol, bracket_hint=tps)
+    grads = conserved.gradients(params, bracket_hint=tps)
     if abs(params.E) > 1e-8:
         check("gradient identity", conserved.gradient_identity_residual(params, grads),
               1e-12)
     jac = conserved.jacobian_TM(params, grads)
 
-    basis = kernel.variational_solutions(profile, quad_tol)
+    basis = kernel.variational_solutions(profile)
     residuals = kernel.kernel_residuals(basis)
     for name in ("ux", "uE", "ua", "phi"):
-        check(f"kernel residual L[u]{name}", residuals[name], kernel_tol)
+        check(f"kernel residual L[u]{name}", residuals[name], 1e-6)
     W0, WT = basis.W[0], basis.W[-1]
     check("det W = 1", np.max(np.abs(np.linalg.det(basis.W) - 1.0)), 1e-8)
     dw_pred = kernel.predicted_deltaW(basis, grads.dT[0], grads.dT[1])
@@ -297,21 +275,20 @@ def cmd_verify(cfg: ProblemConfig, out: Path) -> int:
     check("deltaW matches display", np.max(np.abs(WT - W0 - dw_pred)) / scale, 1e-6)
     check("inverse-column identity", kernel.verify_inverse_column(basis), 1e-7)
 
-    mono = monodromy(profile, 1.7, 0.3, ode_tol=ode_tol)
+    mono = monodromy(profile, 1.7, 0.3)
     check("monodromy det = 1", mono.det_residual(), 1e-8)
-    mono00 = monodromy(profile, 0.0, 0.0, ode_tol=ode_tol)
+    mono00 = monodromy(profile, 0.0, 0.0)
     WtWinv = WT @ np.linalg.inv(W0)
     check("monodromy vs W(T) W(0)^-1",
           np.max(np.abs(mono00.full() - WtWinv)) / max(1.0, np.max(np.abs(WtWinv))),
           1e-7)
-    d_plus = evans_value(profile, 0.9, 0.4, 1.0, ode_tol=ode_tol).value
-    d_minus = evans_value(profile, complex(-0.9), 0.4, 1.0, ode_tol=ode_tol).value
+    d_plus = evans_value(profile, 0.9, 0.4, 1.0).value
+    d_minus = evans_value(profile, complex(-0.9), 0.4, 1.0).value
     check("evenness in mu", abs(d_plus - d_minus) / max(1.0, abs(d_plus)), 1e-8)
     check("translation-mode zero",
-          abs(evans_value(profile, 0.0, 0.0, 1.0, ode_tol=ode_tol).value), 1e-7)
+          abs(evans_value(profile, 0.0, 0.0, 1.0).value), 1e-7)
 
-    lf = asymptotics.low_freq_coefficient(profile, ode_tol=ode_tol,
-                                          quad_tol=quad_tol, grads=grads)
+    lf = asymptotics.low_freq_coefficient(profile, grads=grads)
     check("low-frequency c4 match", lf.relative_error, 5e-3)
 
     slope, (br, _) = asymptotics.lower_left_slope(profile, 0.5)   # br: mu = 100
@@ -320,8 +297,7 @@ def cmd_verify(cfg: ProblemConfig, out: Path) -> int:
     check("reduced lower-left order", br.lower_left_sup, br.lower_left_bound)
     check("lower-left eps^3 slope", abs(slope - 3.0), 0.6)
 
-    hf = asymptotics.high_freq_sign(profile, 0.5, [50.0, 100.0, 200.0],
-                                    ode_tol=ode_tol)
+    hf = asymptotics.high_freq_sign(profile, 0.5, [50.0, 100.0, 200.0])
     check("high-frequency sign = sigma", abs(hf.verdict - params.sigma), 0.0)
 
     verdict = asymptotics.orientation_index(params, grads=grads)

@@ -17,8 +17,8 @@ import numpy as np
 
 from .model import WaveParams, polyval_ascending
 from .quadrature import periodic_trapezoid
-from .wave import (CS_STEP, DEFAULT_QUAD_TOL, WaveProfile, _well_nodes,
-                   complex_step_rows, find_turning_points, well_integral)
+from .wave import (CS_STEP, WaveProfile, _well_nodes, complex_step_rows,
+                   find_turning_points, well_integral)
 
 
 @dataclass(frozen=True)
@@ -44,7 +44,6 @@ class GradientSet:
 
 
 def compute_invariants(params: WaveParams, turning_points=None,
-                       quad_tol: float = DEFAULT_QUAD_TOL,
                        bracket_hint=None) -> InvariantSet:
     """Evaluate (T, M, P, H) by regularized quadrature.
 
@@ -65,10 +64,10 @@ def compute_invariants(params: WaveParams, turning_points=None,
             - polyval_ascending(F, u)
 
     at = _well_nodes(params.energy_poly(), *tps)
-    T = rt2 * well_integral(at, np.ones_like, quad_tol)
-    M = rt2 * well_integral(at, lambda u: u, quad_tol)
-    P = rt2 * well_integral(at, lambda u: u * u, quad_tol)
-    H = rt2 * well_integral(at, h_ham, quad_tol)
+    T = rt2 * well_integral(at, np.ones_like)
+    M = rt2 * well_integral(at, lambda u: u)
+    P = rt2 * well_integral(at, lambda u: u * u)
+    H = rt2 * well_integral(at, h_ham)
     return InvariantSet(T, M, P, H)
 
 
@@ -86,8 +85,7 @@ def profile_invariants(profile: WaveProfile) -> InvariantSet:
     return InvariantSet(profile.period, M, P, H)
 
 
-def gradients(params: WaveParams, quad_tol: float = DEFAULT_QUAD_TOL,
-              bracket_hint=None) -> GradientSet:
+def gradients(params: WaveParams, bracket_hint=None) -> GradientSet:
     """Complex-step gradients of (T, M, P, H) in (a, E, c).
 
     Row q carries p + i h dp/dq (dp/da = u, dp/dE = 1, dp/dc = u^2/2,
@@ -111,7 +109,7 @@ def gradients(params: WaveParams, quad_tol: float = DEFAULT_QUAD_TOL,
         out *= (2.0 / sqrt_g)[:, None, :]
         return out
 
-    stack = periodic_trapezoid(integrand, rel_tol=quad_tol)
+    stack = periodic_trapezoid(integrand)
     dT, dM, dP, dH = np.sqrt(2.0) * stack.imag.T / CS_STEP
     return GradientSet(dT=dT, dM=dM, dP=dP, dH=dH)
 

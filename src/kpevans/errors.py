@@ -41,9 +41,5 @@ class NonRealEvans(KPEvansError):
     """Evans value acquired a spurious imaginary part on real data."""
 
 
-class FitIllConditioned(KPEvansError):
-    """Least-squares fit of the low-frequency model is ill conditioned."""
-
-
 class ConfigError(KPEvansError):
     """Invalid problem configuration (CLI input)."""

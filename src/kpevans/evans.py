@@ -26,7 +26,7 @@ of s = 1/8, 1/4, 1/2, 1, 2, ... steps per grid interval (at the default
 1024 samples); a level below 1 steps across 1/s intervals and reads H at
 grid nodes only.  The segment maps of adjacent levels are Richardson
 extrapolated, and the first extrapolated map within the bound that
-ode_tol sets of the one before it is returned (see monodromy).  A level
+ODE_TOL sets of the one before it is returned (see monodromy).  A level
 reads the mu- and k-free part of row 4 of H by stride from the one table a
 profile keeps, the finest built so far: a coarser table is every other
 point of a finer one, bit for bit.  So a scan at many mu on one wave
@@ -52,8 +52,7 @@ from .errors import IntegrationFailure, NonRealEvans, ScaleOverflow
 from .model import _poly_derivative, polyval_ascending
 from .wave import WaveProfile
 
-DEFAULT_ODE_TOL = 1e-12     # the tolerance of monodromy
-DEFAULT_REFINE_TOL = 1e-6   # the root bracket width of evans_scan
+ODE_TOL = 1e-12   # the tolerance of monodromy
 _LOG_MAX = 690.0  # exp() overflow guard for float64
 _SIGN_SAFETY = 30.0  # a sign read needs |Re D| above this many LU noise floors
 
@@ -171,7 +170,7 @@ def det_with_noise(A: np.ndarray):
 
 _CHUNK = 1024          # RK4 steps per propagator stack
 _MAX_STEPS = 1 << 16   # step budget of one level
-_TOL_FACTOR = 1e3      # err_est <= _TOL_FACTOR * ode_tol
+_TOL_FACTOR = 1e3      # err_est <= _TOL_FACTOR * ODE_TOL
 
 
 def _reduce(P: np.ndarray) -> np.ndarray:
@@ -315,8 +314,7 @@ def _normalized_product(segments: np.ndarray):
     return P / t, float(np.log(s).sum()) + math.log(t)
 
 
-def monodromy(profile: WaveProfile, mu, k: float,
-              ode_tol: float = DEFAULT_ODE_TOL) -> Monodromy:
+def monodromy(profile: WaveProfile, mu, k: float) -> Monodromy:
     """Period map of Y' = H Y by Richardson-extrapolated RK4 on the profile grid.
 
     Maps are built on levels of s_j = 2^j / q classical RK4 steps per grid
@@ -348,7 +346,7 @@ def monodromy(profile: WaveProfile, mu, k: float,
     product of X_j (_normalized_product): the scale e^{ls_j} is kept apart,
     so P_j stays representable when e^{ls_j} is not.  The first j >= 2 with
 
-        err_est = max |P_j - e^{ls_{j-1} - ls_j} P_{j-1}| / 15 <= 1e3 * ode_tol
+        err_est = max |P_j - e^{ls_{j-1} - ls_j} P_{j-1}| / 15 <= 1e3 * ODE_TOL
 
     returns P_j and ls_j, with X_j as its segments, so det_residual
     certifies the map returned.  The divisor is 15, not 31: against DP5 on
@@ -370,7 +368,7 @@ def monodromy(profile: WaveProfile, mu, k: float,
     want = max(1, math.ceil(max(abs(mu_c) ** (1.0 / 3.0), abs(k) ** 0.5)
                             * profile.period / 5.0))
     nseg = next(d for d in range(min(want, n // q), n // q + 1) if (n // q) % d == 0)
-    bound = _TOL_FACTOR * ode_tol
+    bound = _TOL_FACTOR * ODE_TOL
     steps, raw, prev = 0, None, None
     for j in itertools.count():
         if (n << j) // q > _MAX_STEPS:
@@ -430,14 +428,13 @@ class EvansValue:
         return 1 if re > 0 else -1
 
 
-def evans(profile: WaveProfile, mu, k: float, lam=1.0,
-          ode_tol: float = DEFAULT_ODE_TOL) -> EvansValue:
+def evans(profile: WaveProfile, mu, k: float, lam=1.0) -> EvansValue:
     """Periodic Evans function D(mu, k, lambda) = det(M(mu, k) - lambda I).
 
     Computed as e^{4 ls} det(M_hat - lambda e^{-ls} I) so the determinant of
     the normalized matrix stays O(1) regardless of the accumulated scale.
     """
-    mono = monodromy(profile, mu, k, ode_tol=ode_tol)
+    mono = monodromy(profile, mu, k)
     ls = mono.log_scale
     if -ls > _LOG_MAX:
         raise ScaleOverflow("monodromy scale underflow")
@@ -541,8 +538,7 @@ def _refine(sample, s0: EvansSample, s1: EvansSample, tol: float) -> RefinedRoot
 
 
 def evans_scan(profile: WaveProfile, mu_grid, k: float, lam=1.0,
-               ode_tol: float = DEFAULT_ODE_TOL,
-               refine_tol: float = DEFAULT_REFINE_TOL) -> ScanReport:
+               refine_tol: float = 1e-6) -> ScanReport:
     """Evaluate D along a real mu grid, bracket sign changes, refine roots.
 
     Each sign change of Re D between neighbouring grid points (both read
@@ -552,15 +548,21 @@ def evans_scan(profile: WaveProfile, mu_grid, k: float, lam=1.0,
     For real mu and lambda the system has real coefficients, so the scan
     runs entirely in real arithmetic; a nonzero imaginary part can only
     arrive through a complex code path and trips NonRealEvans.
+
+    At k = 0 and lambda = 1 the scan raises ValueError: D(mu, 0, 1)
+    vanishes for every mu.  With w = v''' + (f'(u) - c) v' + f''(u) u_x v
+    + mu v, w' = -sigma k^2 v, so at k = 0 the row (mu, f'(u_-) - c, 0, 1)
+    annihilates M - I, and every sign read there is rounding.
     """
     mu_grid = [float(m) for m in mu_grid]
     if any(m2 <= m1 for m1, m2 in zip(mu_grid, mu_grid[1:])):
         raise ValueError("mu_grid must be strictly increasing")
     lam_c = complex(lam)
+    if k == 0.0 and lam_c == 1.0:
+        raise ValueError("D(mu, 0, 1) vanishes identically: scan at k != 0")
 
     def sample(mu: float) -> EvansSample:
-        ev = evans(profile, mu, k, lam_c.real if lam_c.imag == 0 else lam_c,
-                   ode_tol=ode_tol)
+        ev = evans(profile, mu, k, lam_c.real if lam_c.imag == 0 else lam_c)
         m = complex(ev.mantissa)
         if abs(m.imag) > 1e-9 * max(abs(m), 1e-300):
             raise NonRealEvans(

@@ -34,8 +34,8 @@ import numpy as np
 
 from .errors import WronskianDegenerate
 from .model import eval_V
-from .wave import (CS_STEP, DEFAULT_QUAD_TOL, WaveProfile, complex_step_rows,
-                   orbit_samples, orbit_theta, turning_point_derivatives)
+from .wave import (CS_STEP, WaveProfile, complex_step_rows, orbit_samples,
+                   orbit_theta, turning_point_derivatives)
 
 
 @dataclass(eq=False)
@@ -71,13 +71,12 @@ def _running_integral(h: float, f, df, d2f):
     return np.concatenate((np.zeros_like(f[..., :1]), np.cumsum(steps, axis=-1)), axis=-1)
 
 
-def variational_solutions(profile: WaveProfile,
-                          quad_tol: float = DEFAULT_QUAD_TOL) -> KernelBasis:
+def variational_solutions(profile: WaveProfile) -> KernelBasis:
     """The kernel basis on the profile grid: u_x, u_a, u_E, phi, W and the
     running integrals.
 
-    The real wave is sampled at the profile's theta (solved again, at
-    quad_tol, for a profile built from samples alone); the a and E rows of
+    The real wave is sampled at the profile's theta (solved again for a
+    profile built from samples alone); the a and E rows of
     wave.complex_step_rows, at the profile's own u_+-, give u_a, u_E and
     their slopes as imaginary parts over h at the same real x.  Derivatives
     follow from u_xx = -V'(u) and u_xxx = -V''(u) u_x; V does not depend on E.
@@ -92,9 +91,9 @@ def variational_solutions(profile: WaveProfile,
     tps = np.array([profile.u_minus, profile.u_plus])
     rows, roots = (z[:2] for z in complex_step_rows(params, tps))   # rows a and E
     theta = (profile.theta if profile.theta is not None
-             else orbit_theta(p, tps, profile.period, x, quad_tol))
+             else orbit_theta(p, tps, profile.period, x))
     u, ux = orbit_samples(p, tps, theta)
-    theta_c = orbit_theta(rows, roots.T, profile.period, x, quad_tol, theta)
+    theta_c = orbit_theta(rows, roots.T, profile.period, x, theta)
     u_c, ux_c = orbit_samples(rows, roots.T, theta_c)
     uxx = -eval_V(params, u, 1)
     V2, V3 = eval_V(params, u, 2), eval_V(params, u, 3)

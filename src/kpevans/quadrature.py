@@ -22,6 +22,8 @@ from .errors import QuadratureNotConverged
 # the largest n of both uniform-theta rules: intervals on [0, pi/2] here,
 # points on [0, pi) in wave's cosine series
 MAX_N = 2 ** 14
+# the relative tolerance of both rules
+QUAD_TOL = 1e-13
 
 
 def _parts(v):
@@ -36,7 +38,7 @@ _W32[[0, -1]] *= 0.5
 _THETA32.flags.writeable = False     # every call hands it to its integrand
 
 
-def periodic_trapezoid(fn, rel_tol: float = 1e-13):
+def periodic_trapezoid(fn, rel_tol: float = QUAD_TOL):
     """Integral of fn over [0, pi/2], doubling the intervals until it converges.
 
     fn maps points theta to values whose last axis is the points; the result

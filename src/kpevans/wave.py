@@ -25,9 +25,8 @@ import numpy as np
 from .errors import (AmbiguousWell, DegenerateTurningPoint, NoPeriodicOrbit,
                      QuadratureNotConverged)
 from .model import WaveParams, _trim_trailing_zeros, polyval_ascending
-from .quadrature import MAX_N, _parts, periodic_trapezoid
+from .quadrature import MAX_N, QUAD_TOL, _parts, periodic_trapezoid
 
-DEFAULT_QUAD_TOL = 1e-13
 SIMPLICITY_TOL = 1e-8
 # the complex step: far below rounding of any O(1) value, far above underflow
 CS_STEP = 1e-30
@@ -46,13 +45,7 @@ def _real_roots(asc_coeffs: np.ndarray):
     c = _trim_trailing_zeros(np.asarray(asc_coeffs, dtype=float)).tolist()
     if len(c) <= 1:
         return []
-    zeros = next(i for i, ck in enumerate(c) if ck != 0.0)
-    desc = c[zeros:][::-1]
-    raw = [0.0] * zeros
-    if len(desc) > 1:
-        A = np.eye(len(desc) - 1, k=-1)
-        A[0] = [-ck / desc[0] for ck in desc[1:]]
-        raw = np.linalg.eigvals(A).tolist() + raw
+    raw = np.roots(c[::-1]).tolist()
     scale = 1.0 + max(map(abs, raw))
     d1 = [k * ck for k, ck in enumerate(c)][1:]
     out = []
@@ -177,7 +170,7 @@ def _well_nodes(p_asc: np.ndarray, u_minus, u_plus):
     return at
 
 
-def well_integral(at, h_of_u, quad_tol: float = DEFAULT_QUAD_TOL) -> float:
+def well_integral(at, h_of_u) -> float:
     """Integral of h(u) / sqrt(E - V(u)) over (u_-, u_+), branch points removed.
 
     at is the well's _well_nodes: with u = u_- + (u_+ - u_-) sin^2(theta)
@@ -189,15 +182,14 @@ def well_integral(at, h_of_u, quad_tol: float = DEFAULT_QUAD_TOL) -> float:
         u, sqrt_g = at(theta)
         return 2.0 * h_of_u(u) / sqrt_g
 
-    return periodic_trapezoid(integrand, rel_tol=quad_tol)
+    return periodic_trapezoid(integrand)
 
 
-def compute_period(params: WaveParams, turning_points=None,
-                   quad_tol: float = DEFAULT_QUAD_TOL) -> float:
+def compute_period(params: WaveParams, turning_points=None) -> float:
     """Period T = sqrt(2) * integral du / sqrt(E - V(u)) over the well."""
     tps = find_turning_points(params) if turning_points is None else turning_points
     at = _well_nodes(params.energy_poly(), *tps)
-    return np.sqrt(2.0) * well_integral(at, np.ones_like, quad_tol)
+    return np.sqrt(2.0) * well_integral(at, np.ones_like)
 
 
 # ----------------------------------------------------------------------
@@ -207,12 +199,12 @@ def compute_period(params: WaveParams, turning_points=None,
 _NEWTON_ITERS = 8
 
 
-def _cosine_series(f, quad_tol: float) -> np.ndarray:
+def _cosine_series(f) -> np.ndarray:
     """Coefficients a_k of an even, pi-periodic f(theta) = sum_k a_k cos(2k theta).
 
     f is sampled at n uniform points of [0, pi) and transformed by a real
     FFT; n doubles until, in every row, the upper half of the coefficients
-    is below quad_tol times the mean of |f| (a_0 for a positive f).  Complex
+    is below QUAD_TOL times the mean of |f| (a_0 for a positive f).  Complex
     rows are transformed part by part: an FFT of complex data would leak
     the rounding of the real part into the complex step.
     """
@@ -223,12 +215,12 @@ def _cosine_series(f, quad_tol: float) -> np.ndarray:
         c = np.fft.rfft(parts, axis=-1).real * (2.0 / n)
         c[..., 0] *= 0.5
         if np.all(np.abs(c[..., n // 4:])
-                  <= quad_tol * np.mean(np.abs(parts), axis=-1, keepdims=True)):
+                  <= QUAD_TOL * np.mean(np.abs(parts), axis=-1, keepdims=True)):
             c = c[..., :n // 2]          # the Nyquist term is no cosine mode
             return c[0] + 1j * c[1] if np.iscomplexobj(vals) else c
         n *= 2
     raise QuadratureNotConverged(
-        f"cosine series of dx/dtheta not converged to {quad_tol:g} "
+        f"cosine series of dx/dtheta not converged to {QUAD_TOL:g} "
         f"with {MAX_N} nodes")
 
 
@@ -251,8 +243,7 @@ def _x_series(coef, theta, scale):
     return scale * (np.multiply.outer(coef[..., 0], theta) + sines)
 
 
-def orbit_theta(p_asc, turning_points, period: float, grid, quad_tol: float,
-                theta=None):
+def orbit_theta(p_asc, turning_points, period: float, grid, theta=None):
     """theta at the points of a uniform x grid, on each row of p_asc.
 
     x(theta) integrates the cosine series of dx/dtheta = sqrt(2) / sqrt(g),
@@ -267,7 +258,7 @@ def orbit_theta(p_asc, turning_points, period: float, grid, quad_tol: float,
     def dx_dtheta(th):
         return np.sqrt(2.0) / at(th)[1]
 
-    coef = _cosine_series(dx_dtheta, quad_tol)
+    coef = _cosine_series(dx_dtheta)
     scale = period / (np.pi * coef[..., :1].real)
 
     def newton(th):
@@ -378,16 +369,15 @@ class WaveProfile:
 
 
 def integrate_profile(params: WaveParams, samples_per_period: int = 1024,
-                      bracket_hint=None,
-                      quad_tol: float = DEFAULT_QUAD_TOL) -> WaveProfile:
+                      bracket_hint=None) -> WaveProfile:
     """The orbit from (u_-, 0) over one period on a uniform grid (theta series)."""
     if samples_per_period < 64:
         raise ValueError("samples_per_period must be at least 64")
     tps = find_turning_points(params, bracket_hint)
-    T = compute_period(params, tps, quad_tol=quad_tol)
+    T = compute_period(params, tps)
     grid = np.linspace(0.0, T, samples_per_period + 1)
     p = params.energy_poly()
-    theta = orbit_theta(p, tps, T, grid, quad_tol)
+    theta = orbit_theta(p, tps, T, grid)
     u_s, ux_s = orbit_samples(p, tps, theta)
     # pin the endpoint to the exact periodic image of the start
     u_s[-1], ux_s[-1] = tps[0], 0.0

@@ -6,7 +6,6 @@ import numpy as np
 from kpevans.conserved import compute_invariants
 from kpevans.errors import KPEvansError
 from kpevans.model import WaveParams, eval_V
-from kpevans.wave import DEFAULT_QUAD_TOL
 
 
 class NotKdV(KPEvansError):
@@ -24,8 +23,7 @@ def cubic_discriminant(asc_coeffs) -> float:
             - 4.0 * a * c ** 3 - 27.0 * a ** 2 * d ** 2)
 
 
-def kdv_jacobian_closed_form(params: WaveParams,
-                             quad_tol: float = DEFAULT_QUAD_TOL) -> float:
+def kdv_jacobian_closed_form(params: WaveParams) -> float:
     """Closed-form {T, M}_{a,E} for KdV: -T^2 V'(M/T) / (24 disc(E - V)).
 
     Derivation.  With p = E - V = E + a u + (c/2) u^2 - u^3/6, I_k = int
@@ -46,7 +44,7 @@ def kdv_jacobian_closed_form(params: WaveParams,
     want = np.array([0.0, 0.0, 0.5])
     if len(np.trim_zeros(f, trim="b")) != 3 or np.max(np.abs(f[:3] - want)) > 1e-12:
         raise NotKdV("closed-form Jacobian requires f(u) = u^2/2")
-    inv = compute_invariants(params, quad_tol=quad_tol)
+    inv = compute_invariants(params)
     p = params.energy_poly()  # cubic: E - V
     disc = cubic_discriminant(p)
     vprime_mean = eval_V(params, inv.M / inv.T, 1)

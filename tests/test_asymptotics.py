@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import kpevans as kp
+from kpevans import asymptotics
 from kpevans.asymptotics import _coefficient_functions
 
 from block_reduction import block_reduction_loop, q_diag_error, second_derivatives
@@ -130,18 +131,23 @@ def test_low_freq_sigma_independence(kdv_params, kdv_profile, kdv_grads):
     assert rep_m.predicted_c4 == rep_p.predicted_c4
 
 
-def test_low_freq_model_adequacy(kdv_profile, kdv_grads):
+def test_low_freq_model_adequacy(kdv_profile, kdv_grads, monkeypatch):
     # shrinking the ladder shrinks the k^8 truncation residual
     wide = kp.low_freq_coefficient(kdv_profile, grads=kdv_grads)
-    narrow = kp.low_freq_coefficient(
-        kdv_profile, k_ladder=tuple(0.7 * k for k in wide.k_samples),
-        grads=kdv_grads)
+    monkeypatch.setattr(asymptotics, "K_LADDER",
+                        tuple(0.7 * k for k in wide.k_samples))
+    narrow = kp.low_freq_coefficient(kdv_profile, grads=kdv_grads)
     assert narrow.fit_residual < wide.fit_residual
 
 
-def test_low_freq_needs_four_points(kdv_profile):
-    with pytest.raises(ValueError):
-        kp.low_freq_coefficient(kdv_profile, k_ladder=(0.05, 0.1, 0.15))
+def test_low_freq_ladder_conditioning():
+    """The fixed ladder overdetermines the k^4, k^6, k^8 fit, and its
+    column-scaled design matrix is well conditioned (268; the bound is the
+    condition guard the fit once ran on every call)."""
+    k = np.array(asymptotics.K_LADDER)
+    X = np.column_stack([k ** 4, k ** 6, k ** 8])
+    assert len(k) > X.shape[1]
+    assert np.linalg.cond(X / np.max(np.abs(X), axis=0)) <= 1e8
 
 
 # ----------------------------------------------------------------------

@@ -83,7 +83,7 @@ def test_unknown_key_exit_2(tmp_path, capsys):
     # every block is checked when the config is read, whatever the command
     for overrides, key in (
             ({"bogus": 1}, "bogus"),
-            ({"tolerances": {"simplicity_tol": 1e-8}}, "tolerances.simplicity_tol"),
+            ({"tolerances": {"ode_tol": 1e-12}}, "['tolerances']"),
             ({"scan": {"high_freq": {"mu_lsit": [25.0]}}}, "scan.high_freq.mu_lsit"),
             ({"scan": {"low_freq": {"k_lader": [0.04, 0.08, 0.12, 0.16]}}},
              "scan.low_freq.k_lader"),
@@ -98,10 +98,10 @@ def test_unknown_key_exit_2(tmp_path, capsys):
 @pytest.mark.parametrize("overrides, key", [
     ({"samples_per_period": 32}, "samples_per_period"),
     ({"samples_per_period": "abc"}, "samples_per_period"),
-    ({"tolerances": {"quad_tol": "x"}}, "tolerances.quad_tol"),
+    ({"tolerances": {"quad_tol": "x"}}, "['tolerances']"),
     ({"scan": {"mu_grid": {"kind": "list", "values": [1.0, 0.5]}}}, "scan.mu_grid"),
     ({"scan": {"mu_grid": {"kind": "list"}}}, "mu_grid"),
-    ({"scan": {"low_freq": {"k_ladder": [0.05, 0.1]}}}, "scan.low_freq.k_ladder"),
+    ({"scan": {"low_freq": {"k_ladder": [0.05, 0.1]}}}, "['scan.low_freq.k_ladder']"),
     ({"scan": {"mu_grid": GRID, "k": 0.1}}, "scan.k"),
     ({"scan": {"mu_grid": GRID, "lambda": "x"}}, "scan.lambda"),
     ({"scan": {"high_freq": {"mu_list": 5}}}, "scan.high_freq.mu_list"),
@@ -118,12 +118,15 @@ def test_unknown_key_exit_2(tmp_path, capsys):
     ({"nonlinearity": {"kind": "power", "coef": 0.5}}, "nonlinearity.exponent"),
     ({"nonlinearity": {"kind": "poly", "coeffs": 5}}, "nonlinearity.coeffs"),
     ({"E": float("nan")}, "E must be a finite number"),
-    ({"tolerances": {"ode_tol": float("inf")}}, "tolerances.ode_tol must be a finite"),
+    ({"tolerances": {"ode_tol": float("inf")}}, "['tolerances']"),
+    ({"scan": {"mu_grid": GRID, "k": [0.1, 0.0]}}, "scan.k must be nonzero"),
+    ({"bracket_hint": [3.0, 0.5]}, "bracket_hint"),
 ], ids=["spp-32", "spp-abc", "quad_tol-x", "mu_grid-decreasing", "mu_grid-no-values",
         "k_ladder-2", "k-scalar", "lambda-x", "mu_list-scalar", "high_freq_k-x",
         "high_freq-list", "low_freq-list", "mu_list-decreasing", "spp-fraction",
         "mu_grid_n-fraction", "a-string", "a-bool", "sigma-bool", "coef-x",
-        "power-no-exponent", "coeffs-scalar", "E-nan", "ode_tol-inf"])
+        "power-no-exponent", "coeffs-scalar", "E-nan", "ode_tol-inf", "k-zero",
+        "bracket_hint-reversed"])
 def test_malformed_value_exit_2(tmp_path, capsys, overrides, key):
     cfg = write_config(tmp_path, **overrides)
     assert run(["scan", "--config", cfg, "--out", str(tmp_path / "s")]) == 2

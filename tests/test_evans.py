@@ -11,7 +11,7 @@ import pytest
 
 import kpevans as kp
 from kpevans import cli
-from kpevans.evans import DEFAULT_ODE_TOL, EvansValue, det_with_noise
+from kpevans.evans import ODE_TOL, EvansValue, det_with_noise
 
 from conftest import coefficient_matrix
 from dp5 import integrate
@@ -211,6 +211,15 @@ def test_scan_rejects_unsorted(kdv_profile):
         kp.evans_scan(kdv_profile, [1.0, 0.5], 0.1)
 
 
+def test_scan_rejects_k_zero_at_lambda_one(kdv_profile):
+    """D(mu, 0, 1) vanishes for every mu, so a scan at k = 0 and lambda = 1
+    is refused; k = 0 at another lambda still scans."""
+    for k, lam in ((0.0, 1.0), (-0.0, 1.0 + 0.0j)):
+        with pytest.raises(ValueError, match="vanishes identically"):
+            kp.evans_scan(kdv_profile, [0.5, 1.0], k, lam)
+    assert len(kp.evans_scan(kdv_profile, [0.5, 1.0], 0.0, 2.0).samples) == 2
+
+
 def test_scan_finds_and_refines_root(kdv_profile):
     rep = kp.evans_scan(kdv_profile, list(np.geomspace(0.005, 2.0, 12)), 0.1)
     assert rep.unstable
@@ -253,7 +262,7 @@ ENGINE_KS = (0.1, 0.3, 0.5)
 @pytest.mark.parametrize("mu", ENGINE_MUS)
 def test_engine_against_dp5_oracle(request, wave, mu):
     """The returned map's true error, against DP5 at 1e-13, is at most its
-    err_est, and err_est meets the bound 1e3 ode_tol.  The k are one DP5
+    err_est, and err_est meets the bound 1e3 ODE_TOL.  The k are one DP5
     solve of the stacked systems, whose H stack takes one interpolant call."""
     profile = request.getfixturevalue(wave)
     dtype = complex if isinstance(mu, complex) else float
@@ -269,7 +278,7 @@ def test_engine_against_dp5_oracle(request, wave, mu):
         mono = kp.monodromy(profile, mu, k)
         assert mono.steps > 0 and mono.matrix.dtype == dtype
         observed = np.max(np.abs(mono.full() - want)) / np.max(np.abs(want))
-        assert observed <= mono.err_est <= 1e3 * DEFAULT_ODE_TOL
+        assert observed <= mono.err_est <= 1e3 * ODE_TOL
 
 
 @pytest.mark.parametrize("samples, q", [(1000, 8), (999, 1)])
@@ -284,18 +293,19 @@ def test_grids_not_divisible_by_8(kdv_params, kdv_profile, samples, q):
     assert first.steps == 7 * samples // q
     for mu in (1e-3, 3.0, 60.0, 200.0, 3.0 + 4.0j):
         mono = kp.monodromy(profile, mu, 0.1)
-        assert mono.err_est <= 1e3 * DEFAULT_ODE_TOL
+        assert mono.err_est <= 1e3 * ODE_TOL
         assert mono.det_residual() <= 1e-8
         ref = kp.monodromy(kdv_profile, mu, 0.1).full()
         gap = np.max(np.abs(mono.full() - ref)) / np.max(np.abs(ref))
-        assert gap <= 2e3 * DEFAULT_ODE_TOL
+        assert gap <= 2e3 * ODE_TOL
 
 
-def test_engine_unreachable_tolerance_fails_fast(kdv_profile):
+def test_engine_unreachable_tolerance_fails_fast(kdv_profile, monkeypatch):
     from kpevans.errors import IntegrationFailure
+    monkeypatch.setattr(sys.modules["kpevans.evans"], "ODE_TOL", 1e-30)
     t0 = time.perf_counter()
     with pytest.raises(IntegrationFailure):
-        kp.monodromy(kdv_profile, 1.7, 0.3, ode_tol=1e-30)
+        kp.monodromy(kdv_profile, 1.7, 0.3)
     assert time.perf_counter() - t0 < 2.0
 
 
@@ -624,7 +634,7 @@ def scan_synthetic(monkeypatch, d_of_mu, grid):
     """evans_scan with D replaced by d_of_mu: (report, refinement evaluations)."""
     calls = []
 
-    def fake_evans(profile, mu, k, lam=1.0, ode_tol=None):
+    def fake_evans(profile, mu, k, lam=1.0):
         calls.append(mu)
         return d_of_mu(mu)
 

@@ -1,12 +1,13 @@
 """Layout guards: the package imports only numpy and the standard library,
-solves no ODE adaptively, evaluates polynomials one way, reads every
-tolerance key it accepts and converts config values only where it loads
-them, exports only what it uses or documents, keeps no dataclass field
-that only the tests read, and its import loads the pipeline alone; the CLI
+solves no ODE adaptively, evaluates polynomials one way, loads the README's
+config example and converts config values only where it loads them,
+exports only what it uses or documents, keeps no dataclass field that only
+the tests read, and its import loads the pipeline alone; the CLI
 leaves the tracking module (an oracle of the tests) alone, and the tests
 stay independent of the benchmark."""
 
 import ast
+import json
 import os
 import re
 import subprocess
@@ -57,18 +58,26 @@ def test_one_polynomial_evaluator():
                     assert not names & (banned | {"polynomial"}), path.name
 
 
-def test_cli_reads_every_tolerance_key():
-    """The keys cli accepts under "tolerances" are the keys it passes to cfg.tol."""
-    read = {node.args[0].value for node in nodes(SRC / "cli.py", ast.Call)
-            if isinstance(node.func, ast.Attribute) and node.func.attr == "tol"
-            and isinstance(node.args[0], ast.Constant)}
-    assert read == set(cli._TOLERANCES)
+def test_readme_config_example_loads(tmp_path):
+    """The README's json schema example is a config load_config accepts,
+    every block of it included: the documented schema is the accepted one."""
+    (block,) = re.findall(r"```json\n(.*?)```", README.read_text(), re.S)
+    path = tmp_path / "readme.json"
+    path.write_text(block)
+    cfg = cli.load_config(path)
+    example = json.loads(block)
+    assert (cfg.params.a, cfg.params.E, cfg.params.c, cfg.params.sigma) == \
+        tuple(example[key] for key in ("a", "E", "c", "sigma"))
+    assert cfg.bracket_hint == tuple(example["bracket_hint"])
+    assert cfg.samples_per_period == example["samples_per_period"]
+    assert set(cfg.scan) == set(example["scan"])
+    assert cfg.scan["high_freq"] == example["scan"]["high_freq"]
+    assert cfg.scan["low_freq"] == {}
 
 
 def test_commands_only_compute():
     """load_config converts, checks and defaults every config value, so no
-    cmd_* function in cli calls float, int or .get, or passes cfg.tol a
-    default."""
+    cmd_* function in cli calls float, int or .get."""
     for fn in nodes(SRC / "cli.py", ast.FunctionDef):
         if not fn.name.startswith("cmd_"):
             continue
@@ -79,8 +88,6 @@ def test_commands_only_compute():
                 assert node.func.id not in ("float", "int"), (fn.name, node.func.id)
             elif isinstance(node.func, ast.Attribute):
                 assert node.func.attr != "get", fn.name
-                assert node.func.attr != "tol" or \
-                    len(node.args) + len(node.keywords) == 1, fn.name
 
 
 def test_cli_imports_no_tracking():

@@ -10,7 +10,7 @@ from kpevans import cli
 from kpevans.errors import (AmbiguousWell, DegenerateTurningPoint, NoPeriodicOrbit,
                             QuadratureNotConverged)
 
-from kpevans.wave import (DEFAULT_QUAD_TOL, _cosine_series, _real_roots, _well_nodes,
+from kpevans.wave import (_cosine_series, _real_roots, _well_nodes,
                           _x_series, complex_step_rows, orbit_theta)
 
 from conftest import cardano_real_roots, horner_from_zero, phase_align
@@ -192,11 +192,11 @@ def test_x_series_equals_sine_table(f, E, hint, K):
     p = params.energy_poly()
     rows, roots = complex_step_rows(params, tps)
     rows, roots = rows[:2], roots[:2]
-    theta = orbit_theta(p, tuple(tps), T, np.linspace(0.0, T, 1025), DEFAULT_QUAD_TOL)
+    theta = orbit_theta(p, tuple(tps), T, np.linspace(0.0, T, 1025))
     theta = np.concatenate([theta, [-1e-2, -1e-8, np.pi + 1e-8, np.pi + 1e-2]])
     for asc, ends in ((p, tuple(tps)), (rows, tuple(roots.T))):
         at = _well_nodes(asc, *ends)
-        coef = _cosine_series(lambda th: np.sqrt(2.0) / at(th)[1], DEFAULT_QUAD_TOL)
+        coef = _cosine_series(lambda th: np.sqrt(2.0) / at(th)[1])
         assert coef.shape[-1] >= K
         scale = T / (np.pi * coef[..., :1].real)
         got = _x_series(coef, theta, scale)
