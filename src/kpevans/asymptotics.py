@@ -247,8 +247,7 @@ def low_freq_coefficient(profile: WaveProfile,
     params = profile.params
     tps = (profile.u_minus, profile.u_plus)
     inv = conserved.compute_invariants(params, turning_points=tps)
-    g = grads or conserved.gradients(params, bracket_hint=tps)
-    jac = conserved.jacobian_TM(params, g)
+    jac = conserved.jacobian_TM(params, grads, bracket_hint=tps)
     predicted = -(inv.P * inv.T - inv.M ** 2) * jac
     rel = abs(coef[0] - predicted) / abs(predicted)
     return LowFreqReport(k_samples=tuple(K_LADDER), d_values=tuple(float(d) for d in d_vals),
@@ -276,20 +275,19 @@ class IndexVerdict:
 
 def orientation_index(params: WaveParams, grads: conserved.GradientSet = None,
                       bracket_hint=None) -> IndexVerdict:
-    """Instability verdict from the sign of sigma * {T, M}_{a,E}.
+    """Instability verdict from the sign of sigma * {T, M}_{a,E}, from grads
+    or else from the {T, M} x {a, E} block of the gradients alone.
 
     One-sided: a positive product certifies transverse spectral instability;
     a negative one decides nothing.  The Jacobian is degenerate when it is at
     most 1e-8 of the scale |T_a M_E| + |T_E M_a| of its two terms.
     """
-    g = grads or conserved.gradients(params, bracket_hint=bracket_hint)
-    jac = conserved.jacobian_TM(params, g)
-    scale = abs(g.dT[0] * g.dM[1]) + abs(g.dT[1] * g.dM[0])
-    if abs(jac) <= 1e-8 * max(scale, 1e-300):
-        return IndexVerdict(jacobian=jac, sigma=params.sigma, product_sign=0,
-                            conclusion="DegenerateJacobian")
-    product = params.sigma * jac
-    sign = 1 if product > 0 else -1
-    conclusion = "UnstableDetected" if sign > 0 else "IndexInconclusive"
+    left, right = conserved._jacobian_terms(params, grads, bracket_hint)
+    jac = float(left - right)
+    if abs(jac) <= 1e-8 * max(abs(left) + abs(right), 1e-300):
+        sign, conclusion = 0, "DegenerateJacobian"
+    else:
+        sign = 1 if params.sigma * jac > 0 else -1
+        conclusion = "UnstableDetected" if sign > 0 else "IndexInconclusive"
     return IndexVerdict(jacobian=jac, sigma=params.sigma, product_sign=sign,
                         conclusion=conclusion)

@@ -73,6 +73,11 @@ def _mu_grid(spec) -> list:
     return grid
 
 
+def _scan_tag(k: float) -> str:
+    """The file name, less .csv, of the Evans scan at k: k to six significant digits."""
+    return f"evans_scan_k{k:g}".replace(".", "p").replace("-", "m")
+
+
 def _scan(block) -> dict:
     """The scan block; mu_grid, high_freq and low_freq stay None unless given."""
     scan = read_block(block, "scan", _SCAN, ())
@@ -83,6 +88,9 @@ def _scan(block) -> dict:
         if scan["lambda"] == 1.0 and 0.0 in scan["k"]:
             raise ConfigError("scan.k must be nonzero at lambda = 1: D(mu, 0, 1) "
                               "vanishes for every mu")
+        if len({_scan_tag(k) for k in scan["k"]}) < len(scan["k"]):
+            raise ConfigError(f"scan.k entries must differ to six significant digits, "
+                              f"which name the scans' CSV files: got {scan['k']}")
     if "high_freq" in block:
         hf = scan["high_freq"] = read_block(block["high_freq"], "scan.high_freq",
                                             _HIGH_FREQ, ())
@@ -189,11 +197,8 @@ def cmd_index(cfg: ProblemConfig, out: Path) -> int:
     _write_json(out / "index.json", verdict.to_json_dict())
     print(f"orientation index: {verdict.conclusion} "
           f"(jacobian {verdict.jacobian:.6e}, sigma {verdict.sigma:+d})")
-    if verdict.conclusion == "UnstableDetected":
-        return EXIT_UNSTABLE
-    if verdict.conclusion == "DegenerateJacobian":
-        return EXIT_DEGENERATE
-    return EXIT_OK
+    return {"UnstableDetected": EXIT_UNSTABLE, "IndexInconclusive": EXIT_OK,
+            "DegenerateJacobian": EXIT_DEGENERATE}[verdict.conclusion]
 
 
 def cmd_scan(cfg: ProblemConfig, out: Path) -> int:
@@ -207,8 +212,7 @@ def cmd_scan(cfg: ProblemConfig, out: Path) -> int:
         scans_json = []
         for k in scan["k"]:
             rep = evans_scan(profile, scan["mu_grid"], k, scan["lambda"])
-            tag = f"evans_scan_k{k:g}".replace(".", "p").replace("-", "m")
-            _write_csv(out / f"{tag}.csv", "mu,k,re_D,im_D,log_scale,sign",
+            _write_csv(out / f"{_scan_tag(k)}.csv", "mu,k,re_D,im_D,log_scale,sign",
                        ((s.mu, rep.k, s.re, s.im, s.log_factor, s.sign)
                         for s in rep.samples))
             scans_json.append(rep.to_json_dict())
@@ -262,7 +266,6 @@ def cmd_verify(cfg: ProblemConfig, out: Path) -> int:
     if abs(params.E) > 1e-8:
         check("gradient identity", conserved.gradient_identity_residual(params, grads),
               1e-12)
-    jac = conserved.jacobian_TM(params, grads)
 
     basis = kernel.variational_solutions(profile)
     residuals = kernel.kernel_residuals(basis)
@@ -301,24 +304,26 @@ def cmd_verify(cfg: ProblemConfig, out: Path) -> int:
     check("high-frequency sign = sigma", abs(hf.verdict - params.sigma), 0.0)
 
     verdict = asymptotics.orientation_index(params, grads=grads)
-    report = {"checks": rows, "jacobian_TM": jac,
+    report = {"checks": rows, "jacobian_TM": verdict.jacobian,
               "orientation": verdict.to_json_dict()}
     _write_json(out / "verify.json", report)
 
     width = max(len(r["check"]) for r in rows)
-    n_fail = 0
     for r in rows:
-        status = "PASS" if r["pass"] else "FAIL"
-        n_fail += 0 if r["pass"] else 1
-        print(f"{status}  {r['check']:<{width}}  measured {r['measured']:.3e}"
-              f"  tol {r['tolerance']:.3e}")
-    print(f"{len(rows) - n_fail}/{len(rows)} checks passed")
-    return EXIT_OK if n_fail == 0 else EXIT_VERIFY_FAILED
+        print(f"{'PASS' if r['pass'] else 'FAIL'}  {r['check']:<{width}}  "
+              f"measured {r['measured']:.3e}  tol {r['tolerance']:.3e}")
+    n_pass = sum(r["pass"] for r in rows)
+    print(f"{n_pass}/{len(rows)} checks passed")
+    return EXIT_OK if n_pass == len(rows) else EXIT_VERIFY_FAILED
 
 
 # ----------------------------------------------------------------------
 # entry point
 # ----------------------------------------------------------------------
+
+_COMMANDS = {"profile": cmd_profile, "invariants": cmd_invariants, "scan": cmd_scan,
+             "index": cmd_index, "verify": cmd_verify}
+
 
 def _parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
@@ -344,17 +349,7 @@ def main(argv=None) -> int:
         cfg = load_config(args.config)
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        if args.command == "profile":
-            return cmd_profile(cfg, out)
-        if args.command == "invariants":
-            return cmd_invariants(cfg, out)
-        if args.command == "scan":
-            return cmd_scan(cfg, out)
-        if args.command == "index":
-            return cmd_index(cfg, out)
-        if args.command == "verify":
-            return cmd_verify(cfg, out)
-        raise ConfigError(f"unknown command {args.command}")
+        return _COMMANDS[args.command](cfg, out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

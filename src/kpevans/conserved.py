@@ -5,8 +5,8 @@ period, on one deflation of E - V.  Gradients in (a, E, c) come from one
 complex-step evaluation (Squire & Trapp, SIAM Rev. 40, 1998): the four
 integrals are taken with each parameter moved by i h, and the imaginary
 parts over h are the derivatives, with no subtractive cancellation and no
-step off the real wave.  The Jacobian {T, M}_{a,E} = T_a M_E - T_E M_a is
-the quantity the orientation index needs.
+step off the real wave.  The orientation index reads only {T, M}_{a,E} =
+T_a M_E - T_E M_a, which, computed alone, integrates only T and M in a, E.
 """
 
 from __future__ import annotations
@@ -17,8 +17,8 @@ import numpy as np
 
 from .model import WaveParams, polyval_ascending
 from .quadrature import periodic_trapezoid
-from .wave import (CS_STEP, WaveProfile, _well_nodes, complex_step_rows,
-                   find_turning_points, well_integral)
+from .wave import (CS_STEP, WaveProfile, _find_well, _well_nodes,
+                   complex_step_rows, find_turning_points, well_integral)
 
 
 @dataclass(frozen=True)
@@ -85,33 +85,39 @@ def profile_invariants(profile: WaveProfile) -> InvariantSet:
     return InvariantSet(profile.period, M, P, H)
 
 
-def gradients(params: WaveParams, bracket_hint=None) -> GradientSet:
-    """Complex-step gradients of (T, M, P, H) in (a, E, c).
-
-    Row q carries p + i h dp/dq (dp/da = u, dp/dE = 1, dp/dc = u^2/2,
-    h = CS_STEP) with turning points u+- + i h du+-/dq (wave.complex_step_rows),
-    and the regularized integrands (1, u, u^2, E - V - F) 2 / sqrt(g) are
-    integrated as one (3, 4, nodes) stack.  No row leaves the real wave, so
-    shallow wells need no special care.
+def _complex_step_integrals(params: WaveParams, bracket_hint, n_rows: int,
+                            n_cols: int) -> np.ndarray:
+    """Complex-step gradients: [j, q] is the q-derivative of (T, M, P, H)[j],
+    j < n_cols, for the first n_rows of q = (a, E, c), integrated as one
+    (n_rows, n_cols, nodes) stack of the integrands (1, u, u^2, E - V - F)
+    2 / sqrt(g).  Row q carries p + i h dp/dq (h = CS_STEP) with turning
+    points u+- + i h du+-/dq (wave.complex_step_rows): no row leaves the real
+    wave, so shallow wells need no special care.
     """
-    rows, roots = complex_step_rows(params, find_turning_points(params, bracket_hint))
+    rows, roots = (z[:n_rows] for z in
+                   complex_step_rows(params, *_find_well(params, bracket_hint)))
     at = _well_nodes(rows, roots[:, 0], roots[:, 1])
-    # p and F as one coefficient stack, each padded with top zeros
-    n, F = rows.shape[1], params.nonlinearity.F_coeffs
-    cols = np.zeros((max(n, len(F)), 2, 3, 1), dtype=complex)
-    cols[:n, 0, :, 0], cols[:len(F), 1] = rows.T, F[:, None, None]
+    if n_cols == 4:   # p and F as one coefficient stack, each padded with top zeros
+        n, F = rows.shape[1], params.nonlinearity.F_coeffs
+        cols = np.zeros((max(n, len(F)), 2, n_rows, 1), dtype=complex)
+        cols[:n, 0, :, 0], cols[:len(F), 1] = rows.T, F[:, None, None]
 
     def integrand(theta):
         u, sqrt_g = at(theta)
-        out = np.empty((3, 4) + u.shape[1:], dtype=complex)
-        out[:, 0], out[:, 1], out[:, 2] = 1.0, u, u * u
-        np.subtract(*polyval_ascending(cols, u), out=out[:, 3])   # E - V - F
+        out = np.empty((n_rows, n_cols) + u.shape[1:], dtype=complex)
+        out[:, 0], out[:, 1] = 1.0, u
+        if n_cols == 4:
+            out[:, 2] = u * u
+            np.subtract(*polyval_ascending(cols, u), out=out[:, 3])   # E - V - F
         out *= (2.0 / sqrt_g)[:, None, :]
         return out
 
-    stack = periodic_trapezoid(integrand)
-    dT, dM, dP, dH = np.sqrt(2.0) * stack.imag.T / CS_STEP
-    return GradientSet(dT=dT, dM=dM, dP=dP, dH=dH)
+    return np.sqrt(2.0) * periodic_trapezoid(integrand).imag.T / CS_STEP
+
+
+def gradients(params: WaveParams, bracket_hint=None) -> GradientSet:
+    """Complex-step gradients of (T, M, P, H) in (a, E, c): one stack of twelve."""
+    return GradientSet(*_complex_step_integrals(params, bracket_hint, 3, 4))
 
 
 def gradient_identity_residual(params: WaveParams, grads: GradientSet) -> float:
@@ -130,7 +136,16 @@ def gradient_identity_residual(params: WaveParams, grads: GradientSet) -> float:
     return float(np.max(np.abs(vec)) / max(scale, 1e-300))
 
 
-def jacobian_TM(params: WaveParams, grads: GradientSet = None) -> float:
-    """{T, M}_{a,E} = T_a M_E - T_E M_a from the complex-step gradients."""
-    g = grads or gradients(params)
-    return float(g.dT[0] * g.dM[1] - g.dT[1] * g.dM[0])
+def _jacobian_terms(params: WaveParams, grads: GradientSet, bracket_hint):
+    """T_a M_E and T_E M_a, from grads or else from the {T, M} x {a, E} block."""
+    (T_a, T_E), (M_a, M_E) = ((grads.dT[:2], grads.dM[:2]) if grads is not None else
+                              _complex_step_integrals(params, bracket_hint, 2, 2))
+    return T_a * M_E, T_E * M_a
+
+
+def jacobian_TM(params: WaveParams, grads: GradientSet = None,
+                bracket_hint=None) -> float:
+    """{T, M}_{a,E} = T_a M_E - T_E M_a from the complex-step gradients, or,
+    without grads, from the block alone on the well bracket_hint selects."""
+    left, right = _jacobian_terms(params, grads, bracket_hint)
+    return float(left - right)

@@ -21,17 +21,9 @@ propagators aligned with the profile's quintic-Hermite grid.  Because H is
 a companion matrix, each propagator entry is a fixed linear combination of
 19 monomials in row 4 of H at the step's start, midpoint and end, so a
 stack of propagators is one matrix product against a constant table
-(_companion_steps), reduced pairwise (_reduce).  Maps are built on levels
-of s = 1/8, 1/4, 1/2, 1, 2, ... steps per grid interval (at the default
-1024 samples); a level below 1 steps across 1/s intervals and reads H at
-grid nodes only.  The segment maps of adjacent levels are Richardson
-extrapolated, and the first extrapolated map within the bound that
-ODE_TOL sets of the one before it is returned (see monodromy).  A level
-reads the mu- and k-free part of row 4 of H by stride from the one table a
-profile keeps, the finest built so far: a coarser table is every other
-point of a finer one, bit for bit.  So a scan at many mu on one wave
-builds a handful of tables, not one per evaluation, and keeps one.
-The Evans function is
+(_companion_steps), reduced pairwise (_reduce).  monodromy extrapolates
+the maps of ever finer levels of steps, each read by stride from one table
+that the profile keeps (_table).  The Evans function is
 
     D(mu, k, lambda) = det(M(mu, k) - lambda I),
 
@@ -245,8 +237,8 @@ def _companion_steps(rows, h: float) -> np.ndarray:
     that order), with weights K(h) = sum_{k=0..4} h^k B_k: the constant
     24 B_k are _RK4_B, integers with 68 nonzeros, read off the rows above
     (_RK4_TERMS).  The features X are built as (19, n) rows and the stack
-    is X^T K(h), one matrix product, C-contiguous, of the
-    n = (len(d0) - 1) / 2 one-step maps, in the dtype the rows promote to.
+    is X^T K(h), one matrix product (two for complex rows), C-contiguous, of
+    the n = (len(d0) - 1) / 2 one-step maps, in the dtype the rows promote to.
     """
     D = np.asarray(rows)
     p, q, r = D[:, 0:-1:2], D[:, 1::2], D[:, 2::2]
@@ -256,8 +248,12 @@ def _companion_steps(rows, h: float) -> np.ndarray:
     np.multiply(q[2], p, out=X[10:13])
     np.multiply(r[1], p, out=X[13:16])
     np.multiply(r[2], q, out=X[16:19])
-    K = (np.array([1.0, h, h * h, h ** 3, h ** 4]) / 24.0) @ _RK4_B.reshape(5, -1)
-    return (X.T @ K.reshape(19, 16)).reshape(-1, 4, 4)
+    K = ((np.array([1.0, h, h * h, h ** 3, h ** 4]) / 24.0)
+         @ _RK4_B.reshape(5, -1)).reshape(19, 16)
+    # a complex X as two real products, bit for bit the complex one, which
+    # past a few hundred steps can stall for milliseconds in a threaded BLAS
+    P = X.real.T @ K + 1j * (X.imag.T @ K) if np.iscomplexobj(X) else X.T @ K
+    return P.reshape(-1, 4, 4)
 
 
 def _table(profile: WaveProfile, m: int):

@@ -16,14 +16,10 @@ normalization pins to exactly 1:
 Initial data follow from differentiating u(0) = u_-(a, E, c) by the
 turning-point identity V'(u_-) du_-/dq = dp/dq (wave.turning_point_derivatives).
 
-No ODE is solved.  The profile and its variations come from the first
-integral: u = u_- + w sin^2(theta) with x(theta) from the cosine series of
-dx/dtheta (wave.orbit_theta), and u_a, u_E at fixed x are the complex
-steps of that construction in a and E (wave.complex_step_rows).  The running
-integrals are cumulative quintic-Hermite sums on the grid.
-variational_solutions builds the whole quadruple and its matrix W(x, 0, 0)
-in one step; every derivative, the second and third rows of W included,
-comes from the governing equations, never from differencing.
+No ODE is solved: u_a and u_E at fixed x are the complex steps in a and E
+of the profile's first-integral construction (wave.orbit_theta,
+wave.complex_step_rows), and every derivative, the second and third rows
+of W included, comes from the governing equations, never from differencing.
 """
 
 from __future__ import annotations
@@ -35,7 +31,7 @@ import numpy as np
 from .errors import WronskianDegenerate
 from .model import eval_V
 from .wave import (CS_STEP, WaveProfile, complex_step_rows, orbit_samples,
-                   orbit_theta, turning_point_derivatives)
+                   orbit_theta)
 
 
 @dataclass(eq=False)
@@ -89,7 +85,8 @@ def variational_solutions(profile: WaveProfile) -> KernelBasis:
     params, x = profile.params, profile.grid
     p = params.energy_poly()
     tps = np.array([profile.u_minus, profile.u_plus])
-    rows, roots = (z[:2] for z in complex_step_rows(params, tps))   # rows a and E
+    rows, roots = (z[:2] for z in complex_step_rows(   # rows a and E
+        params, tps, eval_V(params, tps, 1)))
     theta = (profile.theta if profile.theta is not None
              else orbit_theta(p, tps, profile.period, x))
     u, ux = orbit_samples(p, tps, theta)
@@ -135,7 +132,7 @@ def predicted_deltaW(basis: KernelBasis, T_a: float, T_E: float) -> np.ndarray:
     profile = basis.profile
     Vm = eval_V(profile.params, profile.u_minus, 1)
     Vmm = eval_V(profile.params, profile.u_minus, 2)
-    aE = turning_point_derivatives(profile.params, (profile.u_minus, profile.u_plus))[1, 0]
+    aE = 1.0 / Vm     # du_-/dE, from V'(u_-) du_-/dE = 1
     T = profile.period
     Ix = basis.I_sx[-1]   # int_0^T x u_x dx
     IE = basis.I_sE[-1]   # int_0^T x u_E dx

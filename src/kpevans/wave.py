@@ -1,19 +1,14 @@
 """Periodic orbits of the profile oscillator u_x^2/2 = E - V(u; a, c).
 
 Construction pipeline: locate the two simple turning points of E - V
-(their derivatives in a, E and c, and the complex-step rows' turning points,
-follow from the first integral), evaluate the period by the half-period
-trapezoid rule in theta, regularized with u = u_- + (u_+ - u_-) sin^2(theta)
-(which cancels the square-root branch points exactly for polynomial
-potentials), then place
-the profile on a uniform grid over one period through the same
-substitution: dx/dtheta = sqrt(2) / sqrt(g(u(theta))) is analytic, even and
-pi-periodic, so its cosine series converges geometrically and integrates to
-x(theta) in closed form, a sine series summed by Horner in z = e^{2i theta};
-Newton in theta finds the grid points, where u and u_x = sqrt(2) w
-sin(theta) cos(theta) sqrt(g(u)) are exact.  WaveProfile interpolates them
-by piecewise-quintic Hermite, evaluated by one Horner routine, _quintic.
-Energy polynomials are rows of ascending coefficients.
+(their derivatives in a, E and c follow from the first integral), evaluate
+the period by the half-period trapezoid rule in theta, regularized with
+u = u_- + (u_+ - u_-) sin^2(theta) (which cancels the square-root branch
+points exactly for polynomial potentials), then place the profile on a
+uniform grid over one period through the same substitution, where u and
+u_x are exact (orbit_theta, orbit_samples).  WaveProfile interpolates
+them by piecewise-quintic Hermite.  Energy polynomials are rows of
+ascending coefficients.
 """
 
 from __future__ import annotations
@@ -80,6 +75,11 @@ def find_turning_points(params: WaveParams, bracket_hint=None):
     potential admits several; with more than one candidate and no hint the
     search refuses to guess and raises AmbiguousWell.
     """
+    return _find_well(params, bracket_hint)[0]
+
+
+def _find_well(params: WaveParams, bracket_hint):
+    """find_turning_points' (u_-, u_+), and the V'(u_-), V'(u_+) it tests."""
     p = params.energy_poly()
     roots, p = _real_roots(p), p.tolist()
     wells = [(lo, hi) for lo, hi in zip(roots[:-1], roots[1:])
@@ -93,37 +93,36 @@ def find_turning_points(params: WaveParams, bracket_hint=None):
     if len(wells) > 1:
         raise AmbiguousWell(
             f"{len(wells)} disjoint wells admit periodic orbits; pass bracket_hint")
-    u_minus, u_plus = wells[0]
     dV = params.V_coeffs(1).tolist()
-    for u in (u_minus, u_plus):
-        slope = abs(polyval_ascending(dV, u))
-        if slope <= SIMPLICITY_TOL * (1.0 + abs(u) + abs(params.E)):
+    slopes = [polyval_ascending(dV, u) for u in wells[0]]
+    for u, slope in zip(wells[0], slopes):
+        if abs(slope) <= SIMPLICITY_TOL * (1.0 + abs(u) + abs(params.E)):
             raise DegenerateTurningPoint(
-                f"|V'({u:.6g})| = {slope:.3e} below simplicity "
+                f"|V'({u:.6g})| = {abs(slope):.3e} below simplicity "
                 "tolerance (separatrix or equilibrium boundary)")
-    return u_minus, u_plus
+    return wells[0], slopes
 
 
-def turning_point_derivatives(params: WaveParams, turning_points, step=1.0):
+def turning_point_derivatives(turning_points, slopes, step=1.0):
     """step du/dq at the turning points: rows q = a, E, c, columns (u_-, u_+).
 
-    A simple turning point stays a root of p as q moves, so
-    V'(u) du/dq = dp/dq(u); formed as (step dp/dq) / V'(u).
+    A simple turning point stays a root of p as q moves, so V'(u) du/dq =
+    dp/dq(u) = (u, 1, u^2/2); formed as (step dp/dq) / V'(u), slopes V'(u+-).
     """
-    u = np.asarray(turning_points, dtype=float)
-    dp = polyval_ascending(_DP_DQ.T[..., np.newaxis], u)
-    return step * dp / polyval_ascending(params.V_coeffs(1), u)
+    lo, hi = turning_points
+    dp = np.array([[lo, hi], [1.0, 1.0], [0.5 * lo * lo, 0.5 * hi * hi]])
+    return step * dp / np.array(slopes)
 
 
-def complex_step_rows(params: WaveParams, tps):
+def complex_step_rows(params: WaveParams, tps, slopes):
     """Rows p + i h dp/dq of the energy polynomial (q = a, E, c, h = CS_STEP)
-    and their turning points u+- + i h du+-/dq (rows q, columns (u_-, u_+)).
-    Their real parts are tps, the real turning points: complex Newton would
-    move them by the roots' rounding, which on a 1e-6-deep KdV well lifts
-    the kernel basis' inverse-column residual from 2e-8 to 1e-6."""
+    and their turning points tps + i h du+-/dq (rows q, columns (u_-, u_+)),
+    slopes being V'(u+-).  Their real parts are tps exactly: complex Newton
+    would move them by the roots' rounding, which on a 1e-6-deep KdV well
+    lifts the kernel basis' inverse-column residual from 2e-8 to 1e-6."""
     rows = params.energy_poly() + np.zeros((3, 1), dtype=complex)
     rows[:, :3] += 1j * CS_STEP * _DP_DQ
-    return rows, tps + turning_point_derivatives(params, tps, 1j * CS_STEP)
+    return rows, tps + turning_point_derivatives(tps, slopes, 1j * CS_STEP)
 
 
 # ----------------------------------------------------------------------

@@ -121,12 +121,13 @@ def test_unknown_key_exit_2(tmp_path, capsys):
     ({"tolerances": {"ode_tol": float("inf")}}, "['tolerances']"),
     ({"scan": {"mu_grid": GRID, "k": [0.1, 0.0]}}, "scan.k must be nonzero"),
     ({"bracket_hint": [3.0, 0.5]}, "bracket_hint"),
+    ({"scan": {"mu_grid": GRID, "k": [0.1, 0.1000001]}}, "scan.k entries must differ to six"),
 ], ids=["spp-32", "spp-abc", "quad_tol-x", "mu_grid-decreasing", "mu_grid-no-values",
         "k_ladder-2", "k-scalar", "lambda-x", "mu_list-scalar", "high_freq_k-x",
         "high_freq-list", "low_freq-list", "mu_list-decreasing", "spp-fraction",
         "mu_grid_n-fraction", "a-string", "a-bool", "sigma-bool", "coef-x",
         "power-no-exponent", "coeffs-scalar", "E-nan", "ode_tol-inf", "k-zero",
-        "bracket_hint-reversed"])
+        "bracket_hint-reversed", "k-tag-collision"])
 def test_malformed_value_exit_2(tmp_path, capsys, overrides, key):
     cfg = write_config(tmp_path, **overrides)
     assert run(["scan", "--config", cfg, "--out", str(tmp_path / "s")]) == 2

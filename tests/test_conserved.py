@@ -11,7 +11,9 @@ from scipy.optimize import brentq
 
 import kpevans as kp
 from kpevans import cli, conserved
-from kpevans.errors import NoPeriodicOrbit, StencilLeftRegion
+from kpevans.errors import AmbiguousWell, NoPeriodicOrbit, StencilLeftRegion
+from kpevans.model import polyval_ascending
+from kpevans.wave import CS_STEP, turning_point_derivatives
 
 from conftest import (DNOIDAL_HINT, FOLD_WELLS, SHALLOW, fd_gradients,
                       seeded_turning_points)
@@ -180,6 +182,55 @@ def test_mkdv_branch_signs(dnoidal_params, dnoidal_grads,
                            cnoidal_mkdv_params, cnoidal_mkdv_grads):
     assert kp.jacobian_TM(dnoidal_params, dnoidal_grads) > 0
     assert kp.jacobian_TM(cnoidal_mkdv_params, cnoidal_mkdv_grads) < 0
+
+
+def test_jacobian_without_grads_takes_bracket_hint(dnoidal_params, dnoidal_grads):
+    """Without grads, jacobian_TM selects the dnoidal well by bracket_hint,
+    as gradients does, and refuses to guess without one."""
+    jac = kp.jacobian_TM(dnoidal_params, bracket_hint=DNOIDAL_HINT)
+    assert jac == kp.jacobian_TM(dnoidal_params, dnoidal_grads) and jac > 0
+    with pytest.raises(AmbiguousWell):
+        kp.jacobian_TM(dnoidal_params)
+
+
+# one wave per family of the index sweep: f, a, E, c and a bracket hint
+FAMILY_WAVES = {
+    "kdv": ((0.0, 0.0, 0.5), 0.0, -0.05, 1.0, None),
+    "mkdv": ((0.0, 0.0, 0.0, 1.0 / 3.0), 0.0, -0.5, 1.0, DNOIDAL_HINT),
+    "quartic": ((0.0, 0.0, 0.0, 0.0, 0.25), 0.0, -0.3, 1.0, (0.5, 3.0)),
+    "mixed": ((0.0, 0.0, 0.5, 1.0 / 3.0), 0.0, -0.1, 1.0, (0.5, 3.0)),
+}
+
+
+def _index_waves():
+    """(params, hint) by name: the family waves at both signs of sigma, then
+    the shallow and fold wells."""
+    for name, (f, a, E, c, hint) in FAMILY_WAVES.items():
+        for sigma in (1, -1):
+            yield pytest.param(kp.WaveParams(a, E, c, kp.NonlinearitySpec.polynomial(f),
+                                             sigma), hint, id=f"{name}{sigma:+d}")
+    for name, (params, hint, _) in SHALLOW.items():
+        yield pytest.param(params, hint, id=name)
+    for name, (f, a, E, c, bottom) in FOLD_WELLS.items():
+        yield pytest.param(kp.WaveParams(a, E, c, kp.NonlinearitySpec.polynomial(f)),
+                           (bottom - 1e-3, bottom + 1e-3), id=name)
+
+
+@pytest.mark.parametrize("params, hint", _index_waves())
+def test_index_block_equals_gradients(params, hint):
+    """The index integrates only the {T, M} x {a, E} block; its Jacobian is
+    the one of the full gradients bit for bit, and the closed-form turning
+    point derivatives are the polyval form of dp/dq bit for bit."""
+    jac = kp.jacobian_TM(params, kp.gradients(params, bracket_hint=hint))
+    assert kp.orientation_index(params, bracket_hint=hint).jacobian == jac
+    assert kp.jacobian_TM(params, bracket_hint=hint) == jac
+    u = np.array(kp.find_turning_points(params, hint))
+    dp_dq = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.5]])  # ascending in u
+    for step in (1.0, 1j * CS_STEP):
+        want = step * polyval_ascending(dp_dq.T[..., None], u) \
+            / polyval_ascending(params.V_coeffs(1), u)
+        got = turning_point_derivatives(tuple(u), [kp.eval_V(params, x, 1) for x in u], step)
+        assert got.tobytes() == want.tobytes()
 
 
 def test_jensen_margin_positive(kdv_invariants, dnoidal_params,
@@ -417,9 +468,12 @@ def test_wrong_turning_points_raise_typed_error(dnoidal_params, monkeypatch):
     wrong = (-u_minus, u_plus)
     with pytest.raises(NoPeriodicOrbit, match="not positive on the well"):
         kp.compute_invariants(dnoidal_params, turning_points=wrong)
-    monkeypatch.setattr(conserved, "find_turning_points", lambda *args: wrong)
+    slopes = [kp.eval_V(dnoidal_params, u, 1) for u in wrong]
+    monkeypatch.setattr(conserved, "_find_well", lambda *args: (wrong, slopes))
     with pytest.raises(NoPeriodicOrbit, match="not positive on the well"):
         kp.gradients(dnoidal_params)
+    with pytest.raises(NoPeriodicOrbit, match="not positive on the well"):
+        kp.jacobian_TM(dnoidal_params)
 
 
 def test_ndarray_turning_points(kdv_params, dnoidal_params):

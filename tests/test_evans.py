@@ -473,6 +473,26 @@ def test_rk4_weights_are_the_rk4_stages():
         assert got == [want[e // 4][e % 4] for e in range(16)]
 
 
+@pytest.mark.parametrize("n", [37, 512, 1024])
+def test_complex_steps_equal_one_complex_product(n):
+    """For complex rows the stack is taken as two real products; it equals
+    the one complex product X^T K(h) of the features, built here as the
+    docstring lists them, bit for bit."""
+    rng = np.random.default_rng(n)
+    rows = [20.0 * rng.standard_normal(2 * n + 1) + 0j for _ in range(3)]
+    rows[1] += 20j * rng.standard_normal(2 * n + 1)
+    ev = sys.modules["kpevans.evans"]
+    (p0, q0, r0), (p1, q1, r1), (p2, q2, r2) = ((d[0:-1:2], d[1::2], d[2::2])
+                                                for d in rows)
+    p, q, r = np.array([p0, p1, p2]), np.array([q0, q1, q2]), np.array([r0, r1, r2])
+    X = np.vstack([np.ones((1, n)), p, q, r, q2 * p, r1 * p, r2 * q])
+    for h in (0.5, 0.013):
+        K = (np.array([1.0, h, h * h, h ** 3, h ** 4]) / 24.0) @ ev._RK4_B.reshape(5, -1)
+        want = (X.T @ K.reshape(19, 16)).reshape(-1, 4, 4)
+        assert want.dtype == complex
+        assert ev._companion_steps(rows, h).tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("dtype", [float, complex])
 @pytest.mark.parametrize("n", [1, 37, 1024])
 def test_companion_steps_near_entry_formulas(dtype, n):

@@ -38,8 +38,8 @@ def predicted_W0(basis):
     profile = basis.profile
     Vm = kp.eval_V(profile.params, profile.u_minus, 1)
     Vmm = kp.eval_V(profile.params, profile.u_minus, 2)
-    aa, aE = turning_point_derivatives(profile.params,
-                                       (profile.u_minus, profile.u_plus))[:2, 0]
+    tps = (profile.u_minus, profile.u_plus)
+    aa, aE = turning_point_derivatives(tps, kp.eval_V(profile.params, np.array(tps), 1))[:2, 0]
     return np.array([
         [0.0, aa, aE, 0.0],
         [-Vm, 0.0, 0.0, 0.0],
@@ -124,7 +124,7 @@ def test_turning_point_derivative_identities(kdv_params, kdv_profile, row, q, si
     fd = (root_at(h) - root_at(-h)) / (2 * h)
     dp_dq = (u, 1.0, 0.5 * u * u)[row]
     assert kp.eval_V(kdv_params, u, 1) * fd == pytest.approx(dp_dq, abs=1e-8)
-    got = turning_point_derivatives(kdv_params, seed)[row, side]
+    got = turning_point_derivatives(seed, kp.eval_V(kdv_params, np.array(seed), 1))[row, side]
     assert got == pytest.approx(fd, rel=1e-7)
 
 
@@ -237,7 +237,8 @@ def displayed_deltaW(profile, basis, T_a, T_E):
     """The displayed delta W: the pure int x u_E moment in column 4."""
     Vm = kp.eval_V(profile.params, profile.u_minus, 1)
     Vmm = kp.eval_V(profile.params, profile.u_minus, 2)
-    aE = turning_point_derivatives(profile.params, (profile.u_minus, profile.u_plus))[1, 0]
+    tps = (profile.u_minus, profile.u_plus)
+    aE = turning_point_derivatives(tps, kp.eval_V(profile.params, np.array(tps), 1))[1, 0]
     Ix, IE = basis.I_sx[-1], basis.I_sE[-1]
     return np.array([
         [0.0, 0.0, 0.0, -aE * Ix],

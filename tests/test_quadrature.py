@@ -111,7 +111,7 @@ def well_integrands():
     """Real and complex-step integrands of the mKdV dnoidal well, (3, points)."""
     params = kp.WaveParams(0.0, -0.5, 1.0, kp.NonlinearitySpec.mkdv())
     p, tps = params.energy_poly(), kp.find_turning_points(params, (0.5, 3.0))
-    rows, roots = complex_step_rows(params, tps)
+    rows, roots = complex_step_rows(params, tps, kp.eval_V(params, np.array(tps), 1))
     real, cplx = _well_nodes(p, *tps), _well_nodes(rows, roots[:, 0], roots[:, 1])
 
     def moments(at):

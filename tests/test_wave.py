@@ -190,7 +190,7 @@ def test_x_series_equals_sine_table(f, E, hint, K):
     tps = np.array(kp.find_turning_points(params, hint))
     T = kp.compute_period(params, tuple(tps))
     p = params.energy_poly()
-    rows, roots = complex_step_rows(params, tps)
+    rows, roots = complex_step_rows(params, tps, kp.eval_V(params, tps, 1))
     rows, roots = rows[:2], roots[:2]
     theta = orbit_theta(p, tuple(tps), T, np.linspace(0.0, T, 1025))
     theta = np.concatenate([theta, [-1e-2, -1e-8, np.pi + 1e-8, np.pi + 1e-2]])
