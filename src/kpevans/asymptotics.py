@@ -13,8 +13,9 @@ Two one-sided limits combine into the instability test:
   derivative term S'.
 
 * low frequency: D(0, k, 1) = -(P T - M^2) {T, M}_{a,E} (sigma k^2)^2 +
-  O(k^6), fitted here from Evans samples on a small-k ladder and compared
-  against the prediction assembled from the conserved quantities.
+  O(k^6).  The k^4 coefficient is read here as a Cauchy integral of two
+  complex Evans values and compared against the prediction assembled from
+  the conserved quantities.
 
 If the two signs disagree -- equivalently sigma * {T, M}_{a,E} > 0, since
 P T - M^2 > 0 -- the Evans function has a real positive root and the wave
@@ -200,61 +201,54 @@ def lower_left_slope(profile: WaveProfile, k: float):
 # low-frequency coefficient
 # ----------------------------------------------------------------------
 
-# the k of the fit: five, so that the k^4, k^6, k^8 fit is overdetermined
-K_LADDER = (0.04, 0.057, 0.08, 0.113, 0.16)
+# the radius of the Cauchy circle in s = sigma k^2, in units of 1 / T^2
+RHO = 0.05
 
 
 @dataclass(frozen=True)
 class LowFreqReport:
-    k_samples: tuple
-    d_values: tuple
-    fitted_c4: float
-    fitted_c6: float
-    fitted_c8: float
+    nodes: tuple             # s_0, s_1 = r e^{i pi / 4}, r e^{3 i pi / 4}
+    d_values: tuple          # D(0, k, 1) at sigma k^2 = s_0, s_1
+    c4: float
     predicted_c4: float
     relative_error: float
-    fit_residual: float
 
     def to_json_dict(self) -> dict:
-        return {"k_samples": list(self.k_samples), "d_values": list(self.d_values),
-                "fitted_c4": self.fitted_c4, "fitted_c6": self.fitted_c6,
-                "fitted_c8": self.fitted_c8,
-                "predicted_c4": self.predicted_c4,
-                "relative_error": self.relative_error,
-                "fit_residual": self.fit_residual}
+        return {"nodes": [{"re": s.real, "im": s.imag} for s in self.nodes],
+                "d_values": [{"re": d.real, "im": d.imag} for d in self.d_values],
+                "c4": self.c4, "predicted_c4": self.predicted_c4,
+                "relative_error": self.relative_error}
 
 
 def low_freq_coefficient(profile: WaveProfile,
                          grads: conserved.GradientSet = None) -> LowFreqReport:
-    """Fit D(0, k, 1) = c4 k^4 + c6 k^6 + c8 k^8 on K_LADDER and compare c4
-    with the prediction.
+    """c4, the s^2 coefficient of D(0, k, 1) in s = sigma k^2, by a Cauchy
+    integral (Lyness & Moler, SIAM J. Numer. Anal. 4, 1967; Bornemann,
+    Found. Comput. Math. 11, 2011), against -(P T - M^2) {T, M}_{a,E}.
 
-    Predicted c4 = -(P T - M^2) {T, M}_{a,E}; the dispersion sign enters
-    only as sigma^2 = 1, so the prediction is sigma-independent.  The error
-    is relative to |predicted c4|, which vanishes where {T, M}_{a,E} does
-    (mKdV at a = 0 near E* = 1.013); the k^8 column keeps the fit's
-    truncation error below that scale there.
+    k enters H only through s, and D = c4 s^2 + O(s^3).  c4 is the
+    mean of D / s^2 over the nodes s_j = r e^{i pi (2j + 1) / 4}, j = 0..3,
+    r = RHO / T^2.  D is real for real s, so D(conj s) = conj D(s) and the
+    mean is (Im D(s_0) - Im D(s_1)) / (2 r^2): two complex Evans values.
+    Its error is the aliased d_6 r^4 plus the rounding of D over r^2.  The
+    prediction is sigma-independent (sigma^2 = 1); the error is relative to
+    |predicted c4|, which vanishes where {T, M}_{a,E} does (mKdV at a = 0
+    at E* = 1.0130326).
     """
-    d_vals = [evans(profile, 0.0, k, 1.0).value for k in K_LADDER]
-
-    karr = np.array(K_LADDER)
-    X = np.column_stack([karr ** 4, karr ** 6, karr ** 8])
-    col_scale = np.max(np.abs(X), axis=0)
-    coef = np.linalg.lstsq(X / col_scale, np.array(d_vals), rcond=None)[0] / col_scale
-    resid = float(np.linalg.norm(X @ coef - np.array(d_vals))
-                  / max(np.linalg.norm(d_vals), 1e-300))
-
     params = profile.params
+    r = RHO / profile.period ** 2
+    nodes = r * np.exp(0.25j * np.pi * np.array([1.0, 3.0]))
+    d_vals = [evans(profile, 0.0, np.sqrt(s / params.sigma), 1.0).value for s in nodes]
+    c4 = (d_vals[0].imag - d_vals[1].imag) / (2.0 * r * r)
+
     tps = (profile.u_minus, profile.u_plus)
     inv = conserved.compute_invariants(params, turning_points=tps)
     jac = conserved.jacobian_TM(params, grads, bracket_hint=tps)
     predicted = -(inv.P * inv.T - inv.M ** 2) * jac
-    rel = abs(coef[0] - predicted) / abs(predicted)
-    return LowFreqReport(k_samples=tuple(K_LADDER), d_values=tuple(float(d) for d in d_vals),
-                         fitted_c4=float(coef[0]), fitted_c6=float(coef[1]),
-                         fitted_c8=float(coef[2]),
-                         predicted_c4=float(predicted), relative_error=float(rel),
-                         fit_residual=resid)
+    return LowFreqReport(nodes=tuple(complex(s) for s in nodes),
+                         d_values=tuple(d_vals), c4=float(c4),
+                         predicted_c4=float(predicted),
+                         relative_error=float(abs(c4 - predicted) / abs(predicted)))
 
 
 # ----------------------------------------------------------------------

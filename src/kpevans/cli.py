@@ -112,11 +112,9 @@ def load_config(path) -> ProblemConfig:
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}")
     raw = read_block(raw, "", _TOP, ("nonlinearity", "a", "E", "c"))
-    sigma = read_number(raw["sigma"], "sigma", int)
-    if sigma not in (-1, 1):
-        raise ConfigError(f"sigma must be +1 or -1, got {sigma!r}")
     params = WaveParams(*(read_number(raw[key], key, float) for key in ("a", "E", "c")),
-                        NonlinearitySpec.from_json_dict(raw["nonlinearity"]), sigma)
+                        NonlinearitySpec.from_json_dict(raw["nonlinearity"]),
+                        read_number(raw["sigma"], "sigma", int))
     hint = raw["bracket_hint"]
     if hint is not None:
         if not (isinstance(hint, (list, tuple)) and len(hint) == 2):
@@ -226,7 +224,9 @@ def cmd_scan(cfg: ProblemConfig, out: Path) -> int:
 
     if scan["low_freq"] is not None:
         report = asymptotics.low_freq_coefficient(profile)
-        _write_csv(out / "low_freq.csv", "k,D", zip(report.k_samples, report.d_values))
+        _write_csv(out / "low_freq.csv", "re_s,im_s,re_D,im_D",
+                   ((s.real, s.imag, d.real, d.imag)
+                    for s, d in zip(report.nodes, report.d_values)))
         consolidated["low_freq"] = report.to_json_dict()
 
     _write_json(out / "scan.json", consolidated)

@@ -310,7 +310,7 @@ def _normalized_product(segments: np.ndarray):
     return P / t, float(np.log(s).sum()) + math.log(t)
 
 
-def monodromy(profile: WaveProfile, mu, k: float) -> Monodromy:
+def monodromy(profile: WaveProfile, mu, k) -> Monodromy:
     """Period map of Y' = H Y by Richardson-extrapolated RK4 on the profile grid.
 
     Maps are built on levels of s_j = 2^j / q classical RK4 steps per grid
@@ -349,11 +349,12 @@ def monodromy(profile: WaveProfile, mu, k: float) -> Monodromy:
     the canonical waves the true error of P_j reaches 0.72 err_est, which
     31 would put above the estimate.  A level whose product is not finite
     is a miss.  The table holds the mu- and k-free part of row 4 alone, so
-    every call subtracts sigma k^2 and mu from the rows its level reads; it
-    is three float64 rows of 2 m_t n + 1 points, about 48 m_t n bytes.  If
-    a level would take more than 2^16 steps, IntegrationFailure is raised,
-    so an uncertified map is never returned.  steps counts every RK4 step
-    of every level built, s_j n for level j.
+    every call subtracts sigma k^2 and mu from the rows its level reads (k
+    enters H only there, and a complex k, like a complex mu, makes the rows
+    and the map complex); it is three float64 rows of 2 m_t n + 1 points,
+    about 48 m_t n bytes.  If a level would take more than 2^16 steps,
+    IntegrationFailure is raised, so an uncertified map is never returned.
+    steps counts every RK4 step of every level built, s_j n for level j.
     """
     mu_c = complex(mu)
     real_mode = mu_c.imag == 0.0
@@ -424,11 +425,12 @@ class EvansValue:
         return 1 if re > 0 else -1
 
 
-def evans(profile: WaveProfile, mu, k: float, lam=1.0) -> EvansValue:
+def evans(profile: WaveProfile, mu, k, lam=1.0) -> EvansValue:
     """Periodic Evans function D(mu, k, lambda) = det(M(mu, k) - lambda I).
 
     Computed as e^{4 ls} det(M_hat - lambda e^{-ls} I) so the determinant of
     the normalized matrix stays O(1) regardless of the accumulated scale.
+    A complex mu, k or lambda gives a complex D by the same path.
     """
     mono = monodromy(profile, mu, k)
     ls = mono.log_scale

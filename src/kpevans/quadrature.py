@@ -38,7 +38,7 @@ _W32[[0, -1]] *= 0.5
 _THETA32.flags.writeable = False     # every call hands it to its integrand
 
 
-def periodic_trapezoid(fn, rel_tol: float = QUAD_TOL):
+def periodic_trapezoid(fn):
     """Integral of fn over [0, pi/2], doubling the intervals until it converges.
 
     fn maps points theta to values whose last axis is the points; the result
@@ -48,7 +48,7 @@ def periodic_trapezoid(fn, rel_tol: float = QUAD_TOL):
     midpoints alone.  The scale of each component is max(|integral|,
     integral of |fn|), so integrals that vanish by symmetry (e.g. the mass
     of an odd profile) still converge: no quadrature can resolve such
-    cancellation below rel_tol * int |fn|.  The real and imaginary parts of
+    cancellation below QUAD_TOL * int |fn|.  The real and imaginary parts of
     complex values each meet their own scale: a complex-step derivative is
     far smaller than the value it rides on.  fn must be even and
     pi-periodic for the rule to be spectral.
@@ -61,7 +61,7 @@ def periodic_trapezoid(fn, rel_tol: float = QUAD_TOL):
     while True:
         diff = np.abs(_parts(cur - prev))
         scale = np.maximum(np.maximum(np.abs(_parts(cur)), scale_ref), 1e-300)
-        if (diff <= rel_tol * scale).all():
+        if (diff <= QUAD_TOL * scale).all():
             return cur
         if 2 * n > MAX_N:
             break
@@ -69,5 +69,5 @@ def periodic_trapezoid(fn, rel_tol: float = QUAD_TOL):
         prev, cur = cur, 0.5 * cur + np.sum(mids, axis=-1) * (np.pi / (4 * n))
         n *= 2
     raise QuadratureNotConverged(
-        f"no convergence to rel_tol={rel_tol:g} with {n} intervals on [0, pi/2] "
+        f"no convergence to QUAD_TOL={QUAD_TOL:g} with {n} intervals on [0, pi/2] "
         f"(last change {np.max(diff / scale):.3e} of the scale)")

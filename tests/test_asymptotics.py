@@ -10,6 +10,7 @@ from kpevans import asymptotics
 from kpevans.asymptotics import _coefficient_functions
 
 from block_reduction import block_reduction_loop, q_diag_error, second_derivatives
+from conftest import CNOIDAL_E, DNOIDAL_E, DNOIDAL_HINT, KDV_E
 
 MU_LIST = [25.0, 50.0, 100.0]
 
@@ -119,7 +120,23 @@ def test_low_freq_coefficient_kdv(kdv_profile, kdv_grads):
     rep = kp.low_freq_coefficient(kdv_profile, grads=kdv_grads)
     assert rep.relative_error <= 5e-3
     assert rep.predicted_c4 < 0  # both PT - M^2 and {T,M} positive for KdV
-    assert rep.fitted_c4 < 0
+    assert rep.c4 < 0
+
+
+def test_low_freq_two_nodes_give_the_four_node_mean(kdv_profile):
+    """The nodes lie on |s| = RHO / T^2 at angles pi/4 and 3 pi/4.  D at the
+    conjugate nodes is the conjugate of D, bit for bit, so the mean of
+    D / s^2 over all four nodes is the report's c4."""
+    rep = kp.low_freq_coefficient(kdv_profile)
+    r = asymptotics.RHO / kdv_profile.period ** 2
+    assert np.allclose(rep.nodes, r * np.exp([0.25j * np.pi, 0.75j * np.pi]),
+                       rtol=1e-15, atol=0.0)
+    conj = [kp.evans(kdv_profile, 0.0, np.sqrt(np.conj(s)), 1.0).value for s in rep.nodes]
+    assert conj == [np.conj(d) for d in rep.d_values]
+    nodes = list(rep.nodes) + [np.conj(s) for s in rep.nodes]
+    mean = sum(d / s ** 2 for s, d in zip(nodes, list(rep.d_values) + conj)) / 4.0
+    assert mean.real == pytest.approx(rep.c4, rel=1e-14)
+    assert abs(mean.imag) <= 1e-14 * abs(rep.c4)
 
 
 def test_low_freq_sigma_independence(kdv_params, kdv_profile, kdv_grads):
@@ -127,27 +144,30 @@ def test_low_freq_sigma_independence(kdv_params, kdv_profile, kdv_grads):
     prof_m = kp.integrate_profile(replace(kdv_params, sigma=-1))
     rep_p = kp.low_freq_coefficient(kdv_profile, grads=kdv_grads)
     rep_m = kp.low_freq_coefficient(prof_m, grads=kdv_grads)
-    assert rep_m.fitted_c4 == pytest.approx(rep_p.fitted_c4, rel=1e-3)
+    assert rep_m.c4 == rep_p.c4
     assert rep_m.predicted_c4 == rep_p.predicted_c4
 
 
-def test_low_freq_model_adequacy(kdv_profile, kdv_grads, monkeypatch):
-    # shrinking the ladder shrinks the k^8 truncation residual
-    wide = kp.low_freq_coefficient(kdv_profile, grads=kdv_grads)
-    monkeypatch.setattr(asymptotics, "K_LADDER",
-                        tuple(0.7 * k for k in wide.k_samples))
-    narrow = kp.low_freq_coefficient(kdv_profile, grads=kdv_grads)
-    assert narrow.fit_residual < wide.fit_residual
+# (f, E, bracket hint) at a = 0, c = 1: the three canonical waves, and mKdV
+# on both sides of E* = 1.0130326, where {T, M}_{a,E} changes sign
+LOW_FREQ_WAVES = {
+    "kdv": (kp.NonlinearitySpec.kdv(), KDV_E, None),
+    "dnoidal": (kp.NonlinearitySpec.mkdv(), DNOIDAL_E, DNOIDAL_HINT),
+    "cnoidal": (kp.NonlinearitySpec.mkdv(), CNOIDAL_E, None),
+    **{f"mkdv-E{E}": (kp.NonlinearitySpec.mkdv(), E, None) for E in (0.9, 1.1, 2.0)},
+}
 
 
-def test_low_freq_ladder_conditioning():
-    """The fixed ladder overdetermines the k^4, k^6, k^8 fit, and its
-    column-scaled design matrix is well conditioned (268; the bound is the
-    condition guard the fit once ran on every call)."""
-    k = np.array(asymptotics.K_LADDER)
-    X = np.column_stack([k ** 4, k ** 6, k ** 8])
-    assert len(k) > X.shape[1]
-    assert np.linalg.cond(X / np.max(np.abs(X), axis=0)) <= 1e8
+@pytest.mark.parametrize("sigma", (1, -1))
+@pytest.mark.parametrize("wave", list(LOW_FREQ_WAVES))
+def test_low_freq_c4_matches_prediction(wave, sigma):
+    """c4 meets -(P T - M^2) {T, M}_{a,E} to 1e-7 relative: 2.8e-8 at mKdV
+    E = 0.9, 2.5e-11 on KdV (a k^4, k^6, k^8 fit on a k ladder missed by
+    2.4e-6 on KdV)."""
+    f, E, hint = LOW_FREQ_WAVES[wave]
+    params = kp.WaveParams(0.0, E, 1.0, f, sigma=sigma)
+    rep = kp.low_freq_coefficient(kp.integrate_profile(params, bracket_hint=hint))
+    assert rep.relative_error <= 1e-7
 
 
 # ----------------------------------------------------------------------

@@ -114,6 +114,7 @@ def test_unknown_key_exit_2(tmp_path, capsys):
     ({"a": "0.0"}, "a must be a number"),
     ({"a": True}, "a must be a number"),
     ({"sigma": True}, "sigma must be a number"),
+    ({"sigma": 2}, "sigma must be +1 or -1"),
     ({"nonlinearity": dict(KDV_NL, coef="x")}, "nonlinearity.coef"),
     ({"nonlinearity": {"kind": "power", "coef": 0.5}}, "nonlinearity.exponent"),
     ({"nonlinearity": {"kind": "poly", "coeffs": 5}}, "nonlinearity.coeffs"),
@@ -125,7 +126,7 @@ def test_unknown_key_exit_2(tmp_path, capsys):
 ], ids=["spp-32", "spp-abc", "quad_tol-x", "mu_grid-decreasing", "mu_grid-no-values",
         "k_ladder-2", "k-scalar", "lambda-x", "mu_list-scalar", "high_freq_k-x",
         "high_freq-list", "low_freq-list", "mu_list-decreasing", "spp-fraction",
-        "mu_grid_n-fraction", "a-string", "a-bool", "sigma-bool", "coef-x",
+        "mu_grid_n-fraction", "a-string", "a-bool", "sigma-bool", "sigma-2", "coef-x",
         "power-no-exponent", "coeffs-scalar", "E-nan", "ode_tol-inf", "k-zero",
         "bracket_hint-reversed", "k-tag-collision"])
 def test_malformed_value_exit_2(tmp_path, capsys, overrides, key):
@@ -278,16 +279,37 @@ def test_verify_cnoidal_catches_non_periodic_a1(tmp_path, monkeypatch):
     assert code == 5 and not rows["averaging int A1_x"]
 
 
-def test_verify_passes_near_E_star(tmp_path):
-    """mKdV at a = 0, sigma = +1, E = 1.013, just below E* = 1.0130326:
-    {T, M}_{a,E}, and with it the predicted c4, is 1% of its size at
-    E = 1.01.  The k^8 column keeps the fitted c4 within the row's 5e-3
-    (3.4e-3 measured; a k^4, k^6 fit reads 0.89)."""
-    cfg = write_config(tmp_path, nonlinearity=MKDV_NL, E=1.013)
+@pytest.mark.parametrize("E", [1.013, 1.01302])
+def test_verify_passes_near_E_star(tmp_path, E):
+    """mKdV at a = 0, sigma = +1, just below E* = 1.0130326, where
+    {T, M}_{a,E}, and with it the predicted c4, vanishes: at E = 1.013 it is
+    1% of its size at E = 1.01, at 1.01302 0.4%.  The Cauchy mean's c4 meets
+    it to 7.5e-5 and 1.6e-5 relative, within the row's 5e-3 (a k^4, k^6,
+    k^8 fit on a k ladder read 3.4e-3 and 8.9e-3)."""
+    cfg = write_config(tmp_path, nonlinearity=MKDV_NL, E=E)
     out = tmp_path / "ve"
     assert run(["verify", "--config", cfg, "--out", str(out)]) == 0
     rows = json.loads((out / "verify.json").read_text())["checks"]
     assert [row["check"] for row in rows] == VERIFY_ROWS and all(row["pass"] for row in rows)
+
+
+def test_verify_catches_c4_defect(tmp_path, monkeypatch):
+    # every Evans value the low-frequency coefficient reads, scaled by
+    # 1 + 6e-3: c4 moves by just over the row's 5e-3.  The high-frequency
+    # sign reads the same evans, but a scale keeps every sign; cli's own rows
+    # import evans themselves
+    from kpevans import asymptotics
+    evans = asymptotics.evans
+
+    def scaled(*args):
+        ev = evans(*args)
+        return dataclasses.replace(ev, mantissa=ev.mantissa * (1.0 + 6e-3))
+
+    monkeypatch.setattr(asymptotics, "evans", scaled)
+    out = tmp_path / "v"
+    assert run(["verify", "--config", write_config(tmp_path), "--out", str(out)]) == 5
+    rows = json.loads((out / "verify.json").read_text())["checks"]
+    assert [row["check"] for row in rows if not row["pass"]] == ["low-frequency c4 match"]
 
 
 def test_scan_rerun_byte_identical(tmp_path):
